@@ -13,7 +13,7 @@ that sample; the current set is fully deterministic and ignores it.
 
 Exit codes: 0 success, 1 malformed input document (message carries a
 JSON pointer), 2 violated mathematical precondition, 3 internal
-consistency failure (always a bug).
+consistency failure or any other unexpected exception (always a bug).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
@@ -281,19 +282,21 @@ def cmd_lie_cohomology(ns) -> Handler:
     algebra, digest = _parse_lie_file(ns.algebra)
     kos = build_koszul(algebra)
     betti = kos.betti()
+    euler = kos.euler_characteristic()
+    nil_class = algebra.nilpotency_class()
     results = {
         "dim": algebra.dim,
         "betti": list(betti),
-        "euler_characteristic": kos.euler_characteristic(),
-        "nilpotency_class": algebra.nilpotency_class(),
+        "euler_characteristic": euler,
+        "nilpotency_class": nil_class,
         "algebra": lie_algebra_to_json(algebra),
     }
     files = {"algebra": _digest_entry(ns.algebra, digest)}
     pretty = [
         f"dimension: {algebra.dim}",
-        f"nilpotency class: {algebra.nilpotency_class()}",
+        f"nilpotency class: {nil_class}",
         "betti numbers: " + " ".join(str(b) for b in betti),
-        f"euler characteristic: {kos.euler_characteristic()}",
+        f"euler characteristic: {euler}",
     ]
     if ns.automorphism is not None:
         autos, adigest = _automorphisms_from_file(algebra, ns.automorphism)
@@ -330,9 +333,10 @@ def cmd_koszul_invariants(ns) -> Handler:
     kos = build_koszul(algebra)
     autos, idigest = _automorphisms_from_file(algebra, ns.matrices)
     inv = invariant_subcomplex(kos, autos)
+    betti = kos.betti()
     results = {
         "dim": algebra.dim,
-        "betti": list(kos.betti()),
+        "betti": list(betti),
         "subspace_dims": list(inv.subspace_dims),
         "invariant_betti": list(inv.invariant_betti),
         "fixed_cohomology_dims": list(inv.fixed_cohomology_dims),
@@ -343,7 +347,7 @@ def cmd_koszul_invariants(ns) -> Handler:
         "matrices": _digest_entry(ns.matrices, idigest),
     }
     pretty = [
-        "betti numbers: " + " ".join(str(b) for b in kos.betti()),
+        "betti numbers: " + " ".join(str(b) for b in betti),
         "invariant subcomplex dimensions: " + " ".join(str(x) for x in inv.subspace_dims),
         "invariant betti numbers: " + " ".join(str(b) for b in inv.invariant_betti),
         "fixed subspaces of the cohomology action: "
@@ -463,6 +467,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except InternalError as e:
         print(f"error (internal consistency): {e}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        # any other exception is a bug too; keep its traceback for the report
+        print(f"error (internal consistency): {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
     if ns.seed is not None:

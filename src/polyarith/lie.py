@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -89,6 +90,17 @@ class LieAlgebra:
                 table[(i, j)] = tuple(terms)
         self._table = table
         self._check_jacobi()
+
+    def __eq__(self, other) -> bool:
+        """Equal when the structure constants on the basis agree."""
+        return (
+            isinstance(other, LieAlgebra)
+            and self.dim == other.dim
+            and self._table == other._table
+        )
+
+    def __hash__(self):
+        return hash((self.dim, tuple(self.bracket_table())))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         if i == j:
@@ -292,26 +304,101 @@ def _sort_with_sign(seq: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     return sign, tuple(lst)
 
 
+# A differential is stored as its sparse columns: column j lists the
+# (row, value) pairs of its nonzero entries, rows increasing.
+SparseColumn = Tuple[Tuple[int, Scalar], ...]
+SparseColumns = Tuple[SparseColumn, ...]
+
+
+def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
+    """Rank over Q of the nrows-row matrix with the given sparse columns.
+
+    Rows that share a column are joined by a union-find; each connected
+    block of the nonzero pattern is ranked on its own with
+    ``Matrix.rank`` and the block ranks are summed.
+    """
+    parent = list(range(nrows))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for col in columns:
+        if col:
+            root = find(col[0][0])
+            for r, _ in col[1:]:
+                parent[find(r)] = root
+    blocks: Dict[int, List[SparseColumn]] = {}
+    for col in columns:
+        if col:
+            blocks.setdefault(find(col[0][0]), []).append(col)
+    total = 0
+    for cols in blocks.values():
+        local = {r: i for i, r in enumerate(sorted({r for col in cols for r, _ in col}))}
+        rows = [[0] * len(cols) for _ in local]
+        for j, col in enumerate(cols):
+            for r, v in col:
+                rows[local[r]][j] = v
+        total += Matrix(rows, ncols=len(cols)).rank()
+    return total
+
+
+def check_square_zero(lower: SparseColumns, upper: SparseColumns, p: int) -> None:
+    """Certify upper * lower = 0 column by column, in time linear in the
+    nonzeros touched; ``lower`` is d^p and ``upper`` is d^{p+1}."""
+    for col in lower:
+        image: Dict[int, Scalar] = {}
+        for r, v in col:
+            for s, w in upper[r]:
+                image[s] = image.get(s, 0) + v * w
+        if any(image.values()):
+            raise InternalError(f"differential does not square to zero at degree {p}")
+
+
 @dataclass(frozen=True)
 class KoszulComplex:
+    """The cochain complex of a Lie algebra: ``bases[p]`` indexes degree p,
+    ``columns[p]`` holds d^p from degree p to degree p + 1 as sparse
+    columns.  Ranks and the dense matrices are computed on first use."""
+
     algebra: LieAlgebra
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    differentials: Tuple[Matrix, ...]
+    columns: Tuple[SparseColumns, ...]
 
     def space_dim(self, p: int) -> int:
         return len(self.bases[p])
+
+    def _target_dim(self, p: int) -> int:
+        return self.space_dim(p + 1) if p < self.algebra.dim else 0
+
+    @cached_property
+    def differentials(self) -> Tuple[Matrix, ...]:
+        """The differentials as dense matrices (rows index degree p + 1)."""
+        out = []
+        for p, cols in enumerate(self.columns):
+            rows = [[0] * len(cols) for _ in range(self._target_dim(p))]
+            for j, col in enumerate(cols):
+                for r, v in col:
+                    rows[r][j] = v
+            out.append(Matrix(rows, ncols=len(cols)))
+        return tuple(out)
+
+    @cached_property
+    def ranks(self) -> Tuple[int, ...]:
+        """Rank of d^p for every degree p."""
+        return tuple(sparse_rank(cols, self._target_dim(p)) for p, cols in enumerate(self.columns))
 
     def differential(self, p: int) -> Matrix:
         return self.differentials[p]
 
     def betti(self) -> Tuple[int, ...]:
-        n = self.algebra.dim
-        out = []
-        for p in range(n + 1):
-            kernel_dim = self.space_dim(p) - self.differentials[p].rank()
-            image_prev = self.differentials[p - 1].rank() if p > 0 else 0
-            out.append(kernel_dim - image_prev)
-        return tuple(out)
+        ranks = self.ranks
+        return tuple(
+            self.space_dim(p) - ranks[p] - (ranks[p - 1] if p > 0 else 0)
+            for p in range(self.algebra.dim + 1)
+        )
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * b for p, b in enumerate(self.betti()))
@@ -366,32 +453,25 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
         )
     bases = tuple(tuple(itertools.combinations(range(n), p)) for p in range(n + 1))
     index = [{key: i for i, key in enumerate(bases[p])} for p in range(n + 1)]
+    terms = [algebra.structure_terms(k) for k in range(n)]
     diffs = []
     for p in range(n + 1):
-        src = bases[p]
-        dst = bases[p + 1] if p < n else ()
-        cols: List[Dict[int, Scalar]] = []
-        for key in src:
+        cols: List[SparseColumn] = []
+        for key in bases[p]:
             col: Dict[int, Scalar] = {}
             for t, kt in enumerate(key):
                 outer_sign = (-1) ** t
-                for i, j, c in algebra.structure_terms(kt):
+                for i, j, c in terms[kt]:
                     sign, target = _sort_with_sign(key[:t] + (i, j) + key[t + 1 :])
                     if sign == 0:
                         continue
                     row = index[p + 1][target]
                     col[row] = col.get(row, 0) - outer_sign * sign * c
-            cols.append(col)
-        rows = [[0] * len(src) for _ in range(len(dst))]
-        for cidx, col in enumerate(cols):
-            for ridx, val in col.items():
-                rows[ridx][cidx] = val
-        diffs.append(Matrix(rows, ncols=len(src)))
+            cols.append(tuple((r, v) for r, v in sorted(col.items()) if v != 0))
+        diffs.append(tuple(cols))
     for p in range(n):
-        if not (diffs[p + 1] * diffs[p]).is_zero():
-            raise InternalError(f"differential does not square to zero at degree {p}")
-    kos = KoszulComplex(algebra, bases, tuple(diffs))
-    return kos
+        check_square_zero(diffs[p], diffs[p + 1], p)
+    return KoszulComplex(algebra, bases, tuple(diffs))
 
 
 def betti_numbers(algebra: LieAlgebra) -> Tuple[int, ...]:
@@ -491,7 +571,7 @@ def action_on_cohomology(
     """
     if kos is None:
         kos = build_koszul(phi.algebra)
-    if kos.algebra is not phi.algebra and kos.algebra.dim != phi.algebra.dim:
+    if kos.algebra != phi.algebra:
         raise PreconditionError("complex and automorphism algebras differ")
     n = kos.algebra.dim
     if not 0 <= p <= n:
@@ -579,8 +659,8 @@ def invariant_subcomplex(
     autos = list(autos)
     n = kos.algebra.dim
     for phi in autos:
-        if phi.algebra.dim != n:
-            raise PreconditionError("automorphism and complex dimensions differ")
+        if phi.algebra != kos.algebra:
+            raise PreconditionError("complex and automorphism algebras differ")
         if not phi.is_semisimple():
             raise PreconditionError("invariant subcomplex needs semisimple automorphisms")
     for one, two in itertools.combinations(autos, 2):
@@ -616,8 +696,7 @@ def invariant_subcomplex(
         inv_betti.append(kernel_dim - image_prev)
 
     fixed_dims = []
-    for p in range(n + 1):
-        h_dim = kos.betti()[p]
+    for p, h_dim in enumerate(kos.betti()):
         basis = Matrix.identity(h_dim)
         for phi in autos:
             basis = _fixed_subspace(basis, action_on_cohomology(phi, p, kos))

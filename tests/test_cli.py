@@ -421,6 +421,31 @@ class TestErrorPaths:
         assert err.startswith("error (internal consistency)")
 
 
+    def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
+        import polyarith.cli as cli_module
+
+        def boom(ns):
+            raise ValueError("forced for the exit-code test")
+
+        monkeypatch.setattr(cli_module, "cmd_pell", boom)
+        code, out, err = run(capsys, "pell", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "error (internal consistency): ValueError: forced for the exit-code test\n"
+        )
+
+    def test_keyboard_interrupt_not_caught(self, monkeypatch):
+        import polyarith.cli as cli_module
+
+        def interrupt(ns):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "cmd_pell", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["pell", "3"])
+
+
 class TestConsoleScript:
     def test_entry_point(self):
         exe = shutil.which("polyarith")

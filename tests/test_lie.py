@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyarith.errors import InternalError, PreconditionError
 from polyarith.lie import (
@@ -13,6 +16,7 @@ from polyarith.lie import (
     action_on_cohomology,
     betti_numbers,
     build_koszul,
+    check_square_zero,
     dimension_cap,
     direct_sum,
     filiform,
@@ -25,6 +29,7 @@ from polyarith.lie import (
     nilpotent_catalog,
     semisimple_rigidity_check,
     sl2,
+    sparse_rank,
     strictly_upper,
 )
 from polyarith.linalg import Matrix
@@ -220,6 +225,94 @@ class TestKoszul:
             assert report.h1_dim == algebra.dim - report.derived_dim
 
 
+def reference_differential(algebra, p):
+    """d^p straight from the Chevalley-Eilenberg formula with trivial
+    coefficients, (d w)(x_0, .., x_p) = sum_{a<b} (-1)^(a+b) w([x_a, x_b], ..),
+    where the dots are the x_i with i != a, b in order.  The coefficient
+    of xi^L in d xi^K is d xi^K evaluated on the basis vectors e_L."""
+    n = algebra.dim
+    src = list(itertools.combinations(range(n), p))
+    dst = list(itertools.combinations(range(n), p + 1)) if p < n else []
+    rows = []
+    for target in dst:
+        row = []
+        for key in src:
+            total = 0
+            for a, b in itertools.combinations(range(p + 1), 2):
+                v = algebra.bracket_basis(target[a], target[b])
+                rest = target[:a] + target[a + 1 : b] + target[b + 1 :]
+                # xi^key(v, e_rest): expand along the argument v
+                for s, k in enumerate(key):
+                    if key[:s] + key[s + 1 :] == rest:
+                        total += (-1) ** (a + b + s) * v[k]
+            row.append(total)
+        rows.append(row)
+    return Matrix(rows, ncols=len(src))
+
+
+def rank_test_algebras():
+    algebras = dict(nilpotent_catalog())
+    algebras.update({f"abelian_{n}": abelian(n) for n in range(1, 9)})
+    algebras["sl2"] = sl2()
+    algebras["filiform_4_plus_heisenberg_3"] = direct_sum(filiform(4), heisenberg())
+    algebras["filiform_5_plus_line"] = direct_sum(filiform(5), abelian(1))
+    algebras["heisenberg_3_plus_sl2"] = direct_sum(heisenberg(), sl2())
+    return algebras
+
+
+class TestSparseComplex:
+    @pytest.mark.parametrize("name", sorted(nilpotent_catalog()))
+    def test_differentials_match_reference(self, name):
+        algebra = nilpotent_catalog()[name]
+        kos = build_koszul(algebra)
+        for p in range(algebra.dim + 1):
+            assert kos.differential(p) == reference_differential(algebra, p)
+
+    @pytest.mark.parametrize("name", sorted(rank_test_algebras()))
+    def test_block_rank_matches_dense_rank(self, name):
+        kos = build_koszul(rank_test_algebras()[name])
+        assert kos.ranks == tuple(d.rank() for d in kos.differentials)
+
+    def test_ranks_computed_once(self, monkeypatch):
+        kos = build_koszul(filiform(6))
+        kos.betti()
+        # later calls read the cached ranks and never eliminate again
+        monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("rank recomputed"))
+        assert kos.betti() == KNOWN_BETTI["filiform_6"]
+        assert kos.euler_characteristic() == 0
+
+    def test_betti_without_dense_matrices(self):
+        kos = build_koszul(filiform(7))
+        assert kos.betti() == KNOWN_BETTI["filiform_7"]
+        assert "differentials" not in vars(kos)
+
+    @given(
+        st.integers(0, 7).flatmap(
+            lambda nrows: st.lists(
+                st.dictionaries(st.integers(0, max(nrows - 1, 0)), st.integers(-3, 3), max_size=3)
+                if nrows
+                else st.just({}),
+                max_size=8,
+            ).map(lambda cols: (nrows, cols))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_rank_random(self, shape):
+        nrows, cols = shape
+        columns = tuple(tuple(sorted((r, v) for r, v in c.items() if v)) for c in cols)
+        dense = Matrix(
+            [[c.get(r, 0) for c in cols] for r in range(nrows)], ncols=len(cols)
+        )
+        assert sparse_rank(columns, nrows) == dense.rank()
+
+    def test_square_zero_check(self):
+        # d^0: one form to e_0 + e_1; d^1 sends e_0 to f and e_1 to -f
+        lower = (((0, 1), (1, 1)),)
+        check_square_zero(lower, (((0, 1),), ((0, -1),)), 0)
+        with pytest.raises(InternalError, match="does not square to zero at degree 4"):
+            check_square_zero(lower, (((0, 1),), ((0, 2),)), 4)
+
+
 class TestDimensionCap:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("POLYARITH_MAX_DIM", raising=False)
@@ -334,6 +427,19 @@ class TestActionOnCohomology:
         assert top == Matrix([[1]])  # det = 1 here
         psi = diagonal_automorphism(h, (2, 1, 2))
         assert action_on_cohomology(psi, 3) == Matrix([[Fraction(1, 4)]])
+
+    def test_complex_of_another_algebra_rejected(self):
+        # same dimension, different brackets: the torus of heisenberg(1)
+        # must not be applied to the complex of abelian(3)
+        phi = diagonal_automorphism(heisenberg(), (2, 3, 6))
+        with pytest.raises(PreconditionError, match="algebras differ"):
+            action_on_cohomology(phi, 1, build_koszul(abelian(3)))
+
+    def test_complex_of_equal_algebra_accepted(self):
+        phi = diagonal_automorphism(heisenberg(), (2, 3, 6))
+        kos = build_koszul(heisenberg())
+        assert kos.algebra is not phi.algebra
+        assert action_on_cohomology(phi, 1, kos) == Matrix.diagonal((Fraction(1, 2), Fraction(1, 3)))
 
     def test_degree_out_of_range(self):
         h = heisenberg()
@@ -451,6 +557,11 @@ class TestInvariantSubcomplex:
         swap = LieAutomorphism(a, Matrix([[0, 1], [1, 0]]))
         with pytest.raises(PreconditionError):
             invariant_subcomplex(kos, [one, swap])
+
+    def test_complex_of_another_algebra_rejected(self):
+        phi = diagonal_automorphism(heisenberg(), (2, 3, 6))
+        with pytest.raises(PreconditionError, match="algebras differ"):
+            invariant_subcomplex(build_koszul(abelian(3)), [phi])
 
     def test_non_semisimple_rejected(self):
         h = heisenberg()
