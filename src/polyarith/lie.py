@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
+    hstack,
     min_poly,
     nilpotent_exp,
     rational_kernel,
@@ -357,11 +358,30 @@ def check_square_zero(lower: SparseColumns, upper: SparseColumns, p: int) -> Non
             raise InternalError(f"differential does not square to zero at degree {p}")
 
 
+def check_chain_map(d: SparseColumns, w_here: Matrix, w_up: Matrix) -> None:
+    """Certify w_up * d == d * w_here column by column, in time
+    O(nnz(d) * dim); ``d`` is d^p, ``w_here`` and ``w_up`` are the form
+    actions in degrees p and p + 1."""
+    up_cols = [[(s, w) for s, w in enumerate(col) if w] for col in zip(*w_up.entries)]
+    for j, here_col in enumerate(zip(*w_here.entries)):
+        diff: Dict[int, Scalar] = {}
+        for r, v in d[j]:
+            for s, w in up_cols[r]:
+                diff[s] = diff.get(s, 0) + v * w
+        for k, x in enumerate(here_col):
+            if x:
+                for s, v in d[k]:
+                    diff[s] = diff.get(s, 0) - x * v
+        if any(diff.values()):
+            raise InternalError("form action does not commute with the differential")
+
+
 @dataclass(frozen=True)
 class KoszulComplex:
     """The cochain complex of a Lie algebra: ``bases[p]`` indexes degree p,
     ``columns[p]`` holds d^p from degree p to degree p + 1 as sparse
-    columns.  Ranks and the dense matrices are computed on first use."""
+    columns.  Ranks, the dense matrices and the cohomology bases are
+    computed on first use."""
 
     algebra: LieAlgebra
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]
@@ -407,39 +427,48 @@ class KoszulComplex:
         """Basis (rows) of ker d^p over Q."""
         return rational_kernel(self.differentials[p])
 
+    @cached_property
+    def _coboundaries(self) -> Dict[int, Matrix]:
+        return {}
+
     def coboundaries(self, p: int) -> Matrix:
-        """Basis (rows) of im d^{p-1} over Q."""
-        if p == 0:
-            return Matrix([], ncols=self.space_dim(0))
-        return _row_space_basis(self.differentials[p - 1].transpose())
+        """Basis (rows) of im d^{p-1} over Q, cached per degree."""
+        cache = self._coboundaries
+        if p not in cache:
+            cache[p] = (
+                _row_space_basis(self.differentials[p - 1].transpose())
+                if p
+                else Matrix([], ncols=self.space_dim(0))
+            )
+        return cache[p]
 
     def representatives(self, p: int) -> Matrix:
         """Cocycle rows completing the coboundaries to ker d^p.
 
         Deterministic: walks the canonical kernel basis in order and
-        keeps the vectors that grow the span.
+        keeps the vectors that grow the span, which are the pivot
+        columns past the coboundaries of [coboundaries; cocycles]^T.
         """
-        ker = self.cocycles(p)
-        reduced: List[List[Fraction]] = []
+        bound = self.coboundaries(p)
+        stacked = vstack(bound, self.cocycles(p))
+        _, pivots = rref(stacked.transpose())
+        return Matrix(
+            [stacked.row(j) for j in pivots if j >= bound.nrows], ncols=self.space_dim(p)
+        )
 
-        def reduce_add(vec) -> bool:
-            v = [Fraction(x) for x in vec]
-            for row in reduced:
-                lead = next(i for i, x in enumerate(row) if x != 0)
-                if v[lead] != 0:
-                    c = v[lead]
-                    v = [x - c * y for x, y in zip(v, row)]
-            lead = next((i for i, x in enumerate(v) if x != 0), None)
-            if lead is None:
-                return False
-            f = v[lead]
-            reduced.append([x / f for x in v])
-            return True
+    @cached_property
+    def _cohomology_bases(self) -> Dict[int, Tuple[Matrix, Matrix]]:
+        return {}
 
-        for row in self.coboundaries(p).entries:
-            reduce_add(row)
-        reps = [row for row in ker.entries if reduce_add(row)]
-        return Matrix(reps, ncols=self.space_dim(p))
+    def cohomology_basis(self, p: int) -> Tuple[Matrix, Matrix]:
+        """The representatives of degree p, and the matrix whose columns
+        are the representatives followed by the coboundary basis.  Computed
+        once per degree and then cached."""
+        cache = self._cohomology_bases
+        if p not in cache:
+            reps = self.representatives(p)
+            cache[p] = (reps, vstack(reps, self.coboundaries(p)).transpose())
+        return cache[p]
 
 
 def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
@@ -548,6 +577,15 @@ class LieAutomorphism:
     def is_identity(self) -> bool:
         return self.matrix.is_identity()
 
+    @cached_property
+    def dual(self) -> Matrix:
+        """Inverse transpose: the action on one-forms."""
+        return self.matrix.inverse().transpose()
+
+    @cached_property
+    def _form_actions(self) -> Dict[int, Matrix]:
+        return {}
+
 
 def inner_automorphism(algebra: LieAlgebra, x: Sequence[Scalar]) -> LieAutomorphism:
     """exp(ad x); defined here only for nilpotent ad x."""
@@ -555,8 +593,14 @@ def inner_automorphism(algebra: LieAlgebra, x: Sequence[Scalar]) -> LieAutomorph
 
 
 def form_action(phi: LieAutomorphism, p: int) -> Matrix:
-    """Action on degree-p forms: p-th wedge power of the inverse transpose."""
-    return wedge_power(phi.matrix.inverse().transpose(), p)
+    """Action on degree-p forms: p-th wedge power of the inverse transpose.
+
+    Cached on ``phi``, so each degree is computed once per automorphism
+    and only when asked for."""
+    cache = phi._form_actions
+    if p not in cache:
+        cache[p] = wedge_power(phi.dual, p)
+    return cache[p]
 
 
 def action_on_cohomology(
@@ -577,21 +621,18 @@ def action_on_cohomology(
     if not 0 <= p <= n:
         raise PreconditionError("degree out of range")
     w_here = form_action(phi, p)
-    w_up = form_action(phi, p + 1) if p < n else Matrix([], ncols=0)
-    if p < n and w_up * kos.differentials[p] != kos.differentials[p] * w_here:
-        raise InternalError("form action does not commute with the differential")
-    reps = kos.representatives(p)
-    bound = kos.coboundaries(p)
-    stacked = vstack(reps, bound) if bound.nrows else reps
-    basis_cols = stacked.transpose()
-    cols = []
-    for row in reps.entries:
-        image = w_here.apply(row)
-        coeffs = solve(basis_cols, image)
-        if coeffs is None:
-            raise InternalError("image of a cocycle left the cocycle space")
-        cols.append(coeffs[: reps.nrows])
-    return Matrix.from_cols(cols, nrows=reps.nrows)
+    if p < n:
+        check_chain_map(kos.columns[p], w_here, form_action(phi, p + 1))
+    # the basis columns are independent, so they are the first pivots and
+    # row i of the reduced form holds the coordinates on representative i
+    reps, basis = kos.cohomology_basis(p)
+    images = Matrix.from_cols([w_here.apply(row) for row in reps.entries], nrows=basis.nrows)
+    reduced, pivots = rref(hstack(basis, images))
+    if any(c >= basis.ncols for c in pivots):
+        raise InternalError("image of a cocycle left the cocycle space")
+    return Matrix(
+        [row[basis.ncols :] for row in reduced.entries[: reps.nrows]], ncols=reps.nrows
+    )
 
 
 @dataclass(frozen=True)

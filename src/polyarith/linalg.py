@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -256,7 +257,7 @@ class Matrix:
 
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(x * y for x, y in zip(a, b) if x)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -792,14 +793,42 @@ def nilpotent_exp(m: Matrix) -> Matrix:
 def wedge_power(m: Matrix, p: int) -> Matrix:
     """p-th exterior power: entries are the p x p minors, index sets in
     lexicographic order, so column J holds the image of the wedge of the
-    J-indexed basis vectors."""
+    J-indexed basis vectors.
+
+    Computed by exterior expansion rather than by determinants: the
+    column for J = (j_1 < .. < j_p) is the column for (j_1, .., j_{p-1})
+    wedged with m e_{j_p}, and only nonzero entries are multiplied, so a
+    diagonal matrix costs O(C(n, p)).
+    """
     if not m.is_square():
         raise PreconditionError("wedge_power needs a square matrix")
     n = m.nrows
     if p < 0 or p > n:
         raise PreconditionError("wedge power degree out of range")
+    images = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.entries)]
+    # forms[K] maps each index set I to the coefficient of e_I in the
+    # wedge of m e_k over k in K; only prefixes of degree-p sets are kept
+    forms: dict = {(): {(): 1}}
+    for k in range(1, p + 1):
+        nxt = {}
+        for key in itertools.combinations(range(n - p + k), k):
+            form: dict = {}
+            prefix = forms[key[:-1]]
+            for i, x in images[key[-1]]:
+                for idx, c in prefix.items():
+                    if i in idx:
+                        continue
+                    # e_I ^ e_i = (-1)^(#{t in I : t > i}) e_{I + i}
+                    pos = bisect_left(idx, i)
+                    target = idx[:pos] + (i,) + idx[pos:]
+                    term = x * c if (k - 1 - pos) % 2 == 0 else -x * c
+                    form[target] = form.get(target, 0) + term
+            nxt[key] = {idx: c for idx, c in form.items() if c}
+        forms = nxt
     subsets = list(itertools.combinations(range(n), p))
-    return Matrix(
-        [[m.submatrix(ri, ci).det() for ci in subsets] for ri in subsets],
-        ncols=len(subsets),
-    )
+    index = {key: r for r, key in enumerate(subsets)}
+    rows = [[0] * len(subsets) for _ in subsets]
+    for col, key in enumerate(subsets):
+        for idx, c in forms[key].items():
+            rows[index[idx]][col] = c
+    return Matrix(rows, ncols=len(subsets))

@@ -5,6 +5,7 @@ of ints, Fractions, sympy matrices) and its own algorithms, so that
 agreement with the package is evidence rather than tautology.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
@@ -217,3 +218,33 @@ def pell_brute(d):
         if x[1]:
             return int(x[0]), y
         y += 1
+
+
+def det_exact(rows):
+    """Determinant of a square list of rows by Fraction elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def wedge_minors(rows, p):
+    """p-th exterior power by its definition: the p x p minors, row and
+    column index sets in lexicographic order."""
+    subsets = list(itertools.combinations(range(len(rows)), p))
+    return [
+        [det_exact([[rows[i][j] for j in cols] for i in rsub]) for cols in subsets]
+        for rsub in subsets
+    ]

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyarith.lie as lie
 from polyarith.errors import InternalError, PreconditionError
 from polyarith.lie import (
+    KoszulComplex,
     LieAlgebra,
     LieAutomorphism,
     MAX_DIM_DEFAULT,
@@ -32,7 +34,7 @@ from polyarith.lie import (
     sparse_rank,
     strictly_upper,
 )
-from polyarith.linalg import Matrix
+from polyarith.linalg import Matrix, rational_kernel, solve, vstack, wedge_power
 
 # Betti tables for the catalog, degree 0 upward
 KNOWN_BETTI = {
@@ -446,6 +448,190 @@ class TestActionOnCohomology:
         phi = LieAutomorphism(h, Matrix.identity(3))
         with pytest.raises(PreconditionError):
             action_on_cohomology(phi, 4)
+
+
+def reference_representatives(kos, p):
+    """The greedy completion of the coboundaries to the cocycles, by a
+    hand-rolled Fraction elimination that keeps each kernel basis vector
+    that grows the span."""
+    reduced = []
+
+    def reduce_add(vec):
+        v = [Fraction(x) for x in vec]
+        for row in reduced:
+            lead = next(i for i, x in enumerate(row) if x != 0)
+            if v[lead] != 0:
+                c = v[lead]
+                v = [x - c * y for x, y in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x != 0), None)
+        if lead is None:
+            return False
+        reduced.append([x / v[lead] for x in v])
+        return True
+
+    for row in kos.coboundaries(p).entries:
+        reduce_add(row)
+    return Matrix(
+        [row for row in kos.cocycles(p).entries if reduce_add(row)], ncols=kos.space_dim(p)
+    )
+
+
+def reference_action(phi, p, kos):
+    """The action on H^p by one solve per representative against the
+    stacked basis of representatives and coboundaries."""
+    w_here = wedge_power(phi.matrix.inverse().transpose(), p)
+    reps = reference_representatives(kos, p)
+    bound = kos.coboundaries(p)
+    basis_cols = (vstack(reps, bound) if bound.nrows else reps).transpose()
+    cols = []
+    for row in reps.entries:
+        coeffs = solve(basis_cols, w_here.apply(row))
+        assert coeffs is not None
+        cols.append(coeffs[: reps.nrows])
+    return Matrix.from_cols(cols, nrows=reps.nrows)
+
+
+def seeded_torus(algebra, rng):
+    """A diagonal automorphism with scalars 2^w 3^v, for two seeded
+    integer weightings w, v with w_i + w_j = w_k on every bracket term."""
+    n = algebra.dim
+    rows = []
+    for (i, j), terms in algebra.bracket_table():
+        for k, _ in terms:
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+            rows.append(row)
+    kernel = rational_kernel(Matrix(rows, ncols=n)) if rows else Matrix.identity(n)
+
+    def weighting():
+        combo = [rng.randint(-2, 2) for _ in range(kernel.nrows)]
+        w = [sum(c * Fraction(x) for c, x in zip(combo, col)) for col in zip(*kernel.entries)]
+        scale = math.lcm(*(x.denominator for x in w))
+        return [int(x * scale) for x in w]
+
+    scalars = [Fraction(2) ** a * Fraction(3) ** b for a, b in zip(weighting(), weighting())]
+    return diagonal_automorphism(algebra, scalars)
+
+
+class TestCachedActionPath:
+    def test_representatives_match_greedy_elimination(self):
+        for algebra in nilpotent_catalog().values():
+            kos = build_koszul(algebra)
+            for p in range(algebra.dim + 1):
+                assert kos.representatives(p) == reference_representatives(kos, p)
+
+    def test_action_matches_per_representative_solves(self):
+        rng = random.Random(23)
+        for name, algebra in nilpotent_catalog().items():
+            kos = build_koszul(algebra)
+            torus = seeded_torus(algebra, rng)
+            x = tuple(rng.randint(-2, 2) for _ in range(algebra.dim))
+            u = inner_automorphism(algebra, x)
+            # a conjugated torus is semisimple with a dense matrix
+            autos = (torus, u, u.compose(torus).compose(u.inverse()))
+            for phi in autos:
+                for p in range(algebra.dim + 1):
+                    assert action_on_cohomology(phi, p, kos) == reference_action(phi, p, kos), (
+                        name,
+                        p,
+                    )
+
+    def test_bases_and_form_actions_computed_once(self, monkeypatch):
+        calls = {"representatives": [], "cocycles": [], "wedge_power": [], "row_space": []}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name].append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("representatives", "cocycles"):
+            monkeypatch.setattr(
+                KoszulComplex, name, counting(name, getattr(KoszulComplex, name))
+            )
+        monkeypatch.setattr(lie, "wedge_power", counting("wedge_power", wedge_power))
+        monkeypatch.setattr(lie, "_row_space_basis", counting("row_space", lie._row_space_basis))
+        algebra = nilpotent_catalog()["filiform_5"]
+        kos = build_koszul(algebra)
+        rng = random.Random(3)
+        autos = [graded_filiform_auto(algebra, rng) for _ in range(2)]
+        degrees = list(range(algebra.dim + 1))
+        for phi in autos:
+            for p in degrees:
+                action_on_cohomology(phi, p, kos)
+            for p in degrees:
+                action_on_cohomology(phi, p, kos)
+        assert sorted(p for _, p in calls["representatives"]) == degrees
+        assert sorted(p for _, p in calls["cocycles"]) == degrees
+        # coboundaries of degrees 1..n, each row-reduced once
+        assert len(calls["row_space"]) == algebra.dim
+        computed = [(m.entries, p) for m, p in calls["wedge_power"]]
+        assert sorted(computed) == sorted(
+            (phi.dual.entries, p) for phi in autos for p in degrees
+        )
+
+    def test_form_actions_computed_only_when_asked(self, monkeypatch):
+        degrees = []
+
+        def counting(m, p):
+            degrees.append(p)
+            return wedge_power(m, p)
+
+        monkeypatch.setattr(lie, "wedge_power", counting)
+        h = nilpotent_catalog()["heisenberg_5"]
+        phi = graded_heisenberg_auto(h, random.Random(1))
+        action_on_cohomology(phi, 2, build_koszul(h))
+        assert sorted(degrees) == [2, 3]
+
+
+class TestActionCertificates:
+    def test_chain_map_check_fires_on_perturbed_form_action(self, monkeypatch):
+        h = heisenberg()
+        kos = build_koszul(h)
+        phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
+        original = lie.form_action
+        monkeypatch.setattr(
+            lie, "form_action", lambda psi, p: original(psi, p).scale(2) if p == 2 else original(psi, p)
+        )
+        with pytest.raises(
+            InternalError, match="^form action does not commute with the differential$"
+        ):
+            action_on_cohomology(phi, 1, kos)
+
+    def test_chain_map_check_sees_one_wrong_entry(self):
+        kos = build_koszul(nilpotent_catalog()["filiform_5"])
+        phi = graded_filiform_auto(kos.algebra, random.Random(9))
+        for p in range(kos.algebra.dim):
+            w_here = form_action(phi, p)
+            w_up = form_action(phi, p + 1)
+            lie.check_chain_map(kos.columns[p], w_here, w_up)
+            for col in kos.columns[p]:
+                if col:
+                    bumped = w_up.to_lists()
+                    bumped[col[0][0]][col[0][0]] += 1
+                    with pytest.raises(InternalError):
+                        lie.check_chain_map(kos.columns[p], w_here, Matrix(bumped))
+
+    def test_image_outside_cocycles_is_refused(self, monkeypatch):
+        h = heisenberg()
+        kos = build_koszul(h)
+        phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
+        original = lie.form_action
+
+        def leaky(psi, p):
+            # send xi^0 to xi^0 + xi^2, which is not closed
+            w = original(psi, p).to_lists()
+            if p == 1:
+                w[2][0] += 1
+            return Matrix(w)
+
+        monkeypatch.setattr(lie, "form_action", leaky)
+        monkeypatch.setattr(lie, "check_chain_map", lambda *args: None)
+        with pytest.raises(InternalError, match="^image of a cocycle left the cocycle space$"):
+            action_on_cohomology(phi, 1, kos)
 
 
 class TestRigidity:

@@ -32,9 +32,10 @@ from polyarith.linalg import (
     vstack,
     wedge_power,
 )
+from polyarith.lie import filiform, free_two_step, heisenberg
 from polyarith.polynomials import Poly
 
-from oracles import smith_diagonal
+from oracles import smith_diagonal, wedge_minors
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -412,3 +413,25 @@ class TestWedgePower:
             x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             y = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             assert wedge_power(x * y, p) == wedge_power(x, p) * wedge_power(y, p)
+
+    def test_matches_minors_in_every_degree(self):
+        rng = random.Random(41)
+        mats = []
+        for n in range(7):
+            mats.append([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            mats.append(
+                [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            )
+            mats.append([[rng.randint(-3, 3) if i == j else 0 for j in range(n)] for i in range(n)])
+            # singular: the last row repeats a combination of the others
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            if n:
+                rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])] if n > 1 else [0])
+            mats.append(rows)
+        for algebra in (heisenberg(2), filiform(6), free_two_step(3)):
+            x = tuple(rng.randint(-2, 2) for _ in range(algebra.dim))
+            mats.append(nilpotent_exp(algebra.ad(x)).to_lists())
+        for rows in mats:
+            m = Matrix(rows, ncols=len(rows))
+            for p in range(m.nrows + 1):
+                assert wedge_power(m, p) == Matrix(wedge_minors(rows, p))
