@@ -170,15 +170,16 @@ def cmd_der_action(ns) -> Handler:
     lattice = derivation_space(document.presentation, document.action)
     table = rewriting_table(engine, word)
     matrix = conjugation_action(word, table, lattice)
+    det = matrix.det()
     results = {
         "element": ns.element,
         "rank": lattice.rank,
         "matrix": matrix_to_json(matrix),
-        "determinant": matrix.det(),
+        "determinant": det,
     }
     pretty = [f"element: {ns.element}", f"derivation lattice rank: {lattice.rank}"]
     pretty.extend(_matrix_lines(matrix, "action on the derivation basis (rows are images):"))
-    pretty.append(f"determinant: {matrix.det()}")
+    pretty.append(f"determinant: {det}")
     files = {"spec": _digest_entry(ns.spec, digest)}
     return results, files, {"element": ns.element}, pretty
 

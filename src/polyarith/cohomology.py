@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
+    _hermite_coordinates,
+    _require_integral,
     hnf,
     kernel_lattice,
-    lattice_coordinates,
     row_hermite_basis,
     snf,
 )
@@ -108,11 +110,22 @@ class DerivationLattice:
         return len(self.basis)
 
     def basis_matrix(self) -> Matrix:
+        return self._basis_matrix
+
+    @cached_property
+    def _basis_matrix(self) -> Matrix:
         ncols = self.action.rank * len(self.presentation.generators)
         return Matrix([d.flatten() for d in self.basis], ncols=ncols)
 
+    @cached_property
+    def _hermite(self) -> Tuple[Matrix, Matrix]:
+        """``hnf`` of the basis matrix, shared by every ``coordinates`` call."""
+        _require_integral(self._basis_matrix, "lattice_coordinates")
+        return hnf(self._basis_matrix)
+
     def coordinates(self, deriv: Derivation) -> Optional[Tuple[int, ...]]:
-        return lattice_coordinates(self.basis_matrix(), deriv.flatten())
+        """Same as ``lattice_coordinates(self.basis_matrix(), deriv.flatten())``."""
+        return _hermite_coordinates(*self._hermite, deriv.flatten())
 
     def contains(self, deriv: Derivation) -> bool:
         return self.coordinates(deriv) is not None

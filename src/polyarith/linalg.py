@@ -25,7 +25,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
@@ -35,7 +35,27 @@ Scalar = Union[int, Fraction]
 Vector = Tuple[Scalar, ...]
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _all_int(row: Sequence) -> bool:
+    """True when every entry is a plain ``int`` (not ``bool``)."""
+    return set(map(type, row)) <= _INT_ONLY
+
+
+def _norm_row(row) -> tuple:
+    """A row as a tuple of normalised entries.  A list or tuple of plain
+    ``int`` is taken as it is, and a tuple is shared rather than copied."""
+    if (type(row) is tuple or type(row) is list) and _all_int(row):
+        return row if type(row) is tuple else tuple(row)
+    return tuple(map(_norm_entry, row))
+
+
 def _norm_entry(x: Scalar):
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -46,7 +66,7 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None):
-        ent = tuple(tuple(_norm_entry(x) for x in row) for row in rows)
+        ent = tuple(map(_norm_row, rows))
         if ent:
             width = len(ent[0])
             if any(len(r) != width for r in ent):
@@ -150,7 +170,7 @@ class Matrix:
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
+            raise PreconditionError("shape mismatch")
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -158,7 +178,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+            raise PreconditionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         cols = [other.col(j) for j in range(other.ncols)]
         return Matrix(
             [[_dot(r, c) for c in cols] for r in self.entries],
@@ -190,13 +210,13 @@ class Matrix:
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
+            raise PreconditionError("vector length mismatch")
         return tuple(_norm_entry(_dot(r, v)) for r in self.entries)
 
     def apply_left(self, v: Sequence[Scalar]) -> Vector:
         """Row vector times matrix."""
         if len(v) != self.nrows:
-            raise ValueError("vector length mismatch")
+            raise PreconditionError("vector length mismatch")
         return tuple(_norm_entry(_dot(v, self.col(j))) for j in range(self.ncols))
 
     def transpose(self) -> "Matrix":
@@ -210,50 +230,24 @@ class Matrix:
     def det(self) -> Scalar:
         if not self.is_square():
             raise PreconditionError("determinant needs a square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        rows = [[Fraction(x) for x in r] for r in self.entries]
-        sign = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] / rows[c][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        d = Fraction(sign)
-        for i in range(n):
-            d *= rows[i][i]
-        return _norm_entry(d)
+        rows, scale = _integer_rows(self.entries)
+        _, pivots, d, sign = _eliminate(rows, self.ncols)
+        if len(pivots) < self.nrows:
+            return 0
+        return _quotient(sign * d, scale)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise PreconditionError("inverse needs a square matrix")
         n = self.nrows
-        aug = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, r in enumerate(self.entries)]
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-            if piv is None:
-                raise PreconditionError("matrix is singular")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            f = aug[r][c]
-            aug[r] = [x / f for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c] != 0:
-                    g = aug[i][c]
-                    aug[i] = [a - g * b for a, b in zip(aug[i], aug[r])]
-            r += 1
-        return Matrix([row[n:] for row in aug], ncols=n)
+        aug = [r + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(self.entries)]
+        rows, pivots, d, _ = _eliminate(_integer_rows(aug)[0], n)
+        if len(pivots) < n:
+            raise PreconditionError("matrix is singular")
+        return Matrix([[_quotient(x, d) for x in row[n:]] for row in rows], ncols=n)
 
     def rank(self) -> int:
-        return len(_rref([list(r) for r in self.entries], self.ncols)[1])
+        return len(_eliminate(_integer_rows(self.entries)[0], self.ncols)[1])
 
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
@@ -262,13 +256,13 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows != b.nrows:
-        raise ValueError("row count mismatch")
+        raise PreconditionError("row count mismatch")
     return Matrix([ra + rb for ra, rb in zip(a.entries, b.entries)], ncols=a.ncols + b.ncols)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.ncols:
-        raise ValueError("column count mismatch")
+        raise PreconditionError("column count mismatch")
     return Matrix(list(a.entries) + list(b.entries), ncols=a.ncols)
 
 
@@ -500,11 +494,16 @@ def lattice_coordinates(basis: Matrix, v: Sequence[int]) -> Optional[Tuple[int, 
     ``basis`` rows need not be in Hermite form but must be independent.
     """
     _require_integral(basis, "lattice_coordinates")
-    if len(v) != basis.ncols:
-        raise ValueError("vector length mismatch")
+    return _hermite_coordinates(*hnf(basis), v)
+
+
+def _hermite_coordinates(h: Matrix, u: Matrix, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """Back-substitution behind :func:`lattice_coordinates`, given
+    ``(H, U) = hnf(basis)``."""
+    if len(v) != h.ncols:
+        raise PreconditionError("vector length mismatch")
     if any(not isinstance(x, int) for x in v):
         raise PreconditionError("lattice_coordinates needs an integer vector")
-    h, u = hnf(basis)
     rem = list(v)
     y = [0] * h.nrows
     for i in range(h.nrows):
@@ -530,24 +529,78 @@ def in_row_lattice(basis: Matrix, v: Sequence[int]) -> bool:
 # rational elimination
 
 
-def _rref(rows, ncols):
-    """In-place reduced row echelon form; returns ``(rows, pivot_columns)``."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+def _integer_rows(rows) -> Tuple[list, int]:
+    """Each row times the lcm of its denominators, as ``int`` lists, and
+    the product of those multipliers.  Scaling rows changes neither the
+    reduced row echelon form nor the pivots."""
+    out = []
+    scale = 1
+    for row in rows:
+        if _all_int(row):
+            out.append(list(row))
+            continue
+        fr = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (s // x.denominator) for x in fr])
+        scale *= s
+    return out, scale
+
+
+def _quotient(x: int, d: int) -> Scalar:
+    """``x / d`` as an ``int`` when it is one, else as a ``Fraction``."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
+
+
+def _eliminate(rows: list, ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows,
+    pivoting in the first ``ncols`` columns; ``rows`` is reduced in place.
+
+    Each step replaces every other row by ``(p * row - f * pivot_row) //
+    prev``, with ``p`` the new pivot, ``f`` the row's entry in the pivot
+    column and ``prev`` the previous pivot.  By Sylvester's identity every
+    entry stays a minor of the input, so each division is exact, and at
+    the end every pivot entry equals the last pivot ``d``: the pivot rows
+    divided by ``d`` are the reduced row echelon form, and ``sign * d`` is
+    the determinant of the pivot rows and columns, ``sign`` being the
+    parity of the row swaps.  Returns ``(rows, pivots, d, sign)``.
+    """
+    nrows = len(rows)
     pivots = []
+    prev = sign = 1
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][c]
-        rows[r] = [x / f for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                g = rows[i][c]
-                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev and any(row):
+                rows[i] = [p * x // prev for x in row]
         pivots.append(c)
+        prev = p
         r += 1
+    return rows, pivots, prev, sign
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form; returns ``(rows, pivot_columns)``."""
+    rows, pivots, d, _ = _eliminate(_integer_rows(rows)[0], ncols)
+    if d != 1:
+        for i in range(len(pivots)):
+            rows[i] = [_quotient(x, d) for x in rows[i]]
     return rows, pivots
 
 
@@ -566,8 +619,8 @@ def rational_kernel(m: Matrix) -> Matrix:
     free = [j for j in range(m.ncols) if j not in pivot_set]
     basis = []
     for f in free:
-        vecr = [Fraction(0)] * m.ncols
-        vecr[f] = Fraction(1)
+        vecr = [0] * m.ncols
+        vecr[f] = 1
         for i, p in enumerate(pivots):
             vecr[p] = -rows[i][f]
         basis.append(vecr)
@@ -577,15 +630,15 @@ def rational_kernel(m: Matrix) -> Matrix:
 def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
     """One exact solution of ``a x = b`` (free variables set to 0), or None."""
     if len(b) != a.nrows:
-        raise ValueError("right hand side length mismatch")
+        raise PreconditionError("right hand side length mismatch")
     aug = [list(r) + [b[i]] for i, r in enumerate(a.entries)]
     rows, pivots = _rref(aug, a.ncols + 1)
     if a.ncols in pivots:
         return None
-    x = [Fraction(0)] * a.ncols
+    x = [0] * a.ncols
     for i, p in enumerate(pivots):
         x[p] = rows[i][a.ncols]
-    return tuple(_norm_entry(t) for t in x)
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -613,29 +666,17 @@ def min_poly(a: Matrix) -> Poly:
     if not a.is_square():
         raise PreconditionError("min_poly needs a square matrix")
     n = a.nrows
-    if n == 0:
-        return Poly.of(1)
-    width = n * n
-    reduced = []  # rows: (coeffs over powers, payload), echelon over payload
-    power = Matrix.identity(n)
-    for k in range(n + 1):
-        payload = [Fraction(x) for x in vec(power)]
-        tag = [Fraction(0)] * (n + 1)
-        tag[k] = Fraction(1)
-        for lead, prow, ptag in reduced:
-            c = payload[lead]
-            if c != 0:
-                payload = [x - c * y for x, y in zip(payload, prow)]
-                tag = [x - c * y for x, y in zip(tag, ptag)]
-        lead = next((j for j, x in enumerate(payload) if x != 0), None)
-        if lead is None:
-            return Poly.of(*tag[: k + 1]).monic()
-        f = payload[lead]
-        payload = [x / f for x in payload]
-        tag = [x / f for x in tag]
-        reduced.append((lead, payload, tag))
-        power = power * a
-    raise InternalError("no annihilating polynomial of degree <= n found")
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+    # columns vec(a^0), .., vec(a^n); once a^k depends on the lower powers
+    # so do all higher ones, so the pivots are 0..k-1 and column k holds
+    # the coordinates of a^k in the lower powers
+    reduced, pivots = _rref(list(zip(*(vec(m) for m in powers))), n + 1)
+    k = len(pivots)
+    if k > n or pivots != list(range(k)):
+        raise InternalError("no annihilating polynomial of degree <= n found")
+    return Poly.of(*(-reduced[i][k] for i in range(k)), 1)
 
 
 def poly_eval(p: Poly, a: Matrix) -> Matrix:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -435,6 +437,18 @@ class TestErrorPaths:
             "error (internal consistency): ValueError: forced for the exit-code test\n"
         )
 
+    def test_shape_mismatch_is_precondition_exit_code(self, capsys, monkeypatch):
+        import polyarith.cli as cli_module
+
+        def mismatched(ns):
+            return Matrix([[1, 2]]) * Matrix([[1, 2]])
+
+        monkeypatch.setattr(cli_module, "cmd_pell", mismatched)
+        code, out, err = run(capsys, "pell", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error (precondition): cannot multiply 1x2 by 1x2\n"
+
     def test_keyboard_interrupt_not_caught(self, monkeypatch):
         import polyarith.cli as cli_module
 
@@ -456,3 +470,119 @@ class TestConsoleScript:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"] == {"a": 2, "b": 1, "d": 3}
+
+
+# ---------------------------------------------------------------------------
+# stdout bytes of fixed invocations, pinned by sha256
+
+FILIFORM5_DOC = {
+    "dim": 5,
+    "brackets": [
+        {"i": 1, "j": 2, "k": 3, "c": "1"},
+        {"i": 1, "j": 3, "k": 4, "c": "1"},
+        {"i": 1, "j": 4, "k": 5, "c": "1"},
+    ],
+}
+TORUS5 = {
+    "rows": 5,
+    "cols": 5,
+    "entries": [[str(x) if i == j else "0" for j in range(5)] for i, x in enumerate([2, 3, 6, 12, 24])],
+}
+# exp(ad e1) on filiform(5), then a torus
+INNER5_DOC = {
+    "matrices": [
+        {
+            "rows": 5,
+            "cols": 5,
+            "entries": [
+                ["1", "0", "0", "0", "0"],
+                ["0", "1", "0", "0", "0"],
+                ["0", "1", "1", "0", "0"],
+                ["0", "1/2", "1", "1", "0"],
+                ["0", "1/6", "1/2", "1", "1"],
+            ],
+        },
+        TORUS5,
+    ]
+}
+PINNED_FILES = {
+    "fil5": FILIFORM5_DOC,
+    "inner5": INNER5_DOC,
+    "torus5": {"matrices": [TORUS5]},
+    "shear": {"rows": 3, "cols": 3, "entries": [["2", "1", "0"], ["0", "2", "0"], ["1/2", "0", "3"]]},
+    "rotshear": {"rows": 3, "cols": 3, "entries": [["-1", "1", "0"], ["0", "-1", "0"], ["0", "0", "1"]]},
+}
+
+# id -> (arguments, sha256 of the JSON stdout, sha256 of the --pretty stdout);
+# "{name}" stands for an input file, written under its bare name.  The
+# digests were recorded with the Fraction eliminations that the integer
+# kernel in linalg.py replaced, so they pin its output bytes.
+PINNED = {
+    "teob-3": (
+        ("teob", "3"),
+        "8f002952801b857a9c375a9deea80a0c79c3281d43d12bdbac43cbe935a25fca",
+        "dd18ea0d7234de7bb7b7a9e12f6e3ff5ead94618cc86ef9fcd5a84ec13fca984",
+    ),
+    "teob-661": (
+        ("teob", "661"),
+        "61e52f7ac21b15544c9863233bee132716d8fd26188e72cd074f620ec5608b37",
+        "7c5c27fdbafe54f01b99c94c28851394c2517a79511bb154d5524b88ec424f56",
+    ),
+    "h1-gamma3": (
+        ("h1", "{gamma3}"),
+        "4104ed5824064c2231a139ab9dd541c16e0a8f464dd80292b427915057426686",
+        "3c9e81a67d8f2f203f6f902c1a836130fe43b28e822b92b54e6027ba655df4fd",
+    ),
+    "der-action-gamma3": (
+        ("der-action", "{gamma3}", "--element", "A t A^-1"),
+        "c82715fc176749f074fc219ac53df085a8c401112bd5a5a00236e2fc05660771",
+        "1c353744ec4008c04b8271511ec525dd5d331db4a334ef5916687cce6c87fadb",
+    ),
+    "jordan-shear": (
+        ("jordan", "{shear}"),
+        "3cd4765401da32a2b808b8223da76e50f78f218438a186c3d50e1958ebc7257c",
+        "7ec07fc00c88a4ee7a92aa7b68fe4741498459c3737d662faf268509fb085495",
+    ),
+    "arith-check-rotated-shear": (
+        ("arith-check", "{rotshear}"),
+        "7ce4afaf607e1d4616646b135efe697572617e9027b3d88497cece104a4911b5",
+        "13b2d32e606746c450ccf9233fea33cb0697c01bc698de72a6edbda81a6cee8a",
+    ),
+    "lie-cohomology-automorphism": (
+        ("lie-cohomology", "{fil5}", "--automorphism", "{inner5}"),
+        "b54df2418d93c80b2c25f506e32c9fa403cf2b51a616f850729ba8428f9109cb",
+        "f4e633bc2ac0dd277c654af1bb1930aeff2ff537fb1245cb07dfda81d1de433f",
+    ),
+    "koszul-invariants-torus": (
+        ("koszul-invariants", "{fil5}", "{torus5}"),
+        "66f11dfc25614d8b2e968bd62e74f34569725faa9caf0e58e691c7f4a72f6cd6",
+        "b2136860f277ee7f45446d3dd80580e1a1918f74e7cd9e11f06bc22cf27bf3a8",
+    ),
+}
+
+
+def pinned_stdout(capsys, tmp_path, key: str, pretty: bool) -> str:
+    """Run one pinned invocation and return its stdout with the input
+    directory masked, so the bytes do not depend on where files live."""
+    code, out, _ = run(capsys, "gamma-epsilon", "3")
+    assert code == 0
+    (tmp_path / "gamma3.json").write_text(json.dumps(json.loads(out)["results"]))
+    for name, doc in PINNED_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    args = [
+        str(tmp_path / (a[1:-1] + ".json")) if a.startswith("{") else a
+        for a in PINNED[key][0]
+    ]
+    if pretty:
+        args.append("--pretty")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    return out.replace(str(tmp_path) + os.sep, "")
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_stdout_bytes(capsys, tmp_path, key, pretty):
+    out = pinned_stdout(capsys, tmp_path, key, pretty)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == PINNED[key][2 if pretty else 1]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from polyarith.cohomology import (
     word_value,
 )
 from polyarith.errors import PreconditionError
-from polyarith.linalg import Matrix, in_row_lattice
+from polyarith.linalg import Matrix, in_row_lattice, lattice_coordinates
 from polyarith.presentations import ModuleAction, Presentation, dihedral_presentation
 from polyarith.semidirect import build_gamma_epsilon
 
@@ -176,6 +177,37 @@ class TestDerivationLattice:
         d = self.lat.combination((2, -1, 0, 5))
         assert self.lat.coordinates(d) == (2, -1, 0, 5)
         assert self.lat.contains(d)
+
+    def test_hermite_form_computed_once(self, monkeypatch):
+        import polyarith.cohomology as cohomology_module
+
+        calls = []
+        real_hnf = cohomology_module.hnf
+
+        def counting_hnf(m):
+            calls.append(m)
+            return real_hnf(m)
+
+        monkeypatch.setattr(cohomology_module, "hnf", counting_hnf)
+        lat = derivation_space(self.group.presentation, self.group.action)
+        rng = random.Random(9)
+        for _ in range(5):
+            coords = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
+            d = lat.combination(coords)
+            assert lat.coordinates(d) == coords
+            assert lat.coordinates(d) == lattice_coordinates(lat.basis_matrix(), d.flatten())
+        assert lat.coordinates(Derivation(((1, 0, 0), (0, 0, 0)))) is None
+        assert len(calls) == 1
+        assert lat.basis_matrix() is lat.basis_matrix()
+
+    def test_coordinates_keep_their_errors(self):
+        with pytest.raises(PreconditionError, match="^vector length mismatch$"):
+            self.lat.coordinates(Derivation(((1, 0), (0, 0))))
+        rational = DerivationLattice(
+            self.lat.presentation, self.lat.action, (Derivation(((Fraction(1, 2), 0, 0), (0, 0, 0))),)
+        )
+        with pytest.raises(PreconditionError, match="^lattice_coordinates needs an integer matrix$"):
+            rational.coordinates(rational.basis[0])
 
     def test_non_derivation_is_outside(self):
         bogus = Derivation(((1, 0, 0), (1, 0, 0)))

@@ -35,7 +35,7 @@ from polyarith.linalg import (
 from polyarith.lie import filiform, free_two_step, heisenberg
 from polyarith.polynomials import Poly
 
-from oracles import smith_diagonal, wedge_minors
+from oracles import det_exact, smith_diagonal, wedge_minors
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -435,3 +435,258 @@ class TestWedgePower:
             m = Matrix(rows, ncols=len(rows))
             for p in range(m.nrows + 1):
                 assert wedge_power(m, p) == Matrix(wedge_minors(rows, p))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination kernel against the Fraction eliminations it
+# replaced; these test-local copies are the reference
+
+
+def fraction_det(rows):
+    n = len(rows)
+    if n == 0:
+        return 1
+    rows = [[Fraction(x) for x in r] for r in rows]
+    sign = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    d = Fraction(sign)
+    for i in range(n):
+        d *= rows[i][i]
+    return int(d) if d.denominator == 1 else d
+
+
+def fraction_inverse(rows):
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, r in enumerate(rows)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise PreconditionError("matrix is singular")
+        aug[r], aug[piv] = aug[piv], aug[r]
+        f = aug[r][c]
+        aug[r] = [x / f for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                g = aug[i][c]
+                aug[i] = [a - g * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    return Matrix([row[n:] for row in aug], ncols=n)
+
+
+def fraction_rref(rows, ncols):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        f = rows[r][c]
+        rows[r] = [x / f for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                g = rows[i][c]
+                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def fraction_min_poly(a):
+    n = a.nrows
+    if n == 0:
+        return Poly.of(1)
+    reduced = []
+    power = Matrix.identity(n)
+    for k in range(n + 1):
+        payload = [Fraction(x) for x in vec(power)]
+        tag = [Fraction(0)] * (n + 1)
+        tag[k] = Fraction(1)
+        for lead, prow, ptag in reduced:
+            c = payload[lead]
+            if c != 0:
+                payload = [x - c * y for x, y in zip(payload, prow)]
+                tag = [x - c * y for x, y in zip(tag, ptag)]
+        lead = next((j for j, x in enumerate(payload) if x != 0), None)
+        if lead is None:
+            return Poly.of(*tag[: k + 1]).monic()
+        f = payload[lead]
+        payload = [x / f for x in payload]
+        tag = [x / f for x in tag]
+        reduced.append((lead, payload, tag))
+        power = power * a
+    raise AssertionError("no annihilating polynomial")
+
+
+def typed(x):
+    """Value and type of every entry, so that 2 and Fraction(2) differ."""
+    if isinstance(x, Matrix):
+        return (x.nrows, x.ncols, [[(type(e), e) for e in r] for r in x.entries])
+    if isinstance(x, Poly):
+        return [(type(c), c) for c in x.coeffs]
+    if isinstance(x, tuple):
+        return [(type(e), e) for e in x]
+    return (type(x), x)
+
+
+def kernel_cases():
+    """Seeded integer, Fraction, rank-deficient, singular and empty matrices."""
+    rng = random.Random(2024)
+
+    def entry(kind, hi):
+        if kind == "int" or rng.random() < 0.3:
+            return rng.randint(-hi, hi)
+        return Fraction(rng.randint(-hi, hi), rng.randint(1, 6))
+
+    cases = [Matrix([], ncols=0), Matrix([], ncols=3), Matrix([[], [], []], ncols=0)]
+    for kind in ("int", "frac"):
+        for _ in range(40):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            hi = rng.choice([3, 9, 10 ** 6])
+            cases.append(Matrix([[entry(kind, hi) for _ in range(c)] for _ in range(r)], ncols=c))
+            n = rng.randint(1, 6)
+            cases.append(Matrix([[entry(kind, hi) for _ in range(n)] for _ in range(n)], ncols=n))
+            # rank at most k: a product of an r x k and a k x c matrix
+            k = rng.randint(1, min(r, c))
+            left = Matrix([[entry(kind, 5) for _ in range(k)] for _ in range(r)], ncols=k)
+            right = Matrix([[entry(kind, 5) for _ in range(c)] for _ in range(k)], ncols=c)
+            cases.append(left * right)
+            # singular square: the last row is a combination of the others
+            if n > 1:
+                rows = [[entry(kind, hi) for _ in range(n)] for _ in range(n - 1)]
+                rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+                cases.append(Matrix(rows, ncols=n))
+    cases.append(Matrix.zero(3, 3))
+    cases.append(Matrix.zero(2, 4))
+    return cases
+
+
+def outcome(f):
+    try:
+        return ("value", typed(f()))
+    except PreconditionError as e:
+        return ("error", type(e), str(e))
+
+
+class TestEliminationKernel:
+    def test_entry_contract(self):
+        m = Matrix([[3, True, Fraction(4, 2), Fraction(1, 2), 0.5, -Fraction(6, 3)]])
+        assert typed(m)[2][0] == [
+            (int, 3),
+            (int, 1),
+            (int, 2),
+            (Fraction, Fraction(1, 2)),
+            (Fraction, Fraction(1, 2)),
+            (int, -2),
+        ]
+        half = Fraction(1, 2)
+        assert Matrix([[half]])[0, 0] is half
+        # whole rows: an all-int tuple is shared, anything else normalised
+        row = (4, -7, 0)
+        assert Matrix([row]).entries[0] is row
+        assert typed(Matrix([[True, 2]]))[2] == [[(int, 1), (int, 2)]]
+        assert typed(Matrix([(x for x in (Fraction(6, 3), 1))]))[2] == [[(int, 2), (int, 1)]]
+
+    def test_matches_fraction_eliminations(self):
+        for m in kernel_cases():
+            rows = m.to_lists()
+            ref_rows, ref_pivots = fraction_rref(rows, m.ncols)
+            assert typed(rref(m)) == typed((Matrix(ref_rows, ncols=m.ncols), tuple(ref_pivots)))
+            assert m.rank() == len(ref_pivots)
+            free = [j for j in range(m.ncols) if j not in ref_pivots]
+            kernel = []
+            for f in free:
+                v = [0] * m.ncols
+                v[f] = 1
+                for i, p in enumerate(ref_pivots):
+                    v[p] = -ref_rows[i][f]
+                kernel.append(v)
+            assert typed(rational_kernel(m)) == typed(Matrix(kernel, ncols=m.ncols))
+            if m.is_square():
+                assert typed(m.det()) == typed(fraction_det(rows))
+                assert outcome(m.inverse) == outcome(lambda: fraction_inverse(rows))
+                assert typed(min_poly(m)) == typed(fraction_min_poly(m))
+
+    def test_solve_matches_fraction_elimination(self):
+        rng = random.Random(7)
+        for m in kernel_cases():
+            for b in (
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m.nrows)),
+                m.apply(tuple(rng.randint(-3, 3) for _ in range(m.ncols))),
+            ):
+                aug = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
+                rows, pivots = fraction_rref(aug, m.ncols + 1)
+                if m.ncols in pivots:
+                    expected = None
+                else:
+                    x = [0] * m.ncols
+                    for i, p in enumerate(pivots):
+                        x[p] = rows[i][m.ncols]
+                    expected = typed(Matrix([x], ncols=m.ncols).row(0))
+                got = solve(m, b)
+                assert (None if got is None else typed(got)) == expected
+
+    def test_matches_sympy_and_det_oracle(self):
+        for m in kernel_cases():
+            if m.nrows and m.ncols:
+                reduced, pivots = sympy.Matrix(m.to_lists()).rref()
+                ours, our_pivots = rref(m)
+                assert our_pivots == pivots
+                assert [[sympy.Rational(x) for x in r] for r in ours.entries] == reduced.tolist()
+            if m.is_square():
+                assert m.det() == det_exact(m.to_lists())
+
+    @given(int_matrix(max_dim=5, lo=-20, hi=20))
+    @settings(max_examples=150, deadline=None)
+    def test_random_integer_matrices(self, m):
+        rows = m.to_lists()
+        ref_rows, ref_pivots = fraction_rref(rows, m.ncols)
+        assert typed(rref(m)) == typed((Matrix(ref_rows, ncols=m.ncols), tuple(ref_pivots)))
+        assert m.rank() == len(ref_pivots)
+        if m.is_square():
+            assert typed(m.det()) == typed(fraction_det(rows))
+            assert outcome(m.inverse) == outcome(lambda: fraction_inverse(rows))
+            assert typed(min_poly(m)) == typed(fraction_min_poly(m))
+
+    def test_singular_inverse_message(self):
+        for m in (Matrix([[1, 2], [2, 4]]), Matrix.zero(1, 1), Matrix([[Fraction(1, 2), 1], [1, 2]])):
+            with pytest.raises(PreconditionError, match="^matrix is singular$"):
+                m.inverse()
+
+
+class TestShapeChecks:
+    """Shape and length mismatches are precondition failures (exit code 2);
+    PreconditionError is a ValueError, so older handlers still catch them."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Matrix([[1]]) + Matrix([[1, 2]]), "shape mismatch"),
+            (lambda: Matrix([[1]]) - Matrix([[1], [2]]), "shape mismatch"),
+            (lambda: Matrix([[1, 2]]) * Matrix([[1, 2]]), "cannot multiply 1x2 by 1x2"),
+            (lambda: Matrix([[1, 2]]).apply((1,)), "vector length mismatch"),
+            (lambda: Matrix([[1, 2]]).apply_left((1, 2)), "vector length mismatch"),
+            (lambda: hstack(Matrix([[1]]), Matrix([[1], [2]])), "row count mismatch"),
+            (lambda: vstack(Matrix([[1]]), Matrix([[1, 2]])), "column count mismatch"),
+            (lambda: solve(Matrix([[1, 2]]), (1, 2)), "right hand side length mismatch"),
+            (lambda: lattice_coordinates(Matrix([[1, 2]]), (1,)), "vector length mismatch"),
+        ],
+    )
+    def test_raises_precondition_error(self, call, message):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
