@@ -507,39 +507,6 @@ def betti_numbers(algebra: LieAlgebra) -> Tuple[int, ...]:
     return build_koszul(algebra).betti()
 
 
-@dataclass(frozen=True)
-class H1Report:
-    h1_dim: int
-    derived_dim: int
-    dims_match: bool
-    annihilates_derived: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.dims_match and self.annihilates_derived
-
-
-def h1_annihilator_check(kos: KoszulComplex) -> H1Report:
-    """Degree-one cohomology is the annihilator of the derived subalgebra.
-
-    In degree one there are no coboundaries, so the check compares the
-    cocycle space with the functionals vanishing on all brackets.
-    """
-    algebra = kos.algebra
-    derived = algebra.derived_basis()
-    cocycles = kos.cocycles(1)
-    h1_dim = kos.betti()[1]
-    dims_match = (
-        h1_dim == algebra.dim - derived.nrows and cocycles.nrows == h1_dim
-    )
-    annihilates = all(
-        sum(z * v for z, v in zip(zrow, vrow)) == 0
-        for zrow in cocycles.entries
-        for vrow in derived.entries
-    )
-    return H1Report(h1_dim, derived.nrows, dims_match, annihilates)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms acting on cohomology
 

@@ -11,6 +11,8 @@ Conventions
   pivots and every entry above a pivot reduced into ``[0, pivot)``.
 * ``snf(M)`` returns a :class:`SmithDecomposition` with
   ``U * M * V == D``, nonnegative diagonal, each entry dividing the next.
+  It is built from Hermite reductions of the rows and of the columns, on
+  the same row kernel as ``hnf``.
 * ``kernel_lattice(M)`` returns a basis (matrix rows, in Hermite form)
   of the saturated lattice of integer vectors ``x`` with ``M x = 0``.
   Saturated means every integer vector of the rational kernel is an
@@ -83,7 +85,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return Matrix(_identity_rows(n), ncols=n)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
@@ -250,6 +252,10 @@ class Matrix:
         return len(_eliminate(_integer_rows(self.entries)[0], self.ncols)[1])
 
 
+def _identity_rows(n: int) -> list:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     return sum(x * y for x, y in zip(a, b) if x)
 
@@ -306,6 +312,50 @@ def _require_integral(m: Matrix, what: str):
         raise PreconditionError(f"{what} needs an integer matrix")
 
 
+def _hermite_rows(rows: list, ncols: int) -> None:
+    """Hermite-reduce integer rows in place, with pivots only in the first
+    ``ncols`` columns: any later columns ride along, so ``[M | I]`` ends
+    as ``[H | U]`` with ``U * M == H``."""
+    n = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        piv, best = None, 0
+        for i in range(r, n):
+            x = rows[i][c]
+            if x and (piv is None or abs(x) < best):
+                piv, best = i, abs(x)
+        if piv is None:
+            continue
+        top = rows[piv]
+        rows[piv] = rows[r]
+        for i in range(r + 1, n):
+            x = rows[i][c]
+            if x == 0:
+                continue
+            row = rows[i]
+            a = top[c]
+            g, s, t = _xgcd(a, x)
+            p, q = a // g, x // g
+            if t == 0 and s == 1:  # a divides x: only row i changes
+                rows[i] = [z - q * y for y, z in zip(top, row)]
+            else:
+                top, rows[i] = (
+                    [s * y + t * z for y, z in zip(top, row)],
+                    [p * z - q * y for y, z in zip(top, row)],
+                )
+        if top[c] < 0:
+            top = [-y for y in top]
+        rows[r] = top
+        a = top[c]
+        for i in range(r):
+            q = rows[i][c] // a
+            if q:
+                rows[i] = [y - q * z for y, z in zip(rows[i], top)]
+        r += 1
+
+
 def hnf(m: Matrix) -> Tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
@@ -316,41 +366,9 @@ def hnf(m: Matrix) -> Tuple[Matrix, Matrix]:
     """
     _require_integral(m, "hnf")
     nr, nc = m.nrows, m.ncols
-    a = m.to_lists()
-    u = Matrix.identity(nr).to_lists()
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
-                piv = i
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, nr):
-            if a[i][c] == 0:
-                continue
-            g, s, t = _xgcd(a[r][c], a[i][c])
-            p, q = a[r][c] // g, a[i][c] // g
-            a[r], a[i] = (
-                [s * x + t * y for x, y in zip(a[r], a[i])],
-                [-q * x + p * y for x, y in zip(a[r], a[i])],
-            )
-            u[r], u[i] = (
-                [s * x + t * y for x, y in zip(u[r], u[i])],
-                [-q * x + p * y for x, y in zip(u[r], u[i])],
-            )
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-    return Matrix(a, ncols=nc), Matrix(u, ncols=nr)
+    rows = [list(r) + e for r, e in zip(m.entries, _identity_rows(nr))]
+    _hermite_rows(rows, nc)
+    return Matrix([r[:nc] for r in rows], ncols=nc), Matrix([r[nc:] for r in rows], ncols=nr)
 
 
 def row_hermite_basis(m: Matrix) -> Matrix:
@@ -374,100 +392,65 @@ class SmithDecomposition:
         return tuple(self.d[i, i] for i in range(k) if self.d[i, i] != 0)
 
 
+def _smith_pass(a: list, w: list, ncols: int) -> Tuple[list, list]:
+    """Hermite-reduces the rows of ``[a | w]`` (``a`` has ``ncols``
+    columns) and returns the two halves.  As in Kannan & Bachem, rows
+    join one at a time, so each meets rows already reduced above their
+    pivots.  Reducing a dense matrix in one go lets intermediate entries
+    grow so far that a random 30 x 35 matrix can take a minute, not
+    milliseconds."""
+    rows = []
+    for x, y in zip(a, w):
+        rows.append(x + y)
+        _hermite_rows(rows, ncols)
+    return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
+
+
+def _is_diagonal(a: list) -> bool:
+    return all(x == 0 or i == j for i, row in enumerate(a) for j, x in enumerate(row))
+
+
 def snf(m: Matrix) -> SmithDecomposition:
     """Smith normal form with unimodular witnesses.
 
-    Diagonal entries are nonnegative and each divides the next.
+    Diagonal entries are nonnegative and each divides the next.  As in
+    Kannan & Bachem (1979), the rows of ``[A | U]`` and of ``[A^T | V^T]``
+    are Hermite-reduced in turn until ``A`` is diagonal, always starting
+    with the rows so that the diagonal is nonnegative.  Then each diagonal
+    pair ``x, y`` with ``x`` not dividing ``y`` becomes ``gcd, lcm`` by a
+    2 x 2 unimodular transform on each side.
     """
     _require_integral(m, "snf")
     nr, nc = m.nrows, m.ncols
-    a = m.to_lists()
-    u = Matrix.identity(nr).to_lists()
-    v = Matrix.identity(nc).to_lists()
-
-    def row_op(i, j, g, s, t, p, q):
-        a[i], a[j] = (
-            [s * x + t * y for x, y in zip(a[i], a[j])],
-            [-q * x + p * y for x, y in zip(a[i], a[j])],
-        )
-        u[i], u[j] = (
-            [s * x + t * y for x, y in zip(u[i], u[j])],
-            [-q * x + p * y for x, y in zip(u[i], u[j])],
-        )
-
-    def col_op(i, j, g, s, t, p, q):
-        for row in a:
-            row[i], row[j] = s * row[i] + t * row[j], -q * row[i] + p * row[j]
-        for row in v:
-            row[i], row[j] = s * row[i] + t * row[j], -q * row[i] + p * row[j]
-
-    t_idx = 0
-    limit = min(nr, nc)
-    while t_idx < limit:
-        piv = None
-        for i in range(t_idx, nr):
-            for j in range(t_idx, nc):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+    a, u = m.to_lists(), _identity_rows(nr)
+    vt = _identity_rows(nc)  # the columns of V
+    while True:
+        a, u = _smith_pass(a, u, nc)
+        if _is_diagonal(a):
             break
-        i0, j0 = piv
-        if i0 != t_idx:
-            a[t_idx], a[i0] = a[i0], a[t_idx]
-            u[t_idx], u[i0] = u[i0], u[t_idx]
-        if j0 != t_idx:
-            for row in a:
-                row[t_idx], row[j0] = row[j0], row[t_idx]
-            for row in v:
-                row[t_idx], row[j0] = row[j0], row[t_idx]
-        while True:
-            # plain subtraction when the pivot divides; the gcd rotation
-            # otherwise (it strictly shrinks the pivot, so this terminates)
-            for i in range(t_idx + 1, nr):
-                x = a[i][t_idx]
-                if x:
-                    pv = a[t_idx][t_idx]
-                    if x % pv == 0:
-                        q = x // pv
-                        a[i] = [y - q * z for y, z in zip(a[i], a[t_idx])]
-                        u[i] = [y - q * z for y, z in zip(u[i], u[t_idx])]
-                    else:
-                        g, s, t = _xgcd(pv, x)
-                        row_op(t_idx, i, g, s, t, pv // g, x // g)
-            for j in range(t_idx + 1, nc):
-                x = a[t_idx][j]
-                if x:
-                    pv = a[t_idx][t_idx]
-                    if x % pv == 0:
-                        q = x // pv
-                        for row in a:
-                            row[j] -= q * row[t_idx]
-                        for row in v:
-                            row[j] -= q * row[t_idx]
-                    else:
-                        g, s, t = _xgcd(pv, x)
-                        col_op(t_idx, j, g, s, t, pv // g, x // g)
-            if any(a[i][t_idx] for i in range(t_idx + 1, nr)):
+        at, vt = _smith_pass([list(c) for c in zip(*a)], vt, nr)
+        a = [list(r) for r in zip(*at)]
+        if _is_diagonal(a):
+            break
+    limit = min(nr, nc)
+    for i in range(limit):
+        for j in range(i + 1, limit):
+            x, y = a[i][i], a[j][j]
+            if x == 0 or y % x == 0:
                 continue
-            if any(a[t_idx][j] for j in range(t_idx + 1, nc)):
-                continue
-            bad = None
-            p0 = a[t_idx][t_idx]
-            for i in range(t_idx + 1, nr):
-                for j in range(t_idx + 1, nc):
-                    if a[i][j] % p0 != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t_idx] = [x + y for x, y in zip(a[t_idx], a[bad])]
-            u[t_idx] = [x + y for x, y in zip(u[t_idx], u[bad])]
-        if a[t_idx][t_idx] < 0:
-            a[t_idx] = [-x for x in a[t_idx]]
-            u[t_idx] = [-x for x in u[t_idx]]
-        t_idx += 1
+            # rows [[s, t], [-y/g, x/g]] and columns [[1, -t*y/g], [1, s*x/g]]
+            # send diag(x, y) to diag(g, lcm)
+            g, s, t = _xgcd(x, y)
+            p, q = x // g, y // g
+            a[i][i], a[j][j] = g, p * y
+            u[i], u[j] = (
+                [s * e + t * f for e, f in zip(u[i], u[j])],
+                [-q * e + p * f for e, f in zip(u[i], u[j])],
+            )
+            vt[i], vt[j] = (
+                [e + f for e, f in zip(vt[i], vt[j])],
+                [-t * q * e + s * p * f for e, f in zip(vt[i], vt[j])],
+            )
     d = Matrix(a, ncols=nc)
     for i in range(limit - 1):
         di, dj = d[i, i], d[i + 1, i + 1]
@@ -475,7 +458,7 @@ def snf(m: Matrix) -> SmithDecomposition:
             raise InternalError("smith diagonal out of order")
         if di != 0 and dj % di != 0:
             raise InternalError("smith divisibility chain broken")
-    return SmithDecomposition(d, Matrix(u, ncols=nr), Matrix(v, ncols=nc))
+    return SmithDecomposition(d, Matrix(u, ncols=nr), Matrix.from_cols(vt, nrows=nc))
 
 
 def kernel_lattice(m: Matrix) -> Matrix:

@@ -111,12 +111,6 @@ class QuadOrder:
     def element(self, x: int, y: int) -> QuadElem:
         return QuadElem(x, y, self.d)
 
-    def one(self) -> QuadElem:
-        return QuadElem(1, 0, self.d)
-
-    def sqrt_d(self) -> QuadElem:
-        return QuadElem(0, 1, self.d)
-
     def fundamental_unit(self) -> QuadElem:
         a, b = fundamental_pell(self.d)
         return QuadElem(a, b, self.d)

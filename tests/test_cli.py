@@ -511,12 +511,19 @@ PINNED_FILES = {
     "torus5": {"matrices": [TORUS5]},
     "shear": {"rows": 3, "cols": 3, "entries": [["2", "1", "0"], ["0", "2", "0"], ["1/2", "0", "3"]]},
     "rotshear": {"rows": 3, "cols": 3, "entries": [["-1", "1", "0"], ["0", "-1", "0"], ["0", "0", "1"]]},
+    # Z acting on Z^2 by -I: H^1 = (Z/2)^2, so the Smith form has torsion
+    "negation": {
+        "presentation": {"generators": ["t"], "relators": []},
+        "action": {"rank": 2, "matrices": {"t": {"rows": 2, "cols": 2, "entries": [["-1", "0"], ["0", "-1"]]}}},
+    },
 }
 
 # id -> (arguments, sha256 of the JSON stdout, sha256 of the --pretty stdout);
 # "{name}" stands for an input file, written under its bare name.  The
 # digests were recorded with the Fraction eliminations that the integer
-# kernel in linalg.py replaced, so they pin its output bytes.
+# kernel in linalg.py replaced, so they pin its output bytes; h1-negation
+# was recorded with the pivot-by-pivot Smith reduction that the one built
+# from Hermite reductions replaced.
 PINNED = {
     "teob-3": (
         ("teob", "3"),
@@ -532,6 +539,11 @@ PINNED = {
         ("h1", "{gamma3}"),
         "4104ed5824064c2231a139ab9dd541c16e0a8f464dd80292b427915057426686",
         "3c9e81a67d8f2f203f6f902c1a836130fe43b28e822b92b54e6027ba655df4fd",
+    ),
+    "h1-negation": (
+        ("h1", "{negation}"),
+        "ad90f8cff160347548ab6982c67ce6db50ca4392531b4683fa10350b8b158323",
+        "ac28eb000265fec188512639b71711c62a6c35fcff01bc44d1acc4e6623e3d1f",
     ),
     "der-action-gamma3": (
         ("der-action", "{gamma3}", "--element", "A t A^-1"),

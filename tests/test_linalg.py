@@ -690,3 +690,196 @@ class TestShapeChecks:
             call()
         assert str(info.value) == message
         assert isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# hnf and snf on the shared Hermite row core against the separate row and
+# column operations they replaced; these test-local copies are the reference
+
+
+def reference_xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def reference_hnf(m):
+    nr, nc = m.nrows, m.ncols
+    a = m.to_lists()
+    u = Matrix.identity(nr).to_lists()
+    r = 0
+    for c in range(nc):
+        piv = None
+        for i in range(r, nr):
+            if a[i][c] != 0 and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
+                piv = i
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, nr):
+            if a[i][c] == 0:
+                continue
+            g, s, t = reference_xgcd(a[r][c], a[i][c])
+            p, q = a[r][c] // g, a[i][c] // g
+            a[r], a[i] = (
+                [s * x + t * y for x, y in zip(a[r], a[i])],
+                [-q * x + p * y for x, y in zip(a[r], a[i])],
+            )
+            u[r], u[i] = (
+                [s * x + t * y for x, y in zip(u[r], u[i])],
+                [-q * x + p * y for x, y in zip(u[r], u[i])],
+            )
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+    return Matrix(a, ncols=nc), Matrix(u, ncols=nr)
+
+
+def reference_snf(m):
+    """The diagonal D of the pivot-by-pivot Smith reduction."""
+    nr, nc = m.nrows, m.ncols
+    a = m.to_lists()
+
+    def row_op(i, j, s, t, p, q):
+        a[i], a[j] = (
+            [s * x + t * y for x, y in zip(a[i], a[j])],
+            [-q * x + p * y for x, y in zip(a[i], a[j])],
+        )
+
+    def col_op(i, j, s, t, p, q):
+        for row in a:
+            row[i], row[j] = s * row[i] + t * row[j], -q * row[i] + p * row[j]
+
+    t_idx = 0
+    limit = min(nr, nc)
+    while t_idx < limit:
+        piv = None
+        for i in range(t_idx, nr):
+            for j in range(t_idx, nc):
+                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        a[t_idx], a[i0] = a[i0], a[t_idx]
+        for row in a:
+            row[t_idx], row[j0] = row[j0], row[t_idx]
+        while True:
+            for i in range(t_idx + 1, nr):
+                x = a[i][t_idx]
+                if x:
+                    pv = a[t_idx][t_idx]
+                    if x % pv == 0:
+                        a[i] = [y - x // pv * z for y, z in zip(a[i], a[t_idx])]
+                    else:
+                        g, s, t = reference_xgcd(pv, x)
+                        row_op(t_idx, i, s, t, pv // g, x // g)
+            for j in range(t_idx + 1, nc):
+                x = a[t_idx][j]
+                if x:
+                    pv = a[t_idx][t_idx]
+                    if x % pv == 0:
+                        q = x // pv
+                        for row in a:
+                            row[j] -= q * row[t_idx]
+                    else:
+                        g, s, t = reference_xgcd(pv, x)
+                        col_op(t_idx, j, s, t, pv // g, x // g)
+            if any(a[i][t_idx] for i in range(t_idx + 1, nr)):
+                continue
+            if any(a[t_idx][j] for j in range(t_idx + 1, nc)):
+                continue
+            p0 = a[t_idx][t_idx]
+            bad = next(
+                (i for i in range(t_idx + 1, nr) if any(a[i][j] % p0 for j in range(t_idx + 1, nc))),
+                None,
+            )
+            if bad is None:
+                break
+            a[t_idx] = [x + y for x, y in zip(a[t_idx], a[bad])]
+        if a[t_idx][t_idx] < 0:
+            a[t_idx] = [-x for x in a[t_idx]]
+        t_idx += 1
+    return Matrix(a, ncols=nc)
+
+
+def seeded_matrix(rng, r, c, hi):
+    return Matrix([[rng.randint(-hi, hi) for _ in range(c)] for _ in range(r)], ncols=c)
+
+
+def unimodular(rng, n):
+    """A seeded product of elementary matrices with multipliers +-1, +-2."""
+    m = Matrix.identity(n).to_lists()
+    for t in range(rng.randint(3 * n, 4 * n)):
+        i = t % n
+        j = rng.choice([x for x in range(n) if x != i])
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return Matrix(m, ncols=n)
+
+
+def hermite_cases():
+    rng = random.Random(1979)
+    cases = [Matrix([], ncols=0), Matrix([], ncols=4), Matrix([[], []], ncols=0)]
+    cases += [Matrix.zero(3, 3), Matrix.zero(2, 5), Matrix.zero(12, 13)]
+    for _ in range(60):
+        r, c = rng.randint(1, 12), rng.randint(1, 13)
+        cases.append(seeded_matrix(rng, r, c, rng.choice([1, 2, 9, 10 ** 4])))
+        k = rng.randint(1, min(r, c))
+        cases.append(seeded_matrix(rng, r, k, 4) * seeded_matrix(rng, k, c, 4))
+    return cases
+
+
+def smith_cases():
+    rng = random.Random(1987)
+    cases = [Matrix([], ncols=0), Matrix([], ncols=3), Matrix([[], []], ncols=0), Matrix.zero(3, 4)]
+    cases += [Matrix.diagonal(d) for d in ([-1], [-2, 3], [6, -4], [-6, -4, 10], [0, -3, 5])]
+    # already reduced on both sides: only the gcd/lcm transforms apply
+    cases += [Matrix.diagonal([6, 4, 10]), Matrix([[6, 0, 0, 0], [0, 4, 0, 0], [0, 0, 10, 0]])]
+    # the sizes that h1 meets on Z^k acting on Z^n, n from 6 to 12: the
+    # principal derivations of one generator are M - I for a unimodular M
+    for n in (6, 7, 8, 9, 10, 12):
+        for _ in range(3):
+            cases.append(unimodular(rng, n) - Matrix.identity(n))
+            cases.append(seeded_matrix(rng, n, rng.choice([n, 2 * n]), 9))
+            k = rng.randint(1, n - 1)
+            c = rng.choice([n, 2 * n])
+            cases.append(seeded_matrix(rng, n, k, 5) * seeded_matrix(rng, k, c, 5))
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(seeded_matrix(rng, r, c, rng.choice([1, 2])))
+    return cases
+
+
+class TestNormalFormCore:
+    def test_hnf_matches_reference(self):
+        for m in hermite_cases():
+            assert typed(hnf(m)) == typed(reference_hnf(m))
+
+    def test_snf_matches_reference_diagonal(self):
+        for m in smith_cases():
+            dec = snf(m)
+            assert dec.d == reference_snf(m)
+            assert dec.u * m * dec.v == dec.d
+            assert abs(dec.u.det()) == 1
+            assert abs(dec.v.det()) == 1
+
+    def test_snf_witness_growth(self):
+        rng = random.Random(3035)
+        m = seeded_matrix(rng, 30, 35, 9)
+        dec = snf(m)
+        assert dec.u * m * dec.v == dec.d
+        bits = max(abs(x).bit_length() for w in (dec.u, dec.v) for row in w.entries for x in row)
+        assert bits < 1000

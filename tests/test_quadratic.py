@@ -60,7 +60,7 @@ def test_fundamental_unit_properties():
         assert (u.x, u.y) == PELL_TABLE[d]
         assert u.norm() == 1
         assert u.is_unit()
-        assert u * u.inverse() == QuadOrder(d).one()
+        assert u * u.inverse() == QuadOrder(d).element(1, 0)
 
 
 def test_element_str():
@@ -89,10 +89,10 @@ def test_norm_and_trace_through_matrix():
 
 def test_powers():
     u = QuadOrder(3).fundamental_unit()
-    assert u ** 0 == QuadOrder(3).one()
+    assert u ** 0 == QuadOrder(3).element(1, 0)
     assert u ** 2 == u * u
     assert u ** -1 == u.inverse()
-    assert (u ** 3) * (u ** -3) == QuadOrder(3).one()
+    assert (u ** 3) * (u ** -3) == QuadOrder(3).element(1, 0)
 
 
 def test_inverse_of_non_unit_rejected():
