@@ -19,6 +19,7 @@ consistency failure or any other unexpected exception (always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -380,32 +381,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pell", parents=[common], help="fundamental norm-one unit of Z[sqrt(d)]")
     p.add_argument("d", type=int)
-    p.set_defaults(handler=cmd_pell)
+    p.set_defaults(handler="cmd_pell")
 
     p = sub.add_parser(
         "gamma-epsilon", parents=[common], help="emit the Pell family group description"
     )
     p.add_argument("d", type=int)
-    p.set_defaults(handler=cmd_gamma_epsilon)
+    p.set_defaults(handler="cmd_gamma_epsilon")
 
     p = sub.add_parser(
         "derivations", parents=[common], help="basis of the derivation lattice of a group spec"
     )
     p.add_argument("spec")
-    p.set_defaults(handler=cmd_derivations)
+    p.set_defaults(handler="cmd_derivations")
 
     p = sub.add_parser(
         "h1", parents=[common], help="first cohomology (cocycles modulo coboundaries)"
     )
     p.add_argument("spec")
-    p.set_defaults(handler=cmd_h1)
+    p.set_defaults(handler="cmd_h1")
 
     p = sub.add_parser(
         "der-action", parents=[common], help="conjugation action of an element on derivations"
     )
     p.add_argument("spec")
     p.add_argument("--element", required=True, help='word such as "A" or "A t A^-1"')
-    p.set_defaults(handler=cmd_der_action)
+    p.set_defaults(handler="cmd_der_action")
 
     p = sub.add_parser(
         "equivariant-units",
@@ -414,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("spec")
     p.add_argument("--bound", type=int, default=10)
-    p.set_defaults(handler=cmd_equivariant_units)
+    p.set_defaults(handler="cmd_equivariant_units")
 
     p = sub.add_parser(
         "jordan", parents=[common], help="multiplicative Jordan decomposition of a rational matrix"
     )
     p.add_argument("matrix")
-    p.set_defaults(handler=cmd_jordan)
+    p.set_defaults(handler="cmd_jordan")
 
     p = sub.add_parser(
         "arith-check",
@@ -428,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="necessary-condition classification of an integer matrix",
     )
     p.add_argument("matrix")
-    p.set_defaults(handler=cmd_arith_check)
+    p.set_defaults(handler="cmd_arith_check")
 
     p = sub.add_parser(
         "teob", parents=[common], help="full non-arithmeticity report for a Pell parameter"
     )
     p.add_argument("d", type=int)
-    p.set_defaults(handler=cmd_teob)
+    p.set_defaults(handler="cmd_teob")
 
     p = sub.add_parser(
         "lie-cohomology", parents=[common], help="Betti numbers and actions for a Lie algebra"
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--automorphism", default=None, help="matrices file; composed left to right")
     p.add_argument("--invariants", default=None, help="matrices file of commuting semisimple maps")
-    p.set_defaults(handler=cmd_lie_cohomology)
+    p.set_defaults(handler="cmd_lie_cohomology")
 
     p = sub.add_parser(
         "koszul-invariants",
@@ -451,15 +452,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("algebra")
     p.add_argument("matrices")
-    p.set_defaults(handler=cmd_koszul_invariants)
+    p.set_defaults(handler="cmd_koszul_invariants")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on first use rather
+    than at import.  It holds handler names, not functions, so ``main``
+    finds each handler in this module when it runs."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
-        results, files, params, pretty = ns.handler(ns)
+        results, files, params, pretty = globals()[ns.handler](ns)
     except SchemaError as e:
         print(f"error (malformed input): {e}", file=sys.stderr)
         return 1

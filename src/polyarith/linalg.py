@@ -9,6 +9,10 @@ Conventions
 * Hermite form is row style.  ``hnf(M)`` returns ``(H, U)`` with ``U``
   unimodular, ``U * M == H``, ``H`` in row echelon form with positive
   pivots and every entry above a pivot reduced into ``[0, pivot)``.
+  Rows join the reduction one at a time, as in Kannan & Bachem (1979),
+  which keeps intermediate entries small.  ``H`` is unique; ``U`` is
+  unique only when ``H`` has no zero row, so in that case alone ``hnf``
+  falls back to reducing all of ``[M | I]`` in one pass.
 * ``snf(M)`` returns a :class:`SmithDecomposition` with
   ``U * M * V == D``, nonnegative diagonal, each entry dividing the next.
   It is built from Hermite reductions of the rows and of the columns, on
@@ -24,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,10 +187,11 @@ class Matrix:
         if self.ncols != other.nrows:
             raise PreconditionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         cols = [other.col(j) for j in range(other.ncols)]
-        return Matrix(
-            [[_dot(r, c) for c in cols] for r in self.entries],
-            ncols=other.ncols,
-        )
+        if _all_int(itertools.chain(*self.entries, *other.entries)):
+            rows = [[sum(map(operator.mul, r, c)) for c in cols] for r in self.entries]
+        else:
+            rows = [[_dot(r, c) for c in cols] for r in self.entries]
+        return Matrix(rows, ncols=other.ncols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -356,26 +362,44 @@ def _hermite_rows(rows: list, ncols: int) -> None:
         r += 1
 
 
+def _add_rows(rows: Sequence, ncols: int) -> list:
+    """The rows Hermite-reduced as by :func:`_hermite_rows`, fed to it one
+    at a time as in Kannan & Bachem (1979), so each new row meets rows
+    already reduced above their pivots.  Reducing a dense matrix in one go
+    lets intermediate entries grow: on a seeded random 40 x 45 matrix with
+    entries in [-9, 9] that takes about 400 times as long.  Returns a new
+    list and leaves ``rows`` as it was."""
+    out: list = []
+    for row in rows:
+        out.append(row)
+        _hermite_rows(out, ncols)
+    return out
+
+
 def hnf(m: Matrix) -> Tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
     Returns ``(H, U)`` with ``U`` unimodular and ``U * m == H``.  ``H``
     is in row echelon form with positive pivots, entries above each
     pivot reduced into ``[0, pivot)``, zero rows at the bottom.  ``H``
-    depends only on the row lattice of ``m``.
+    depends only on the row lattice of ``m``, and so does ``U`` when
+    ``H`` has no zero row; otherwise ``U`` is the one a single pass of
+    the reduction over ``[m | I]`` gives.
     """
     _require_integral(m, "hnf")
     nr, nc = m.nrows, m.ncols
-    rows = [list(r) + e for r, e in zip(m.entries, _identity_rows(nr))]
-    _hermite_rows(rows, nc)
+    aug = [list(r) + e for r, e in zip(m.entries, _identity_rows(nr))]
+    rows = _add_rows(aug, nc)
+    if nr and not any(rows[-1][:nc]):
+        _hermite_rows(aug, nc)
+        rows = aug
     return Matrix([r[:nc] for r in rows], ncols=nc), Matrix([r[nc:] for r in rows], ncols=nr)
 
 
 def row_hermite_basis(m: Matrix) -> Matrix:
     """Hermite basis of the lattice spanned by the rows (zero rows dropped)."""
-    h, _ = hnf(m)
-    rows = [r for r in h.entries if any(x != 0 for x in r)]
-    return Matrix(rows, ncols=m.ncols)
+    _require_integral(m, "hnf")
+    return Matrix([r for r in _add_rows(m.entries, m.ncols) if any(r)], ncols=m.ncols)
 
 
 @dataclass(frozen=True)
@@ -394,15 +418,8 @@ class SmithDecomposition:
 
 def _smith_pass(a: list, w: list, ncols: int) -> Tuple[list, list]:
     """Hermite-reduces the rows of ``[a | w]`` (``a`` has ``ncols``
-    columns) and returns the two halves.  As in Kannan & Bachem, rows
-    join one at a time, so each meets rows already reduced above their
-    pivots.  Reducing a dense matrix in one go lets intermediate entries
-    grow so far that a random 30 x 35 matrix can take a minute, not
-    milliseconds."""
-    rows = []
-    for x, y in zip(a, w):
-        rows.append(x + y)
-        _hermite_rows(rows, ncols)
+    columns) and returns the two halves."""
+    rows = _add_rows([x + y for x, y in zip(a, w)], ncols)
     return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
 
 
@@ -464,11 +481,10 @@ def snf(m: Matrix) -> SmithDecomposition:
 def kernel_lattice(m: Matrix) -> Matrix:
     """Hermite basis (rows) of the saturated integer kernel ``{x : m x = 0}``."""
     _require_integral(m, "kernel_lattice")
-    h, u = hnf(m.transpose())
-    rows = [u.entries[i] for i in range(h.nrows) if all(x == 0 for x in h.entries[i])]
-    if not rows:
-        return Matrix([], ncols=m.ncols)
-    return row_hermite_basis(Matrix(rows, ncols=m.ncols))
+    nr, nc = m.nrows, m.ncols
+    aug = [list(c) + e for c, e in zip(m.transpose().entries, _identity_rows(nc))]
+    kernel = [r[nr:] for r in _add_rows(aug, nr) if not any(r[:nr])]
+    return row_hermite_basis(Matrix(kernel, ncols=nc))
 
 
 def lattice_coordinates(basis: Matrix, v: Sequence[int]) -> Optional[Tuple[int, ...]]:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import polyarith
 from polyarith import __version__
 from polyarith.cli import main
 from polyarith.errors import InternalError
@@ -458,6 +459,52 @@ class TestErrorPaths:
         monkeypatch.setattr(cli_module, "cmd_pell", interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["pell", "3"])
+
+
+class TestSharedParser:
+    """main builds its parser once per process; each call must still behave
+    as a fresh process would."""
+
+    def fresh_process(self, args):
+        src = os.path.dirname(os.path.dirname(polyarith.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyarith.cli", *args], capture_output=True, env=env, timeout=60
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def in_process(self, capsys, args):
+        try:
+            code = main(list(args))
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out.encode(), captured.err.encode()
+
+    def test_bad_then_good_arguments_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [("pell", "three"), ("pell", "3"), ("teob", "4", "--pretty"), ("h1",)]
+        seen = [self.in_process(capsys, args) for args in calls]
+        assert [code for code, _, _ in seen] == [2, 0, 2, 2]
+        assert seen == [self.fresh_process(args) for args in calls]
+
+    def test_handlers_and_parser_looked_up_at_call_time(self, capsys, monkeypatch):
+        import polyarith.cli as cli_module
+
+        assert run(capsys, "pell", "3")[0] == 0
+
+        def patched(ns):
+            return {"patched": ns.d}, {}, {}, []
+
+        def no_second_parser():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli_module, "cmd_pell", patched)
+        monkeypatch.setattr(cli_module, "build_parser", no_second_parser)
+        code, out, _ = run(capsys, "pell", "5")
+        assert code == 0
+        assert json.loads(out)["results"] == {"patched": 5}
 
 
 class TestConsoleScript:

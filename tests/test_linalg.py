@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyarith import linalg
+from polyarith.cohomology import Derivation, derivation_space, principal_derivations
 from polyarith.errors import PreconditionError
 from polyarith.linalg import (
     Matrix,
@@ -34,6 +37,7 @@ from polyarith.linalg import (
 )
 from polyarith.lie import filiform, free_two_step, heisenberg
 from polyarith.polynomials import Poly
+from polyarith.presentations import ModuleAction, Presentation
 
 from oracles import det_exact, smith_diagonal, wedge_minors
 
@@ -883,3 +887,146 @@ class TestNormalFormCore:
         assert dec.u * m * dec.v == dec.d
         bits = max(abs(x).bit_length() for w in (dec.u, dec.v) for row in w.entries for x in row)
         assert bits < 1000
+
+
+# ---------------------------------------------------------------------------
+# rows added to the Hermite core one at a time: kernel_lattice and
+# row_hermite_basis against definitions built on the one-pass reference_hnf
+
+
+def reference_row_hermite_basis(m):
+    h, _ = reference_hnf(m)
+    return Matrix([r for r in h.entries if any(r)], ncols=m.ncols)
+
+
+def reference_kernel_lattice(m):
+    h, u = reference_hnf(m.transpose())
+    rows = [u.entries[i] for i in range(h.nrows) if not any(h.entries[i])]
+    return reference_row_hermite_basis(Matrix(rows, ncols=m.ncols))
+
+
+def rank_deficient_product():
+    """A seeded 30 x 35 matrix of rank 15, whose one-pass reduction grows."""
+    rng = random.Random(1515)
+    return seeded_matrix(rng, 30, 15, 4) * seeded_matrix(rng, 15, 35, 4)
+
+
+def lattice_h1_actions():
+    """Z^k acting on Z^n by (M, M^2)[:k] for a unimodular M, at the sizes of
+    the lattice_h1 benchmark; Z^2 has the one commutator relator."""
+    rng = random.Random(6)
+    for n, k in ((6, 1), (7, 2), (8, 1), (9, 2), (10, 1), (10, 2), (12, 1), (12, 2)):
+        m = unimodular(rng, n)
+        pres = Presentation(("g1", "g2")[:k], (((0, 1), (1, 1), (0, -1), (1, -1)),)[: k - 1])
+        yield pres, ModuleAction(n, (m, m * m)[:k])
+
+
+class TestRowsOneAtATime:
+    def test_kernel_lattice_matches_reference(self):
+        for m in hermite_cases():
+            assert typed(kernel_lattice(m)) == typed(reference_kernel_lattice(m))
+
+    def test_row_hermite_basis_matches_reference(self):
+        for m in hermite_cases():
+            assert typed(row_hermite_basis(m)) == typed(reference_row_hermite_basis(m))
+
+    def test_kernel_lattice_growth(self, monkeypatch):
+        real = linalg._hermite_rows
+        peak = []
+
+        def guarded(rows, ncols):
+            real(rows, ncols)
+            peak.append(max((abs(x).bit_length() for row in rows for x in row), default=0))
+            assert peak[-1] < 500
+
+        monkeypatch.setattr(linalg, "_hermite_rows", guarded)
+        k = kernel_lattice(rank_deficient_product())
+        assert k.nrows == 20
+        assert peak
+
+    def one_pass_calls(self, monkeypatch):
+        """Calls of the one-pass reduction that hnf falls back to: the calls
+        of _hermite_rows made by hnf itself rather than by _add_rows."""
+        real = linalg._hermite_rows
+        hnf_code = linalg.hnf.__code__
+        calls = []
+
+        def counting(rows, ncols):
+            if sys._getframe(1).f_code is hnf_code:
+                calls.append(len(rows))
+            real(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_hermite_rows", counting)
+        return calls
+
+    def test_internal_callers_never_fall_back(self, monkeypatch):
+        calls = self.one_pass_calls(monkeypatch)
+        for m in hermite_cases():
+            kernel_lattice(m)
+            row_hermite_basis(m)
+        for pres, action in lattice_h1_actions():
+            lattice = derivation_space(pres, action)
+            principal = principal_derivations(action)
+            for r in principal.entries:
+                assert lattice.coordinates(Derivation.unflatten(r, action.rank)) is not None
+        assert calls == []
+
+    def test_hnf_falls_back_on_rank_deficient_input(self, monkeypatch):
+        calls = self.one_pass_calls(monkeypatch)
+        hnf(Matrix([[1, 2], [3, 4]]))
+        hnf(Matrix([[2, 4, 1]]))
+        assert calls == []
+        h, u = hnf(Matrix([[1, 2], [2, 4], [3, 7]]))
+        assert calls == [3]
+        assert u * Matrix([[1, 2], [2, 4], [3, 7]]) == h
+        assert not any(h.row(2))
+
+
+# ---------------------------------------------------------------------------
+# Matrix.__mul__ against the per-entry _dot product it uses for Fraction
+# operands
+
+
+def dot_product(a, b):
+    cols = [b.col(j) for j in range(b.ncols)]
+    return Matrix([[linalg._dot(r, c) for c in cols] for r in a.entries], ncols=b.ncols)
+
+
+def product_operands(rng, r, k, c, kind):
+    def entry():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-9, 9) if rng.random() < 0.7 else 0
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    a = Matrix([[entry() for _ in range(k)] for _ in range(r)], ncols=k)
+    b = Matrix([[entry() for _ in range(c)] for _ in range(k)], ncols=c)
+    return a, b
+
+
+class TestIntProduct:
+    def test_matches_dot_product(self):
+        rng = random.Random(77)
+        for kind in ("int", "frac", "mixed"):
+            for _ in range(60):
+                r, k, c = (rng.randint(0, 5) for _ in range(3))
+                a, b = product_operands(rng, r, k, c, kind)
+                assert typed(a * b) == typed(dot_product(a, b))
+        # an int operand against a Fraction one whose products sum to an int
+        a, b = Matrix([[1, 2]]), Matrix([[Fraction(1, 2)], [Fraction(3, 4)]])
+        assert typed(a * b) == typed(dot_product(a, b)) == (1, 1, [[(int, 2)]])
+
+    @pytest.mark.parametrize("r, k, c", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (0, 3, 0)])
+    @pytest.mark.parametrize("kind", ["int", "frac", "mixed"])
+    def test_empty_shapes(self, r, k, c, kind):
+        a, b = product_operands(random.Random(r * 100 + k * 10 + c), r, k, c, kind)
+        product = a * b
+        assert (product.nrows, product.ncols) == (r, c)
+        assert typed(product) == typed(dot_product(a, b))
+
+    @given(int_matrix(max_dim=4), st.integers(0, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_products(self, a, c, rng):
+        b = Matrix([[rng.randint(-30, 30) for _ in range(c)] for _ in range(a.ncols)], ncols=c)
+        halves = Matrix([[Fraction(x, 2) for x in row] for row in b.entries], ncols=c)
+        for right in (b, halves):
+            assert typed(a * right) == typed(dot_product(a, right))
