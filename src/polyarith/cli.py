@@ -8,8 +8,7 @@ with keys sorted and no whitespace, so identical invocations produce
 byte-identical bytes.  ``--pretty`` switches to a human-readable table
 (classification-style commands end with their verdict line).
 ``--timestamps`` opts into a wall-clock field, deliberately breaking
-reproducibility.  ``--seed`` is recorded in the report for subcommands
-that sample; the current set is fully deterministic and ignores it.
+reproducibility.
 
 Exit codes: 0 success, 1 malformed input document (message carries a
 JSON pointer), 2 violated mathematical precondition, 3 internal
@@ -367,7 +366,6 @@ def cmd_koszul_invariants(ns) -> Handler:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human readable output")
-    common.add_argument("--seed", type=int, default=None, help="echoed into the report")
     common.add_argument(
         "--timestamps", action="store_true", help="include wall clock time in the report"
     )
@@ -484,8 +482,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         traceback.print_exc()
         return 3
 
-    if ns.seed is not None:
-        params["seed"] = ns.seed
     report = {
         "command": ns.command,
         "inputs": {"files": files, "parameters": params},

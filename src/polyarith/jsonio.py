@@ -37,6 +37,8 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 def render_scalar(x: Scalar) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -61,10 +63,11 @@ def parse_scalar(obj, path: str) -> Scalar:
     num_s, _, den_s = obj.partition("/")
     if den_s == "0":
         raise SchemaError(path, "zero denominator")
-    value = Fraction(int(num_s), int(den_s)) if den_s else Fraction(int(num_s))
+    value = Fraction(int(num_s), int(den_s)) if den_s else int(num_s)
     if obj != render_scalar(value):
         raise SchemaError(path, f"rational {obj!r} is not in canonical form")
-    return int(value) if value.denominator == 1 else value
+    # a canonical "p/q" has q > 1
+    return value
 
 
 def parse_int(obj, path: str, minimum: Optional[int] = None) -> int:

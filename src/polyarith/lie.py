@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
 from .linalg import (
@@ -34,7 +34,6 @@ from .linalg import (
     nilpotent_exp,
     rational_kernel,
     rref,
-    solve,
     vstack,
     wedge_power,
 )
@@ -346,15 +345,23 @@ def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
     return total
 
 
+def _combine(columns: Sequence[SparseColumn], coeffs: Iterable) -> Dict[int, Scalar]:
+    """The sum of c * columns[k] over the (k, c) pairs of ``coeffs``, as a
+    row -> entry dict without zero entries."""
+    out: Dict[int, Scalar] = {}
+    for k, c in coeffs:
+        if c:
+            for r, v in columns[k]:
+                out[r] = out.get(r, 0) + c * v
+    # most images in the square-zero check are empty: return those as they are
+    return {r: v for r, v in out.items() if v} if out else out
+
+
 def check_square_zero(lower: SparseColumns, upper: SparseColumns, p: int) -> None:
     """Certify upper * lower = 0 column by column, in time linear in the
     nonzeros touched; ``lower`` is d^p and ``upper`` is d^{p+1}."""
     for col in lower:
-        image: Dict[int, Scalar] = {}
-        for r, v in col:
-            for s, w in upper[r]:
-                image[s] = image.get(s, 0) + v * w
-        if any(image.values()):
+        if _combine(upper, col):
             raise InternalError(f"differential does not square to zero at degree {p}")
 
 
@@ -364,15 +371,7 @@ def check_chain_map(d: SparseColumns, w_here: Matrix, w_up: Matrix) -> None:
     actions in degrees p and p + 1."""
     up_cols = [[(s, w) for s, w in enumerate(col) if w] for col in zip(*w_up.entries)]
     for j, here_col in enumerate(zip(*w_here.entries)):
-        diff: Dict[int, Scalar] = {}
-        for r, v in d[j]:
-            for s, w in up_cols[r]:
-                diff[s] = diff.get(s, 0) + v * w
-        for k, x in enumerate(here_col):
-            if x:
-                for s, v in d[k]:
-                    diff[s] = diff.get(s, 0) - x * v
-        if any(diff.values()):
+        if _combine(up_cols, d[j]) != _combine(d, enumerate(here_col)):
             raise InternalError("form action does not commute with the differential")
 
 
@@ -570,6 +569,19 @@ def form_action(phi: LieAutomorphism, p: int) -> Matrix:
     return cache[p]
 
 
+def _coordinates(basis: Matrix, images: Matrix, what: str) -> Matrix:
+    """Coordinates of the image columns on the independent basis columns,
+    one row per basis column, from one ``rref`` of [basis | images]: the
+    basis columns are the first pivots, and a later pivot means an image
+    outside their span, which raises InternalError(what)."""
+    reduced, pivots = rref(hstack(basis, images))
+    if any(c >= basis.ncols for c in pivots):
+        raise InternalError(what)
+    return Matrix(
+        [row[basis.ncols :] for row in reduced.entries[: basis.ncols]], ncols=images.ncols
+    )
+
+
 def action_on_cohomology(
     phi: LieAutomorphism, p: int, kos: Optional[KoszulComplex] = None
 ) -> Matrix:
@@ -590,16 +602,10 @@ def action_on_cohomology(
     w_here = form_action(phi, p)
     if p < n:
         check_chain_map(kos.columns[p], w_here, form_action(phi, p + 1))
-    # the basis columns are independent, so they are the first pivots and
-    # row i of the reduced form holds the coordinates on representative i
     reps, basis = kos.cohomology_basis(p)
     images = Matrix.from_cols([w_here.apply(row) for row in reps.entries], nrows=basis.nrows)
-    reduced, pivots = rref(hstack(basis, images))
-    if any(c >= basis.ncols for c in pivots):
-        raise InternalError("image of a cocycle left the cocycle space")
-    return Matrix(
-        [row[basis.ncols :] for row in reduced.entries[: reps.nrows]], ncols=reps.nrows
-    )
+    coords = _coordinates(basis, images, "image of a cocycle left the cocycle space")
+    return Matrix(coords.entries[: reps.nrows], ncols=reps.nrows)
 
 
 @dataclass(frozen=True)
@@ -623,23 +629,18 @@ def semisimple_rigidity_check(
         raise PreconditionError("rigidity check needs a nilpotent algebra")
     if not phi.is_semisimple():
         raise PreconditionError("rigidity check needs a semisimple automorphism")
-    a1 = action_on_cohomology(phi, 1, kos)
-    if not a1.is_identity():
-        return RigidityResult(False, phi.is_identity())
-    return RigidityResult(True, phi.is_identity())
+    return RigidityResult(action_on_cohomology(phi, 1, kos).is_identity(), phi.is_identity())
 
 
 # ---------------------------------------------------------------------------
 # invariants under a set of semisimple automorphisms
 
 
-def _fixed_subspace(basis: Matrix, operator: Matrix) -> Matrix:
-    """Rows spanning {x in rowspace(basis) : operator x = x}."""
-    if basis.nrows == 0:
-        return basis
-    shifted = operator - Matrix.identity(operator.nrows)
-    coeff = rational_kernel(shifted * basis.transpose())
-    return coeff * basis
+def _fixed_space(operators: Sequence[Matrix], dim: int) -> Matrix:
+    """Rows spanning the vectors of Q^dim fixed by every operator: the
+    kernel of the rows of op - I over all the operators."""
+    ident = Matrix.identity(dim)
+    return rational_kernel(Matrix([r for op in operators for r in (op - ident).entries], ncols=dim))
 
 
 @dataclass(frozen=True)
@@ -675,40 +676,28 @@ def invariant_subcomplex(
         if one.matrix * two.matrix != two.matrix * one.matrix:
             raise PreconditionError("automorphisms must commute")
 
-    bases = []
-    for p in range(n + 1):
-        basis = Matrix.identity(kos.space_dim(p))
-        for phi in autos:
-            basis = _fixed_subspace(basis, form_action(phi, p))
-        bases.append(basis)
-
+    bases = [
+        _fixed_space([form_action(phi, p) for phi in autos], kos.space_dim(p))
+        for p in range(n + 1)
+    ]
+    # d^p of each fixed form, in coordinates on the fixed forms of degree p + 1
     restricted = []
-    for p in range(n + 1):
-        cols = []
-        target = bases[p + 1].transpose() if p < n else None
-        for row in bases[p].entries:
-            image = kos.differentials[p].apply(row)
-            if p == n:
-                continue
-            coeffs = solve(target, image)
-            if coeffs is None:
-                raise InternalError("differential left the invariant subcomplex")
-            cols.append(coeffs)
-        height = bases[p + 1].nrows if p < n else 0
-        restricted.append(Matrix.from_cols(cols, nrows=height))
+    for p in range(n):
+        targets = range(kos.space_dim(p + 1))
+        sparse = [_combine(kos.columns[p], enumerate(row)) for row in bases[p].entries]
+        images = Matrix([[im.get(r, 0) for im in sparse] for r in targets], ncols=len(sparse))
+        what = "differential left the invariant subcomplex"
+        restricted.append(_coordinates(bases[p + 1].transpose(), images, what))
+    restricted.append(Matrix([], ncols=0))
 
-    inv_betti = []
-    for p in range(n + 1):
-        kernel_dim = bases[p].nrows - restricted[p].rank()
-        image_prev = restricted[p - 1].rank() if p > 0 else 0
-        inv_betti.append(kernel_dim - image_prev)
-
-    fixed_dims = []
-    for p, h_dim in enumerate(kos.betti()):
-        basis = Matrix.identity(h_dim)
-        for phi in autos:
-            basis = _fixed_subspace(basis, action_on_cohomology(phi, p, kos))
-        fixed_dims.append(basis.nrows)
+    ranks = [d.rank() for d in restricted]
+    inv_betti = [
+        bases[p].nrows - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(n + 1)
+    ]
+    fixed_dims = [
+        _fixed_space([action_on_cohomology(phi, p, kos) for phi in autos], h_dim).nrows
+        for p, h_dim in enumerate(kos.betti())
+    ]
 
     if inv_betti != fixed_dims:
         raise InternalError(

@@ -225,7 +225,9 @@ class Matrix:
         """Row vector times matrix."""
         if len(v) != self.nrows:
             raise PreconditionError("vector length mismatch")
-        return tuple(_norm_entry(_dot(v, self.col(j))) for j in range(self.ncols))
+        if not self.nrows:
+            return (0,) * self.ncols
+        return tuple(_norm_entry(_dot(v, col)) for col in zip(*self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
@@ -517,7 +519,7 @@ def _hermite_coordinates(h: Matrix, u: Matrix, v: Sequence[int]) -> Optional[Tup
             rem = [x - q * hx for x, hx in zip(rem, h.entries[i])]
     if any(rem):
         return None
-    return tuple(_dot(y, u.col(j)) for j in range(u.ncols))
+    return u.apply_left(y)
 
 
 def in_row_lattice(basis: Matrix, v: Sequence[int]) -> bool:

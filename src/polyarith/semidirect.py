@@ -25,7 +25,6 @@ from .presentations import (
     DihedralEngine,
     ModuleAction,
     Presentation,
-    Word,
     checked_action,
     validate_action,
 )
@@ -69,9 +68,6 @@ class SemidirectGroup:
         if any(not isinstance(x, int) or isinstance(x, bool) for x in translation):
             raise PreconditionError("translation entries must be integers")
         return SemidirectElement(translation, form)
-
-    def from_word(self, translation: Sequence[int], w: Word) -> SemidirectElement:
-        return self.element(translation, self.engine.normal_form(w))
 
     def form_matrix(self, form) -> Matrix:
         return self.engine.action_matrix(form, self.action)

@@ -71,11 +71,6 @@ class TestEnvelope:
         _, second, _ = run(capsys, "teob", "3")
         assert first == second
 
-    def test_seed_echoed(self, capsys):
-        _, out, _ = run(capsys, "pell", "3", "--seed", "11")
-        report = json.loads(out)
-        assert report["inputs"]["parameters"]["seed"] == 11
-
     def test_timestamps_opt_in(self, capsys):
         _, plain, _ = run(capsys, "pell", "3")
         assert "generated_at" not in json.loads(plain)

@@ -53,6 +53,13 @@ class TestScalars:
         assert parse_scalar("7", "") == 7
         assert parse_scalar("-3/7", "") == Fraction(-3, 7)
 
+    def test_parse_keeps_integers_as_int(self):
+        for value in (7, -12, 0, 10**30 + 1):
+            got = parse_scalar(str(value), "")
+            assert type(got) is int and got == value
+        assert type(parse_scalar("-3/7", "")) is Fraction
+        assert render_scalar(True) == "1"
+
     @pytest.mark.parametrize(
         "bad",
         ["2/4", "+3", "03", "1/1", "-0", "3/-7", "a", "1.5", "", "7/0"],

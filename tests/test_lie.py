@@ -774,3 +774,128 @@ class TestInvariantSubcomplex:
             inv = invariant_subcomplex(kos, [phi])
             # the constructor certifies equality; spot-check the fields agree
             assert inv.invariant_betti == inv.fixed_cohomology_dims
+
+
+def reference_fixed_subspace(basis, operator):
+    """The rows of span(basis) fixed by ``operator``, by one kernel of
+    (operator - I) * basis^T and a product back into the basis."""
+    if basis.nrows == 0:
+        return basis
+    shifted = operator - Matrix.identity(operator.nrows)
+    return rational_kernel(shifted * basis.transpose()) * basis
+
+
+def reference_invariants(kos, autos):
+    """The invariant subcomplex with the fixed spaces narrowed one
+    automorphism at a time, one ``solve`` per fixed form, and the action on
+    cohomology from ``reference_action``.  Returns the five fields of
+    ``InvariantCohomology`` in order."""
+    n = kos.algebra.dim
+    bases = []
+    for p in range(n + 1):
+        basis = Matrix.identity(kos.space_dim(p))
+        for phi in autos:
+            w = wedge_power(phi.matrix.inverse().transpose(), p)
+            basis = reference_fixed_subspace(basis, w)
+        bases.append(basis)
+    restricted = []
+    for p in range(n):
+        cols = []
+        for row in bases[p].entries:
+            coeffs = solve(bases[p + 1].transpose(), kos.differential(p).apply(row))
+            assert coeffs is not None
+            cols.append(coeffs)
+        restricted.append(Matrix.from_cols(cols, nrows=bases[p + 1].nrows))
+    restricted.append(Matrix([], ncols=0))
+    inv_betti = tuple(
+        bases[p].nrows - restricted[p].rank() - (restricted[p - 1].rank() if p else 0)
+        for p in range(n + 1)
+    )
+    fixed = []
+    for p, h_dim in enumerate(kos.betti()):
+        basis = Matrix.identity(h_dim)
+        for phi in autos:
+            basis = reference_fixed_subspace(basis, reference_action(phi, p, kos))
+        fixed.append(basis.nrows)
+    return (
+        tuple(b.nrows for b in bases),
+        inv_betti,
+        tuple(fixed),
+        tuple(bases),
+        tuple(restricted),
+    )
+
+
+def same_row_space(a, b):
+    return a.ncols == b.ncols and a.rank() == b.rank() == vstack(a, b).rank()
+
+
+def automorphism_sets(algebra, rng):
+    """Zero to three commuting semisimple automorphisms: seeded tori, and
+    conjugates of tori by one inner automorphism (dense matrices)."""
+    tori = [seeded_torus(algebra, rng) for _ in range(3)]
+    u = inner_automorphism(algebra, tuple(rng.randint(-2, 2) for _ in range(algebra.dim)))
+    conj = [u.compose(t).compose(u.inverse()) for t in tori[:2]]
+    return [[], tori[:1], conj[:1], tori[:2], conj, tori]
+
+
+class TestInvariantKernels:
+    def test_matches_per_automorphism_and_per_form_oracle(self):
+        rng = random.Random(31)
+        for name, algebra in nilpotent_catalog().items():
+            kos = build_koszul(algebra)
+            for autos in automorphism_sets(algebra, rng):
+                inv = invariant_subcomplex(kos, autos)
+                dims, betti, fixed, bases, restricted = reference_invariants(kos, autos)
+                where = (name, len(autos))
+                assert inv.subspace_dims == dims, where
+                assert inv.invariant_betti == betti, where
+                assert inv.fixed_cohomology_dims == fixed, where
+                if len(autos) <= 1:
+                    assert inv.subspace_bases == bases, where
+                    assert inv.restricted_differentials == restricted, where
+                else:
+                    for mine, theirs in zip(inv.subspace_bases, bases):
+                        assert same_row_space(mine, theirs), where
+                for p in range(algebra.dim):
+                    basis, up = inv.subspace_bases[p], inv.subspace_bases[p + 1]
+                    d = inv.restricted_differentials[p]
+                    assert (d.nrows, d.ncols) == (up.nrows, basis.nrows), where
+                    for i in range(basis.nrows):
+                        image = kos.differential(p).apply(basis.row(i))
+                        assert up.apply_left(d.col(i)) == image, where
+                assert inv.restricted_differentials[algebra.dim] == Matrix([], ncols=0)
+
+    def test_fixed_space_of_no_operators_is_everything(self):
+        assert lie._fixed_space([], 4) == Matrix.identity(4)
+        assert lie._fixed_space([], 0).nrows == 0
+
+    def test_differential_leaving_the_subcomplex_is_refused(self, monkeypatch):
+        h = heisenberg()
+        kos = build_koszul(h)
+        phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
+        original = lie._fixed_space
+
+        def skewed(operators, dim):
+            # in degree 2 offer xi^0 ^ xi^2, which phi scales by 1/2, in
+            # place of the fixed xi^0 ^ xi^1 that d xi^2 lands on
+            if operators and operators[0] == form_action(phi, 2):
+                return Matrix([[0, 1, 0]])
+            return original(operators, dim)
+
+        monkeypatch.setattr(lie, "_fixed_space", skewed)
+        with pytest.raises(
+            InternalError, match="^differential left the invariant subcomplex$"
+        ):
+            invariant_subcomplex(kos, [phi])
+
+    def test_invariant_path_reads_no_dense_differential(self, monkeypatch):
+        h = nilpotent_catalog()["filiform_6"]
+        kos = build_koszul(h)
+        expected = invariant_subcomplex(kos, [graded_filiform_auto(h, random.Random(4))])
+        # the cohomology bases are cached now; nothing else may need d densely
+        monkeypatch.setattr(
+            KoszulComplex, "differentials", property(lambda self: pytest.fail("dense d read"))
+        )
+        inv = invariant_subcomplex(kos, [graded_filiform_auto(h, random.Random(4))])
+        assert inv == expected

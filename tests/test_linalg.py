@@ -101,6 +101,16 @@ class TestMatrixBasics:
         assert m.apply((1, 1)) == (3, 1)
         assert m.apply_left((1, 1)) == (1, 3)
 
+    def test_apply_left_edge_shapes_and_fractions(self):
+        assert Matrix([], ncols=3).apply_left(()) == (0, 0, 0)
+        assert Matrix([[], []], ncols=0).apply_left((1, 2)) == ()
+        m = Matrix([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(-2, 3)]])
+        got = m.apply_left((Fraction(2, 5), 3))
+        assert got == (Fraction(6, 5), Fraction(-8, 5))
+        # entries are normalised: an integral Fraction comes back as an int
+        assert [type(x) for x in m.apply_left((2, 3))] == [int, int]
+        assert m.apply_left((2, 3)) == (2, 0)
+
     def test_det_inverse_rank(self):
         m = Matrix([[2, 1], [7, 4]])
         assert m.det() == 1
