@@ -1,0 +1,125 @@
+"""Time the cohomology action and the torus invariants on larger algebras.
+
+Two kinds of row, each on a freshly built complex:
+
+- ``action``: ``action_on_cohomology`` in every degree for the inner
+  automorphism exp(ad x) of filiform(n), with x = e_1 + e_n in the
+  1-based numbering of the basis, that is coordinates (1, 0, ..., 0, 1);
+- ``torus``: ``invariant_subcomplex`` under the two diagonal
+  automorphisms of ``perfbench/workloads.py``'s ``torus_matrices``, with
+  the identity relabelling.
+
+Each row gives the wall time in seconds and a sha256 of the result
+entries, so runs on two commits can be compared for time and for output.
+Run from the root of a checkout with the package on PYTHONPATH:
+
+    PYTHONPATH=src python3 scripts/koszul_timings.py --action 9 10 --torus filiform:9 heisenberg:4
+"""
+
+import argparse
+import hashlib
+import itertools
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+from polyarith.lie import (  # noqa: E402
+    LieAlgebra,
+    LieAutomorphism,
+    action_on_cohomology,
+    build_koszul,
+    filiform,
+    inner_automorphism,
+    invariant_subcomplex,
+)
+from polyarith.linalg import Matrix  # noqa: E402
+
+FAMILIES = {
+    "abelian": workloads.abelian,
+    "filiform": workloads.filiform,
+    "free_two_step": workloads.free_two_step,
+    "heisenberg": workloads.heisenberg,
+    "strictly_upper": workloads.strictly_upper,
+}
+
+
+def digest(values) -> str:
+    """sha256 of the entries of nested matrices and integers, as text."""
+
+    def plain(v):
+        if isinstance(v, Matrix):
+            return [[str(x) for x in row] for row in v.entries]
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return str(v)
+
+    return hashlib.sha256(json.dumps(plain(values)).encode()).hexdigest()
+
+
+def action_row(n: int) -> dict:
+    algebra = filiform(n)
+    phi = inner_automorphism(algebra, (1,) + (0,) * (n - 2) + (1,))
+    kos = build_koszul(algebra)
+    start = time.perf_counter()
+    mats = [action_on_cohomology(phi, p, kos) for p in range(n + 1)]
+    seconds = time.perf_counter() - start
+    return {"kind": "action", "algebra": f"filiform:{n}", "seconds": round(seconds, 3),
+            "sha256": digest(mats)}
+
+
+def torus_row(spec: str) -> dict:
+    family, _, param = spec.partition(":")
+    base = FAMILIES[family](int(param))
+    algebra = LieAlgebra(*base)
+    autos = [
+        LieAutomorphism(algebra, Matrix(m))
+        for m in workloads.torus_matrices(base, list(range(algebra.dim)))
+    ]
+    kos = build_koszul(algebra)
+    start = time.perf_counter()
+    inv = invariant_subcomplex(kos, autos)
+    seconds = time.perf_counter() - start
+    fields = [inv.subspace_dims, inv.invariant_betti, inv.fixed_cohomology_dims,
+              inv.subspace_bases, inv.restricted_differentials]
+    return {"kind": "torus", "algebra": spec, "seconds": round(seconds, 3),
+            "sha256": digest(fields)}
+
+
+def torus_spec(text: str) -> str:
+    family, _, param = text.partition(":")
+    if family not in FAMILIES or not param.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected FAMILY:N with FAMILY one of {', '.join(sorted(FAMILIES))}"
+        )
+    return text
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--action", type=int, nargs="*", default=[9, 10], metavar="N",
+                        help="filiform dimensions for the action rows (default: 9 10)")
+    parser.add_argument("--torus", type=torus_spec, nargs="*",
+                        default=["filiform:9", "heisenberg:4"], metavar="FAMILY:N",
+                        help="algebras for the torus rows (default: filiform:9 heisenberg:4)")
+    parser.add_argument("--json", action="store_true", help="emit one JSON object per row")
+    args = parser.parse_args(argv)
+    if any(n < 3 for n in args.action):
+        parser.error("filiform algebras start at dimension 3")
+
+    # rows are printed as they finish, since the larger ones take minutes
+    for row in itertools.chain(map(action_row, args.action), map(torus_row, args.torus)):
+        print(json.dumps(row, sort_keys=True) if args.json else
+              f"{row['kind']:<6} {row['algebra']:<18} {row['seconds']:>9.3f} s  {row['sha256']}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

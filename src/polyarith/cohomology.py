@@ -127,9 +127,6 @@ class DerivationLattice:
         """Same as ``lattice_coordinates(self.basis_matrix(), deriv.flatten())``."""
         return _hermite_coordinates(*self._hermite, deriv.flatten())
 
-    def contains(self, deriv: Derivation) -> bool:
-        return self.coordinates(deriv) is not None
-
     def combination(self, coords: Sequence[int]) -> Derivation:
         flat = self.basis_matrix().apply_left(coords)
         return Derivation.unflatten(flat, self.action.rank)

@@ -124,10 +124,6 @@ def parse_matrix(obj, path: str) -> Matrix:
     return Matrix(rows, ncols=ncols)
 
 
-def matrices_list_to_json(mats: Sequence[Matrix]) -> dict:
-    return {"matrices": [matrix_to_json(m) for m in mats]}
-
-
 def parse_matrices_list(obj, path: str) -> List[Matrix]:
     _require_keys(obj, path, ("matrices",))
     items = _require_list(obj["matrices"], f"{path}/matrices")

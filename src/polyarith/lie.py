@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
-    hstack,
     min_poly,
     nilpotent_exp,
     rational_kernel,
@@ -345,6 +344,11 @@ def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
     return total
 
 
+def _sparse(vectors: Iterable[Sequence[Scalar]]) -> List[SparseColumn]:
+    """The nonzero (index, entry) pairs of each vector."""
+    return [tuple((i, x) for i, x in enumerate(v) if x) for v in vectors]
+
+
 def _combine(columns: Sequence[SparseColumn], coeffs: Iterable) -> Dict[int, Scalar]:
     """The sum of c * columns[k] over the (k, c) pairs of ``coeffs``, as a
     row -> entry dict without zero entries."""
@@ -369,7 +373,7 @@ def check_chain_map(d: SparseColumns, w_here: Matrix, w_up: Matrix) -> None:
     """Certify w_up * d == d * w_here column by column, in time
     O(nnz(d) * dim); ``d`` is d^p, ``w_here`` and ``w_up`` are the form
     actions in degrees p and p + 1."""
-    up_cols = [[(s, w) for s, w in enumerate(col) if w] for col in zip(*w_up.entries)]
+    up_cols = _sparse(zip(*w_up.entries))
     for j, here_col in enumerate(zip(*w_here.entries)):
         if _combine(up_cols, d[j]) != _combine(d, enumerate(here_col)):
             raise InternalError("form action does not commute with the differential")
@@ -378,9 +382,9 @@ def check_chain_map(d: SparseColumns, w_here: Matrix, w_up: Matrix) -> None:
 @dataclass(frozen=True)
 class KoszulComplex:
     """The cochain complex of a Lie algebra: ``bases[p]`` indexes degree p,
-    ``columns[p]`` holds d^p from degree p to degree p + 1 as sparse
-    columns.  Ranks, the dense matrices and the cohomology bases are
-    computed on first use."""
+    ``columns[p]`` holds d^p to degree p + 1 as sparse columns.  Ranks,
+    dense matrices and cohomology bases are made on first use, the bases by
+    one elimination per degree; an action on cohomology then runs none."""
 
     algebra: LieAlgebra
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]
@@ -426,47 +430,36 @@ class KoszulComplex:
         """Basis (rows) of ker d^p over Q."""
         return rational_kernel(self.differentials[p])
 
-    @cached_property
-    def _coboundaries(self) -> Dict[int, Matrix]:
-        return {}
-
     def coboundaries(self, p: int) -> Matrix:
-        """Basis (rows) of im d^{p-1} over Q, cached per degree."""
-        cache = self._coboundaries
-        if p not in cache:
-            cache[p] = (
-                _row_space_basis(self.differentials[p - 1].transpose())
-                if p
-                else Matrix([], ncols=self.space_dim(0))
-            )
-        return cache[p]
+        """Basis (rows) of im d^{p-1} over Q."""
+        if not p:
+            return Matrix([], ncols=self.space_dim(0))
+        return _row_space_basis(self.differentials[p - 1].transpose())
 
     def representatives(self, p: int) -> Matrix:
-        """Cocycle rows completing the coboundaries to ker d^p.
-
-        Deterministic: walks the canonical kernel basis in order and
-        keeps the vectors that grow the span, which are the pivot
-        columns past the coboundaries of [coboundaries; cocycles]^T.
-        """
-        bound = self.coboundaries(p)
-        stacked = vstack(bound, self.cocycles(p))
-        _, pivots = rref(stacked.transpose())
-        return Matrix(
-            [stacked.row(j) for j in pivots if j >= bound.nrows], ncols=self.space_dim(p)
-        )
+        """Cocycle rows completing the coboundaries to ker d^p."""
+        return self.cohomology_basis(p)[0]
 
     @cached_property
-    def _cohomology_bases(self) -> Dict[int, Tuple[Matrix, Matrix]]:
+    def _cohomology_bases(self) -> Dict[int, Tuple[Matrix, Matrix, Matrix]]:
         return {}
 
-    def cohomology_basis(self, p: int) -> Tuple[Matrix, Matrix]:
-        """The representatives of degree p, and the matrix whose columns
-        are the representatives followed by the coboundary basis.  Computed
-        once per degree and then cached."""
+    def cohomology_basis(self, p: int) -> Tuple[Matrix, Matrix, Matrix]:
+        """``(reps, cocycles, classes)`` of degree p from one ``rref`` of
+        [coboundaries; cocycles]^T, cached per degree.  ``reps`` are the
+        cocycle rows at the pivots past the k coboundaries: the canonical
+        kernel basis walked in order, keeping each row that grows the span.
+        Rows k onward of the reduced matrix, on the cocycle columns, are
+        ``classes``: column f is the class of cocycle row f on ``reps``."""
         cache = self._cohomology_bases
         if p not in cache:
-            reps = self.representatives(p)
-            cache[p] = (reps, vstack(reps, self.coboundaries(p)).transpose())
+            bound = self.coboundaries(p)
+            cocycles = self.cocycles(p)
+            k = bound.nrows
+            reduced, pivots = rref(vstack(bound, cocycles).transpose())
+            reps = Matrix([cocycles.row(j - k) for j in pivots if j >= k], ncols=cocycles.ncols)
+            classes = Matrix([r[k:] for r in reduced.entries[k : len(pivots)]], ncols=cocycles.nrows)
+            cache[p] = (reps, cocycles, classes)
         return cache[p]
 
 
@@ -569,17 +562,18 @@ def form_action(phi: LieAutomorphism, p: int) -> Matrix:
     return cache[p]
 
 
-def _coordinates(basis: Matrix, images: Matrix, what: str) -> Matrix:
-    """Coordinates of the image columns on the independent basis columns,
-    one row per basis column, from one ``rref`` of [basis | images]: the
-    basis columns are the first pivots, and a later pivot means an image
-    outside their span, which raises InternalError(what)."""
-    reduced, pivots = rref(hstack(basis, images))
-    if any(c >= basis.ncols for c in pivots):
-        raise InternalError(what)
-    return Matrix(
-        [row[basis.ncols :] for row in reduced.entries[: basis.ncols]], ncols=images.ncols
-    )
+def _coordinates(basis: Matrix, images: Sequence[Dict[int, Scalar]], what: str) -> Matrix:
+    """Coordinates of the sparse images on the rows of a ``rational_kernel``
+    basis, one column per image.  Each basis row has a 1 in its last
+    nonzero column f, where every other row is 0, so its coordinate is the
+    image's entry at f.  Rebuilding each image certifies the coordinates;
+    a mismatch, an image outside the span, raises InternalError(what)."""
+    rows = _sparse(basis.entries)
+    cols = [[im.get(row[-1][0], 0) for row in rows] for im in images]
+    for im, col in zip(images, cols):
+        if _combine(rows, enumerate(col)) != im:
+            raise InternalError(what)
+    return Matrix.from_cols(cols, nrows=len(rows))
 
 
 def action_on_cohomology(
@@ -602,10 +596,10 @@ def action_on_cohomology(
     w_here = form_action(phi, p)
     if p < n:
         check_chain_map(kos.columns[p], w_here, form_action(phi, p + 1))
-    reps, basis = kos.cohomology_basis(p)
-    images = Matrix.from_cols([w_here.apply(row) for row in reps.entries], nrows=basis.nrows)
-    coords = _coordinates(basis, images, "image of a cocycle left the cocycle space")
-    return Matrix(coords.entries[: reps.nrows], ncols=reps.nrows)
+    reps, cocycles, classes = kos.cohomology_basis(p)
+    w_cols = _sparse(zip(*w_here.entries))
+    images = [_combine(w_cols, enumerate(row)) for row in reps.entries]
+    return classes * _coordinates(cocycles, images, "image of a cocycle left the cocycle space")
 
 
 @dataclass(frozen=True)
@@ -683,11 +677,9 @@ def invariant_subcomplex(
     # d^p of each fixed form, in coordinates on the fixed forms of degree p + 1
     restricted = []
     for p in range(n):
-        targets = range(kos.space_dim(p + 1))
-        sparse = [_combine(kos.columns[p], enumerate(row)) for row in bases[p].entries]
-        images = Matrix([[im.get(r, 0) for im in sparse] for r in targets], ncols=len(sparse))
+        images = [_combine(kos.columns[p], enumerate(row)) for row in bases[p].entries]
         what = "differential left the invariant subcomplex"
-        restricted.append(_coordinates(bases[p + 1].transpose(), images, what))
+        restricted.append(_coordinates(bases[p + 1], images, what))
     restricted.append(Matrix([], ncols=0))
 
     ranks = [d.rank() for d in restricted]

@@ -522,10 +522,6 @@ def _hermite_coordinates(h: Matrix, u: Matrix, v: Sequence[int]) -> Optional[Tup
     return u.apply_left(y)
 
 
-def in_row_lattice(basis: Matrix, v: Sequence[int]) -> bool:
-    return lattice_coordinates(basis, v) is not None
-
-
 # ---------------------------------------------------------------------------
 # rational elimination
 

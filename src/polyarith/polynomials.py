@@ -32,13 +32,6 @@ class Poly:
     def of(*coeffs: Scalar) -> "Poly":
         return Poly(_normalize(coeffs))
 
-    @staticmethod
-    def from_roots(roots: Iterable[Scalar]) -> "Poly":
-        p = Poly.of(1)
-        for r in roots:
-            p = p * Poly.of(-r, 1)
-        return p
-
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
@@ -46,9 +39,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs

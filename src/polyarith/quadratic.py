@@ -70,9 +70,6 @@ class QuadElem:
     def trace(self) -> int:
         return 2 * self.x
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def inverse(self) -> "QuadElem":
         n = self.norm()
         if abs(n) != 1:

@@ -12,7 +12,6 @@ from polyarith.jsonio import (
     lie_algebra_to_json,
     load_document,
     loads_document,
-    matrices_list_to_json,
     matrix_to_json,
     parse_action,
     parse_element_text,
@@ -113,7 +112,7 @@ class TestMatrices:
 
     def test_matrices_list_roundtrip(self):
         mats = [Matrix.identity(2), Matrix([[0, 1], [1, 0]])]
-        doc = matrices_list_to_json(mats)
+        doc = {"matrices": [matrix_to_json(m) for m in mats]}
         assert parse_matrices_list(doc, "") == mats
 
 

@@ -546,7 +546,7 @@ class TestCachedActionPath:
                     )
 
     def test_bases_and_form_actions_computed_once(self, monkeypatch):
-        calls = {"representatives": [], "cocycles": [], "wedge_power": [], "row_space": []}
+        calls = {"coboundaries": [], "cocycles": [], "wedge_power": [], "row_space": []}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -555,7 +555,7 @@ class TestCachedActionPath:
 
             return wrapper
 
-        for name in ("representatives", "cocycles"):
+        for name in ("coboundaries", "cocycles"):
             monkeypatch.setattr(
                 KoszulComplex, name, counting(name, getattr(KoszulComplex, name))
             )
@@ -571,7 +571,8 @@ class TestCachedActionPath:
                 action_on_cohomology(phi, p, kos)
             for p in degrees:
                 action_on_cohomology(phi, p, kos)
-        assert sorted(p for _, p in calls["representatives"]) == degrees
+        # only the cached cohomology_basis asks for the coboundaries
+        assert sorted(p for _, p in calls["coboundaries"]) == degrees
         assert sorted(p for _, p in calls["cocycles"]) == degrees
         # coboundaries of degrees 1..n, each row-reduced once
         assert len(calls["row_space"]) == algebra.dim
@@ -592,6 +593,81 @@ class TestCachedActionPath:
         phi = graded_heisenberg_auto(h, random.Random(1))
         action_on_cohomology(phi, 2, build_koszul(h))
         assert sorted(degrees) == [2, 3]
+
+
+def sparse(vector):
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+class TestKernelCoordinates:
+    def test_matches_solve_on_kernel_bases(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            nrows, ncols = rng.randint(0, 4), rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+            basis = rational_kernel(Matrix(rows, ncols=ncols))
+            coeffs = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(basis.nrows)]
+                for _ in range(rng.randint(0, 3))
+            ]
+            images = [basis.apply_left(c) for c in coeffs]
+            coords = lie._coordinates(basis, [sparse(v) for v in images], "what")
+            assert (coords.nrows, coords.ncols) == (basis.nrows, len(images))
+            for j, v in enumerate(images):
+                assert coords.col(j) == solve(basis.transpose(), v)
+
+    def test_image_outside_the_span_is_refused(self):
+        basis = rational_kernel(Matrix([[1, 1, 0]]))
+        with pytest.raises(InternalError, match="^what$"):
+            lie._coordinates(basis, [{0: 1}], "what")
+
+    def test_row_not_ending_in_one_is_refused(self):
+        # the entry at column 2 reads 2, not the coordinate 1
+        with pytest.raises(InternalError, match="^what$"):
+            lie._coordinates(Matrix([[1, 0, 2]]), [{0: 1, 2: 2}], "what")
+
+    def test_shapes(self):
+        basis = rational_kernel(Matrix([[1, 1, 0]]))
+        assert lie._coordinates(basis, [], "what") == Matrix([[], []], ncols=0)
+        empty = Matrix([], ncols=3)
+        assert lie._coordinates(empty, [{}, {}], "what") == Matrix([], ncols=2)
+        with pytest.raises(InternalError, match="^what$"):
+            lie._coordinates(empty, [{}, {1: 5}], "what")
+
+    def test_class_map(self):
+        for name, algebra in nilpotent_catalog().items():
+            kos = build_koszul(algebra)
+            for p in range(algebra.dim + 1):
+                reps, cocycles, classes = kos.cohomology_basis(p)
+                bound = kos.coboundaries(p)
+                assert (classes.nrows, classes.ncols) == (reps.nrows, cocycles.nrows)
+                for f, row in enumerate(cocycles.entries):
+                    rest = [
+                        x - sum(classes[i, f] * r[t] for i, r in enumerate(reps.entries))
+                        for t, x in enumerate(row)
+                    ]
+                    # cocycle f minus its class is a coboundary
+                    assert vstack(bound, Matrix([rest])).rank() == bound.nrows, (name, p, f)
+                own = [cocycles.entries.index(r) for r in reps.entries]
+                assert classes.submatrix(range(reps.nrows), own).is_identity(), (name, p)
+
+    def test_action_runs_no_elimination_once_bases_are_cached(self, monkeypatch):
+        rng = random.Random(17)
+        complexes = {}
+        for name, algebra in nilpotent_catalog().items():
+            kos = build_koszul(algebra)
+            x = tuple(rng.randint(-2, 2) for _ in range(algebra.dim))
+            matrix = seeded_torus(algebra, rng).compose(inner_automorphism(algebra, x)).matrix
+            expected = [
+                action_on_cohomology(LieAutomorphism(algebra, matrix), p, kos)
+                for p in range(algebra.dim + 1)
+            ]
+            complexes[name] = (kos, LieAutomorphism(algebra, matrix), expected)
+        for fn in ("rref", "rational_kernel"):
+            monkeypatch.setattr(lie, fn, lambda *args: pytest.fail("elimination in the action"))
+        for name, (kos, phi, expected) in complexes.items():
+            got = [action_on_cohomology(phi, p, kos) for p in range(kos.algebra.dim + 1)]
+            assert got == expected, name
 
 
 class TestActionCertificates:

@@ -17,7 +17,6 @@ from polyarith.linalg import (
     finite_order,
     hnf,
     hstack,
-    in_row_lattice,
     jordan_chevalley,
     kernel_lattice,
     lattice_coordinates,
@@ -244,9 +243,8 @@ class TestLattices:
         basis = Matrix([[2, 0, 1], [0, 3, 1]])
         v = basis.apply_left((4, -5))
         assert lattice_coordinates(basis, v) == (4, -5)
-        assert in_row_lattice(basis, v)
+        assert lattice_coordinates(basis, v) is not None
         assert lattice_coordinates(basis, (1, 0, 0)) is None
-        assert not in_row_lattice(basis, (1, 0, 0))
 
     def test_membership_respects_torsion(self):
         basis = Matrix([[2, 0], [0, 1]])
@@ -281,7 +279,7 @@ class TestRationalSolvers:
 class TestPolynomialsOfMatrices:
     def test_char_poly_known(self):
         assert char_poly(Matrix([[2, 1], [1, 1]])) == Poly.of(1, -3, 1)
-        assert char_poly(Matrix.identity(3)) == Poly.from_roots([1, 1, 1])
+        assert char_poly(Matrix.identity(3)) == Poly.of(-1, 3, -3, 1)
 
     @given(int_matrix(max_dim=4, lo=-5, hi=5))
     @settings(max_examples=60, deadline=None)

@@ -24,11 +24,6 @@ def test_integral_coefficients_stay_ints():
     assert p.coeffs == (2, Fraction(1, 3))
 
 
-def test_from_roots():
-    assert Poly.from_roots([1, -1]) == Poly.of(-1, 0, 1)
-    assert Poly.from_roots([]) == Poly.of(1)
-
-
 def test_evaluation():
     p = Poly.of(-1, 0, 1)  # x^2 - 1
     assert p(3) == 8
@@ -102,4 +97,4 @@ def test_gcd_divides_both(a, b):
     g = a.gcd(b)
     assert (a % g).is_zero()
     assert (b % g).is_zero()
-    assert g.is_monic()
+    assert g.coeffs[-1] == 1

@@ -39,3 +39,18 @@ def test_family_survey_json():
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [row["d"] for row in rows] == [2, 3, 5, 6]
     assert all(row["classification"] == "FailsNecessaryCondition" for row in rows)
+
+
+def test_koszul_timings_json():
+    done = run_script(
+        "koszul_timings.py", "--action", "5", "--torus", "filiform:5", "heisenberg:1", "--json"
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["kind"], row["algebra"]) for row in rows] == [
+        ("action", "filiform:5"),
+        ("torus", "filiform:5"),
+        ("torus", "heisenberg:1"),
+    ]
+    assert all(set(row) == {"kind", "algebra", "seconds", "sha256"} for row in rows)
+    assert all(len(row["sha256"]) == 64 for row in rows)
