@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
 from .linalg import (
@@ -33,7 +33,6 @@ from .linalg import (
     nilpotent_exp,
     rational_kernel,
     rref,
-    vstack,
     wedge_power,
 )
 
@@ -309,14 +308,11 @@ SparseColumn = Tuple[Tuple[int, Scalar], ...]
 SparseColumns = Tuple[SparseColumn, ...]
 
 
-def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
-    """Rank over Q of the nrows-row matrix with the given sparse columns.
-
-    Rows that share a column are joined by a union-find; each connected
-    block of the nonzero pattern is ranked on its own with
-    ``Matrix.rank`` and the block ranks are summed.
-    """
-    parent = list(range(nrows))
+def _components(columns: Iterable[SparseColumn], size: int) -> Callable[[int], int]:
+    """Join the rows of every sparse column by a union-find over ``size``
+    rows; the returned ``find`` gives two rows the same root exactly when
+    a chain of columns links them."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -329,19 +325,33 @@ def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
             root = find(col[0][0])
             for r, _ in col[1:]:
                 parent[find(r)] = root
+    return find
+
+
+def _dense_block(columns: Sequence[SparseColumn]) -> Matrix:
+    """The sparse columns as a dense matrix on the rows they touch, in
+    increasing order."""
+    local = {r: i for i, r in enumerate(sorted({r for col in columns for r, _ in col}))}
+    rows = [[0] * len(columns) for _ in local]
+    for j, col in enumerate(columns):
+        for r, v in col:
+            rows[local[r]][j] = v
+    return Matrix(rows, ncols=len(columns))
+
+
+def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
+    """Rank over Q of the nrows-row matrix with the given sparse columns.
+
+    Rows that share a column are joined (``_components``); each connected
+    block of the nonzero pattern is ranked on its own with
+    ``Matrix.rank`` and the block ranks are summed.
+    """
+    find = _components(columns, nrows)
     blocks: Dict[int, List[SparseColumn]] = {}
     for col in columns:
         if col:
             blocks.setdefault(find(col[0][0]), []).append(col)
-    total = 0
-    for cols in blocks.values():
-        local = {r: i for i, r in enumerate(sorted({r for col in cols for r, _ in col}))}
-        rows = [[0] * len(cols) for _ in local]
-        for j, col in enumerate(cols):
-            for r, v in col:
-                rows[local[r]][j] = v
-        total += Matrix(rows, ncols=len(cols)).rank()
-    return total
+    return sum(_dense_block(cols).rank() for cols in blocks.values())
 
 
 def _sparse(vectors: Iterable[Sequence[Scalar]]) -> List[SparseColumn]:
@@ -383,8 +393,11 @@ def check_chain_map(d: SparseColumns, w_here: Matrix, w_up: Matrix) -> None:
 class KoszulComplex:
     """The cochain complex of a Lie algebra: ``bases[p]`` indexes degree p,
     ``columns[p]`` holds d^p to degree p + 1 as sparse columns.  Ranks,
-    dense matrices and cohomology bases are made on first use, the bases by
-    one elimination per degree; an action on cohomology then runs none."""
+    cohomology bases and the dense view ``differentials`` are made on first
+    use.  The bases are built from ``columns`` block by block: forms that a
+    column of d^{p-1} or d^p links share a block, each block is reduced on
+    its own, and the rows are put back in the order the dense eliminations
+    give.  An action on cohomology then runs no elimination."""
 
     algebra: LieAlgebra
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]
@@ -426,15 +439,65 @@ class KoszulComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * b for p, b in enumerate(self.betti()))
 
+    @cached_property
+    def _block_cache(self) -> Dict[int, List[Tuple[List[int], List[int]]]]:
+        return {}
+
+    def _blocks(self, p: int) -> List[Tuple[List[int], List[int]]]:
+        """The forms of degree p in connected blocks, each with the columns
+        of d^{p-1} that land in it.  Two forms share a block when a column
+        of d^{p-1} or of d^p links them.  Forms increase within a block,
+        and blocks come in the order of their first form."""
+        cache = self._block_cache
+        if p not in cache:
+            dim = self.space_dim(p)
+            lower = self.columns[p - 1] if p else ()
+            # nodes: the forms of degree p, then the rows of d^p; column j
+            # of d^p joins form j to its rows
+            upper = [
+                ((j, 1),) + tuple((dim + r, v) for r, v in col)
+                for j, col in enumerate(self.columns[p])
+            ]
+            find = _components(itertools.chain(lower, upper), dim + self._target_dim(p))
+            blocks: Dict[int, Tuple[List[int], List[int]]] = {}
+            for j in range(dim):
+                blocks.setdefault(find(j), ([], []))[0].append(j)
+            for j, col in enumerate(lower):
+                if col:
+                    blocks[find(col[0][0])][1].append(j)
+            cache[p] = list(blocks.values())
+        return cache[p]
+
     def cocycles(self, p: int) -> Matrix:
-        """Basis (rows) of ker d^p over Q."""
-        return rational_kernel(self.differentials[p])
+        """Basis (rows) of ker d^p over Q, equal to ``rational_kernel`` of
+        the dense d^p: the kernel of each block, one row per free column,
+        rows in the order of that column."""
+        cols, dim = self.columns[p], self.space_dim(p)
+        keyed = []
+        for forms, _ in self._blocks(p):
+            for vec in rational_kernel(_dense_block([cols[j] for j in forms])).entries:
+                free = max(i for i, x in enumerate(vec) if x)
+                keyed.append((forms[free], _spread(forms, vec, dim)))
+        return Matrix([row for _, row in sorted(keyed)], ncols=dim)
 
     def coboundaries(self, p: int) -> Matrix:
-        """Basis (rows) of im d^{p-1} over Q."""
-        if not p:
-            return Matrix([], ncols=self.space_dim(0))
-        return _row_space_basis(self.differentials[p - 1].transpose())
+        """Basis (rows) of im d^{p-1} over Q, equal to the nonzero rows of
+        ``rref`` of the dense (d^{p-1})^T: the reduced rows of each block,
+        in the order of their pivot columns."""
+        dim = self.space_dim(p)
+        keyed = []
+        for forms, lower in self._blocks(p):
+            if not lower:
+                continue
+            pos = {j: i for i, j in enumerate(forms)}
+            rows = [[0] * len(forms) for _ in lower]
+            for row, j in zip(rows, lower):
+                for r, v in self.columns[p - 1][j]:
+                    row[pos[r]] = v
+            reduced, pivots = rref(Matrix(rows, ncols=len(forms)))
+            for c, vec in zip(pivots, reduced.entries):
+                keyed.append((forms[c], _spread(forms, vec, dim)))
+        return Matrix([row for _, row in sorted(keyed)], ncols=dim)
 
     def representatives(self, p: int) -> Matrix:
         """Cocycle rows completing the coboundaries to ker d^p."""
@@ -445,22 +508,58 @@ class KoszulComplex:
         return {}
 
     def cohomology_basis(self, p: int) -> Tuple[Matrix, Matrix, Matrix]:
-        """``(reps, cocycles, classes)`` of degree p from one ``rref`` of
-        [coboundaries; cocycles]^T, cached per degree.  ``reps`` are the
-        cocycle rows at the pivots past the k coboundaries: the canonical
-        kernel basis walked in order, keeping each row that grows the span.
-        Rows k onward of the reduced matrix, on the cocycle columns, are
-        ``classes``: column f is the class of cocycle row f on ``reps``."""
+        """``(reps, cocycles, classes)`` of degree p, cached per degree.
+
+        They equal what one ``rref`` of the dense [coboundaries; cocycles]^T
+        gives, with k coboundaries.  ``reps`` are the cocycle rows at the
+        pivots past the k coboundaries: the canonical kernel basis walked in
+        order, keeping each row that grows the span.  Rows k onward of the
+        reduced matrix, on the cocycle columns, are ``classes``: column f is
+        the class of cocycle row f on ``reps``.  Each row lies in one block,
+        so each block is reduced on its own and the results put back in
+        order, by cocycle index."""
         cache = self._cohomology_bases
         if p not in cache:
             bound = self.coboundaries(p)
             cocycles = self.cocycles(p)
-            k = bound.nrows
-            reduced, pivots = rref(vstack(bound, cocycles).transpose())
-            reps = Matrix([cocycles.row(j - k) for j in pivots if j >= k], ncols=cocycles.ncols)
-            classes = Matrix([r[k:] for r in reduced.entries[k : len(pivots)]], ncols=cocycles.nrows)
+            blocks = self._blocks(p)
+            block_of = [0] * self.space_dim(p)
+            for b, (forms, _) in enumerate(blocks):
+                for j in forms:
+                    block_of[j] = b
+            members: List[Tuple[List[Vector], List[int]]] = [([], []) for _ in blocks]
+            for row in bound.entries:
+                members[block_of[_first_nonzero(row)]][0].append(row)
+            for f, row in enumerate(cocycles.entries):
+                members[block_of[_first_nonzero(row)]][1].append(f)
+            keyed = []
+            for (forms, _), (vecs, zs) in zip(blocks, members):
+                if not zs:
+                    continue
+                k = len(vecs)
+                vecs = vecs + [cocycles.entries[f] for f in zs]
+                local = Matrix([[v[j] for v in vecs] for j in forms], ncols=len(vecs))
+                reduced, pivots = rref(local)
+                for c, vec in zip(pivots[k:], reduced.entries[k:]):
+                    keyed.append((zs[c - k], dict(zip(zs, vec[k:]))))
+            keyed.sort()
+            z = cocycles.nrows
+            reps = Matrix([cocycles.row(f) for f, _ in keyed], ncols=cocycles.ncols)
+            classes = Matrix([[cls.get(g, 0) for g in range(z)] for _, cls in keyed], ncols=z)
             cache[p] = (reps, cocycles, classes)
         return cache[p]
+
+
+def _spread(forms: Sequence[int], local: Sequence[Scalar], dim: int) -> List[Scalar]:
+    """A block-local vector on the forms of its block, as a vector of Q^dim."""
+    row: List[Scalar] = [0] * dim
+    for j, x in zip(forms, local):
+        row[j] = x
+    return row
+
+
+def _first_nonzero(row: Sequence[Scalar]) -> int:
+    return next(j for j, x in enumerate(row) if x)
 
 
 def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
@@ -599,7 +698,11 @@ def action_on_cohomology(
     reps, cocycles, classes = kos.cohomology_basis(p)
     w_cols = _sparse(zip(*w_here.entries))
     images = [_combine(w_cols, enumerate(row)) for row in reps.entries]
-    return classes * _coordinates(cocycles, images, "image of a cocycle left the cocycle space")
+    coords = _coordinates(cocycles, images, "image of a cocycle left the cocycle space")
+    # classes * coords, over the few nonzero entries of the class map
+    coord_rows = _sparse(coords.entries)
+    rows = [_combine(coord_rows, cls) for cls in _sparse(classes.entries)]
+    return Matrix([[row.get(j, 0) for j in range(len(images))] for row in rows], ncols=len(images))
 
 
 @dataclass(frozen=True)
@@ -632,7 +735,12 @@ def semisimple_rigidity_check(
 
 def _fixed_space(operators: Sequence[Matrix], dim: int) -> Matrix:
     """Rows spanning the vectors of Q^dim fixed by every operator: the
-    kernel of the rows of op - I over all the operators."""
+    kernel of the rows of op - I over all the operators.  When every
+    operator is diagonal, as a torus's are, that kernel is the unit rows
+    e_f for each f where every diagonal entry is 1, read off directly."""
+    if all(op.is_diagonal() for op in operators):
+        fixed = [f for f in range(dim) if all(op[f, f] == 1 for op in operators)]
+        return Matrix([[int(j == f) for j in range(dim)] for f in fixed], ncols=dim)
     ident = Matrix.identity(dim)
     return rational_kernel(Matrix([r for op in operators for r in (op - ident).entries], ncols=dim))
 

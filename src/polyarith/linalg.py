@@ -142,6 +142,9 @@ class Matrix:
             x == (1 if i == j else 0) for i, r in enumerate(self.entries) for j, x in enumerate(r)
         )
 
+    def is_diagonal(self) -> bool:
+        return all(not any(r[:i]) and not any(r[i + 1 :]) for i, r in enumerate(self.entries))
+
     # arithmetic
 
     def __eq__(self, other) -> bool:
@@ -836,16 +839,19 @@ def wedge_power(m: Matrix, p: int) -> Matrix:
     Computed by exterior expansion rather than by determinants: the
     column for J = (j_1 < .. < j_p) is the column for (j_1, .., j_{p-1})
     wedged with m e_{j_p}, and only nonzero entries are multiplied, so a
-    diagonal matrix costs O(C(n, p)).
+    diagonal matrix costs O(C(n, p)).  The expansion runs in ``int`` on
+    c * m, c the lcm of the denominators of m, and each minor is divided
+    by c^p at the end.
     """
     if not m.is_square():
         raise PreconditionError("wedge_power needs a square matrix")
     n = m.nrows
     if p < 0 or p > n:
         raise PreconditionError("wedge power degree out of range")
-    images = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.entries)]
+    scale = lcm(*(x.denominator for r in m.entries for x in r if type(x) is Fraction))
+    images = [[(i, int(x * scale)) for i, x in enumerate(col) if x] for col in zip(*m.entries)]
     # forms[K] maps each index set I to the coefficient of e_I in the
-    # wedge of m e_k over k in K; only prefixes of degree-p sets are kept
+    # wedge of c m e_k over k in K; only prefixes of degree-p sets are kept
     forms: dict = {(): {(): 1}}
     for k in range(1, p + 1):
         nxt = {}
@@ -866,7 +872,8 @@ def wedge_power(m: Matrix, p: int) -> Matrix:
     subsets = list(itertools.combinations(range(n), p))
     index = {key: r for r, key in enumerate(subsets)}
     rows = [[0] * len(subsets) for _ in subsets]
+    den = scale ** p
     for col, key in enumerate(subsets):
         for idx, c in forms[key].items():
-            rows[index[idx]][col] = c
+            rows[index[idx]][col] = _quotient(c, den)
     return Matrix(rows, ncols=len(subsets))

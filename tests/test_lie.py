@@ -33,7 +33,7 @@ from polyarith.lie import (
     sparse_rank,
     strictly_upper,
 )
-from polyarith.linalg import Matrix, rational_kernel, solve, vstack, wedge_power
+from polyarith.linalg import Matrix, rational_kernel, rref, solve, vstack, wedge_power
 
 # Betti tables for the catalog, degree 0 upward
 KNOWN_BETTI = {
@@ -522,6 +522,12 @@ def seeded_torus(algebra, rng):
     return diagonal_automorphism(algebra, scalars)
 
 
+def row_blocks(kos, p, m):
+    """The blocks of degree p that hold a row of m."""
+    block_of = {j: b for b, (forms, _) in enumerate(kos._blocks(p)) for j in forms}
+    return {block_of[next(j for j, x in enumerate(row) if x)] for row in m.entries}
+
+
 class TestCachedActionPath:
     def test_representatives_match_greedy_elimination(self):
         for algebra in nilpotent_catalog().values():
@@ -546,7 +552,15 @@ class TestCachedActionPath:
                     )
 
     def test_bases_and_form_actions_computed_once(self, monkeypatch):
-        calls = {"coboundaries": [], "cocycles": [], "wedge_power": [], "row_space": []}
+        algebra = nilpotent_catalog()["filiform_5"]
+        # one reduction per block holding a coboundary (the coboundary
+        # rows) and one per block holding a cocycle (the classes)
+        ref = build_koszul(algebra)
+        reductions = sum(
+            len(row_blocks(ref, p, ref.coboundaries(p))) + len(row_blocks(ref, p, ref.cocycles(p)))
+            for p in range(algebra.dim + 1)
+        )
+        calls = {"coboundaries": [], "cocycles": [], "wedge_power": [], "rref": []}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -560,8 +574,7 @@ class TestCachedActionPath:
                 KoszulComplex, name, counting(name, getattr(KoszulComplex, name))
             )
         monkeypatch.setattr(lie, "wedge_power", counting("wedge_power", wedge_power))
-        monkeypatch.setattr(lie, "_row_space_basis", counting("row_space", lie._row_space_basis))
-        algebra = nilpotent_catalog()["filiform_5"]
+        monkeypatch.setattr(lie, "rref", counting("rref", lie.rref))
         kos = build_koszul(algebra)
         rng = random.Random(3)
         autos = [graded_filiform_auto(algebra, rng) for _ in range(2)]
@@ -574,8 +587,8 @@ class TestCachedActionPath:
         # only the cached cohomology_basis asks for the coboundaries
         assert sorted(p for _, p in calls["coboundaries"]) == degrees
         assert sorted(p for _, p in calls["cocycles"]) == degrees
-        # coboundaries of degrees 1..n, each row-reduced once
-        assert len(calls["row_space"]) == algebra.dim
+        # each degree's blocks reduced once, not once per automorphism
+        assert len(calls["rref"]) == reductions
         computed = [(m.entries, p) for m, p in calls["wedge_power"]]
         assert sorted(computed) == sorted(
             (phi.dual.entries, p) for phi in autos for p in degrees
@@ -975,3 +988,195 @@ class TestInvariantKernels:
         )
         inv = invariant_subcomplex(kos, [graded_filiform_auto(h, random.Random(4))])
         assert inv == expected
+
+
+# ---------------------------------------------------------------------------
+# block-by-block cohomology bases against the dense eliminations they replaced;
+# these test-local copies are the reference
+
+
+def dense_cocycles(kos, p):
+    return rational_kernel(kos.differentials[p])
+
+
+def dense_coboundaries(kos, p):
+    if not p:
+        return Matrix([], ncols=kos.space_dim(0))
+    reduced, pivots = rref(kos.differentials[p - 1].transpose())
+    return Matrix(reduced.entries[: len(pivots)], ncols=reduced.ncols)
+
+
+def dense_cohomology_basis(kos, p):
+    bound, cocycles = dense_coboundaries(kos, p), dense_cocycles(kos, p)
+    k = bound.nrows
+    reduced, pivots = rref(vstack(bound, cocycles).transpose())
+    reps = Matrix([cocycles.row(j - k) for j in pivots if j >= k], ncols=cocycles.ncols)
+    classes = Matrix([r[k:] for r in reduced.entries[k : len(pivots)]], ncols=cocycles.nrows)
+    return reps, cocycles, classes
+
+
+def typed(m):
+    """Shape and entries of a matrix, each entry with its type."""
+    return m.nrows, m.ncols, [[(type(x), x) for x in row] for row in m.entries]
+
+
+def relabelled(algebra, rng):
+    """The algebra on the basis s_i e_i with seeded rational scalars s_i,
+    listed in a seeded order tau."""
+    n = algebra.dim
+    tau = list(range(n))
+    rng.shuffle(tau)
+    scalars = [rng.choice((1, -1, 2, -3, Fraction(1, 2))) for _ in range(n)]
+    brackets = {}
+    for (i, j), terms in algebra.bracket_table():
+        a, b, s = tau[i], tau[j], scalars[i] * scalars[j]
+        if a > b:
+            a, b, s = b, a, -s
+        brackets[(a, b)] = {tau[k]: Fraction(s * c) / scalars[k] for k, c in terms}
+    return LieAlgebra(n, brackets)
+
+
+def oracle_algebras():
+    rng = random.Random(61)
+    catalog = nilpotent_catalog()
+    algebras = dict(catalog)
+    algebras["filiform_8"] = filiform(8)
+    algebras["free_two_step_10"] = free_two_step(4)
+    names = sorted(catalog)
+    for t in range(6):
+        name = rng.choice(names)
+        algebras[f"{name}/relabelled{t}"] = relabelled(catalog[name], rng)
+    small = [name for name in names if catalog[name].dim <= 5]
+    for t in range(4):
+        one, two = rng.sample(small, 2)
+        total = direct_sum(catalog[one], catalog[two])
+        algebras[f"{one}+{two}/relabelled{t}"] = relabelled(total, rng)
+    return algebras
+
+
+class TestBlockBases:
+    @pytest.mark.parametrize("name", sorted(oracle_algebras()))
+    def test_matches_dense_eliminations(self, name):
+        algebra = oracle_algebras()[name]
+        kos = build_koszul(algebra)
+        for p in range(algebra.dim + 1):
+            where = (name, p)
+            assert typed(kos.cocycles(p)) == typed(dense_cocycles(kos, p)), where
+            assert typed(kos.coboundaries(p)) == typed(dense_coboundaries(kos, p)), where
+            got, want = kos.cohomology_basis(p), dense_cohomology_basis(kos, p)
+            assert [typed(m) for m in got] == [typed(m) for m in want], where
+
+    def test_oracle_algebras_cover_sums_and_fractions(self):
+        names = oracle_algebras()
+        assert sum("+" in name for name in names) == 4
+        # the rescaled bases give the entry-type check Fraction entries to see
+        fractions = 0
+        for name, algebra in names.items():
+            if "relabelled" in name:
+                kos = build_koszul(algebra)
+                fractions += sum(
+                    type(x) is Fraction
+                    for p in range(algebra.dim + 1)
+                    for m in kos.cohomology_basis(p)
+                    for row in m.entries
+                    for x in row
+                )
+        assert fractions > 0
+
+    def test_blocks_partition_the_forms(self):
+        for name, algebra in nilpotent_catalog().items():
+            kos = build_koszul(algebra)
+            for p in range(algebra.dim + 1):
+                blocks = kos._blocks(p)
+                forms = [j for block, _ in blocks for j in block]
+                assert sorted(forms) == list(range(kos.space_dim(p))), (name, p)
+                assert [block[0] for block, _ in blocks] == sorted(b[0] for b, _ in blocks)
+                lower = sorted(j for _, cols in blocks for j in cols)
+                assert lower == ([j for j, col in enumerate(kos.columns[p - 1]) if col] if p else [])
+                # no column of d^{p-1} or d^p links two blocks
+                block_of = {j: b for b, (block, _) in enumerate(blocks) for j in block}
+                for b, (_, cols) in enumerate(blocks):
+                    for j in cols:
+                        assert {block_of[r] for r, _ in kos.columns[p - 1][j]} == {b}
+                if p < algebra.dim:
+                    upper = {}
+                    for j, col in enumerate(kos.columns[p]):
+                        for r, _ in col:
+                            upper.setdefault(r, set()).add(block_of[j])
+                    assert all(len(bs) == 1 for bs in upper.values()), (name, p)
+
+    def test_action_and_invariants_read_no_dense_differential(self, monkeypatch):
+        rng = random.Random(71)
+        algebra = nilpotent_catalog()["filiform_6"]
+        x = tuple(rng.randint(-2, 2) for _ in range(algebra.dim))
+        phi = inner_automorphism(algebra, x)
+        torus = graded_filiform_auto(algebra, rng)
+        degrees = range(algebra.dim + 1)
+        kos = build_koszul(algebra)
+        expected = (
+            [action_on_cohomology(phi, p, kos) for p in degrees],
+            invariant_subcomplex(kos, [torus]),
+        )
+        monkeypatch.setattr(
+            KoszulComplex, "differentials", property(lambda self: pytest.fail("dense d read"))
+        )
+        kos = build_koszul(algebra)
+        got = (
+            [action_on_cohomology(phi, p, kos) for p in degrees],
+            invariant_subcomplex(kos, [torus]),
+        )
+        assert got == expected
+
+
+def stacked_kernel(operators, dim):
+    """The fixed space by one elimination of the stacked op - I."""
+    ident = Matrix.identity(dim)
+    return rational_kernel(Matrix([r for op in operators for r in (op - ident).entries], ncols=dim))
+
+
+class TestTorusShortcut:
+    def test_diagonal_operators_match_the_stacked_kernel(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            dim = rng.randint(0, 7)
+            operators = []
+            for _ in range(rng.randint(0, 3)):
+                diag = [rng.choice((1, 1, 2, -1, Fraction(1, 3), Fraction(3, 3))) for _ in range(dim)]
+                operators.append(Matrix.diagonal(diag))
+            got = lie._fixed_space(operators, dim)
+            assert typed(got) == typed(stacked_kernel(operators, dim)), operators
+
+    def test_entries_one_in_some_operators_only(self):
+        a = Matrix.diagonal([1, 2, 1, Fraction(1, 2)])
+        b = Matrix.diagonal([1, 1, Fraction(5, 3), Fraction(1, 2)])
+        assert lie._fixed_space([a, b], 4) == Matrix([[1, 0, 0, 0]])
+        assert typed(lie._fixed_space([a, b], 4)) == typed(stacked_kernel([a, b], 4))
+        assert lie._fixed_space([a], 4) == Matrix([[1, 0, 0, 0], [0, 0, 1, 0]])
+        assert typed(lie._fixed_space([], 3)) == typed(stacked_kernel([], 3))
+
+    def test_diagonal_operators_run_no_elimination(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return rational_kernel(m)
+
+        monkeypatch.setattr(lie, "rational_kernel", counting)
+        diagonal = [Matrix.diagonal([1, 2, Fraction(1, 2)]), Matrix.diagonal([1, 1, 3])]
+        assert lie._fixed_space(diagonal, 3) == Matrix([[1, 0, 0]])
+        assert lie._fixed_space([], 3) == Matrix.identity(3)
+        assert calls == []
+        # one operator off the diagonal sends the whole list down the general path
+        shear = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        assert lie._fixed_space(diagonal + [shear], 3) == stacked_kernel(diagonal + [shear], 3)
+        assert len(calls) == 1
+
+    def test_torus_invariants_run_no_fixed_space_elimination(self, monkeypatch):
+        algebra = nilpotent_catalog()["heisenberg_5"]
+        kos = build_koszul(algebra)
+        torus = graded_heisenberg_auto(algebra, random.Random(5))
+        for p in range(algebra.dim + 1):
+            kos.cohomology_basis(p)
+        expected = invariant_subcomplex(kos, [torus])
+        monkeypatch.setattr(lie, "rational_kernel", lambda *args: pytest.fail("elimination"))
+        assert invariant_subcomplex(kos, [torus]) == expected

@@ -122,6 +122,13 @@ class TestMatrixBasics:
     def test_empty_det_is_one(self):
         assert Matrix([], ncols=0).det() == 1
 
+    def test_is_diagonal(self):
+        assert Matrix.diagonal([2, 0, Fraction(1, 3)]).is_diagonal()
+        assert Matrix([], ncols=0).is_diagonal()
+        assert Matrix([[1, 0, 0], [0, 2, 0]]).is_diagonal()
+        assert not Matrix([[1, 0], [Fraction(1, 2), 1]]).is_diagonal()
+        assert not Matrix([[1, 5], [0, 1]]).is_diagonal()
+
     def test_block_helpers(self):
         a = Matrix([[1]])
         b = Matrix([[2, 0], [0, 3]])
@@ -447,6 +454,23 @@ class TestWedgePower:
             m = Matrix(rows, ncols=len(rows))
             for p in range(m.nrows + 1):
                 assert wedge_power(m, p) == Matrix(wedge_minors(rows, p))
+
+    def test_fraction_entries_keep_their_types(self):
+        # the expansion runs in int on a scaled matrix; each entry must come
+        # back as the int or Fraction the minor is
+        rng = random.Random(43)
+        mats = [random_rational_matrix(rng, n, denom=4) for n in range(1, 6)]
+        mats.append(Matrix.diagonal([Fraction(1, 2), 3, Fraction(-2, 3), 1]))
+        for algebra in (heisenberg(2), filiform(6), free_two_step(3)):
+            x = tuple(rng.randint(-2, 2) for _ in range(algebra.dim))
+            mats.append(nilpotent_exp(algebra.ad(x)).inverse().transpose())
+        for m in mats:
+            for p in range(m.nrows + 1):
+                want = Matrix(wedge_minors(m.to_lists(), p))
+                got = wedge_power(m, p)
+                assert [[(type(x), x) for x in r] for r in got.entries] == [
+                    [(type(x), x) for x in r] for r in want.entries
+                ]
 
 
 # ---------------------------------------------------------------------------
