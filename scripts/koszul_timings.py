@@ -1,7 +1,12 @@
-"""Time the cohomology action and the torus invariants on larger algebras.
+"""Time the Betti numbers, the cohomology action and the torus invariants
+on larger algebras.
 
-Two kinds of row, each on a freshly built complex:
+Three kinds of row, each on a freshly built complex:
 
+- ``betti``: ``LieAlgebra`` construction (with its Jacobi check),
+  ``build_koszul`` (with its d o d = 0 check), ``betti()`` and
+  ``nilpotency_class()`` on an algebra of ``perfbench/workloads.py``'s
+  families, each stage timed on its own under ``stages``;
 - ``action``: ``action_on_cohomology`` in every degree for the inner
   automorphism exp(ad x) of filiform(n), with x = e_1 + e_n in the
   1-based numbering of the basis, that is coordinates (1, 0, ..., 0, 1);
@@ -10,10 +15,12 @@ Two kinds of row, each on a freshly built complex:
   the identity relabelling.
 
 Each row gives the wall time in seconds and a sha256 of the result
-entries, so runs on two commits can be compared for time and for output.
-Run from the root of a checkout with the package on PYTHONPATH:
+entries (the Betti tuple for a ``betti`` row), so runs on two commits can
+be compared for time and for output.  Run from the root of a checkout
+with the package on PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/koszul_timings.py --action 9 10 --torus filiform:9 heisenberg:4
+    PYTHONPATH=src python3 scripts/koszul_timings.py --betti filiform:12 abelian:14 --action --torus
 """
 
 import argparse
@@ -61,6 +68,25 @@ def digest(values) -> str:
     return hashlib.sha256(json.dumps(plain(values)).encode()).hexdigest()
 
 
+def betti_row(spec: str) -> dict:
+    family, _, param = spec.partition(":")
+    base = FAMILIES[family](int(param))
+    stages = {}
+
+    def timed(stage, call):
+        start = time.perf_counter()
+        out = call()
+        stages[stage] = time.perf_counter() - start
+        return out
+
+    algebra = timed("algebra", lambda: LieAlgebra(*base))
+    kos = timed("build_koszul", lambda: build_koszul(algebra))
+    betti = timed("betti", kos.betti)
+    timed("nilpotency_class", algebra.nilpotency_class)
+    return {"kind": "betti", "algebra": spec, "seconds": round(sum(stages.values()), 3),
+            "stages": {k: round(v, 4) for k, v in stages.items()}, "sha256": digest(betti)}
+
+
 def action_row(n: int) -> dict:
     algebra = filiform(n)
     phi = inner_automorphism(algebra, (1,) + (0,) * (n - 2) + (1,))
@@ -90,7 +116,7 @@ def torus_row(spec: str) -> dict:
             "sha256": digest(fields)}
 
 
-def torus_spec(text: str) -> str:
+def family_spec(text: str) -> str:
     family, _, param = text.partition(":")
     if family not in FAMILIES or not param.isdigit():
         raise argparse.ArgumentTypeError(
@@ -103,9 +129,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
+    parser.add_argument("--betti", type=family_spec, nargs="*", default=[], metavar="FAMILY:N",
+                        help="algebras for the betti rows (default: none)")
     parser.add_argument("--action", type=int, nargs="*", default=[9, 10], metavar="N",
                         help="filiform dimensions for the action rows (default: 9 10)")
-    parser.add_argument("--torus", type=torus_spec, nargs="*",
+    parser.add_argument("--torus", type=family_spec, nargs="*",
                         default=["filiform:9", "heisenberg:4"], metavar="FAMILY:N",
                         help="algebras for the torus rows (default: filiform:9 heisenberg:4)")
     parser.add_argument("--json", action="store_true", help="emit one JSON object per row")
@@ -114,10 +142,14 @@ def main(argv=None):
         parser.error("filiform algebras start at dimension 3")
 
     # rows are printed as they finish, since the larger ones take minutes
-    for row in itertools.chain(map(action_row, args.action), map(torus_row, args.torus)):
-        print(json.dumps(row, sort_keys=True) if args.json else
-              f"{row['kind']:<6} {row['algebra']:<18} {row['seconds']:>9.3f} s  {row['sha256']}",
-              flush=True)
+    rows = itertools.chain(
+        map(betti_row, args.betti), map(action_row, args.action), map(torus_row, args.torus)
+    )
+    for row in rows:
+        line = f"{row['kind']:<6} {row['algebra']:<18} {row['seconds']:>9.3f} s  {row['sha256']}"
+        if "stages" in row:
+            line += "\n       " + "  ".join(f"{k} {v:.4f} s" for k, v in row["stages"].items())
+        print(json.dumps(row, sort_keys=True) if args.json else line, flush=True)
     return 0
 
 

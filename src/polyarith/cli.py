@@ -285,6 +285,12 @@ def cmd_lie_cohomology(ns) -> Handler:
     betti = kos.betti()
     euler = kos.euler_characteristic()
     nil_class = algebra.nilpotency_class()
+    # Poincare duality holds for a nilpotent (hence unimodular) algebra
+    if nil_class is not None and betti != betti[::-1]:
+        raise InternalError(
+            f"Betti numbers {' '.join(map(str, betti))} of a nilpotent algebra of "
+            f"dimension {algebra.dim} break Poincare duality b_p = b_(n-p)"
+        )
     results = {
         "dim": algebra.dim,
         "betti": list(betti),

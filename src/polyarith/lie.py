@@ -11,6 +11,13 @@ so d of a dual basis vector is minus the corresponding structure
 two-form.  d composed with d vanishes exactly when the Jacobi identity
 holds, and the identity is also checked directly at construction.
 
+Every structure-constant computation reads the sparse table of nonzero
+c_{ij}^k rather than looping over basis vectors: the Jacobi check
+expands only the basis triples with a bracket among their pairs, a
+bracket visits only the pairs in the table, and the differential finds
+the target form of each term by a bitmask lookup and its sign by
+popcounts.
+
 Automorphisms act on forms through the wedge powers of the inverse
 transpose; maps on cohomology use the column convention (column i is
 the image of class basis vector i), so composition of automorphisms
@@ -29,6 +36,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
+    _norm_row,
     min_poly,
     nilpotent_exp,
     rational_kernel,
@@ -112,32 +120,40 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0 or i == j:
-                    continue
-                coeff = u[i] * v[j]
-                for k, c in self._table.get((min(i, j), max(i, j)), ()):
-                    out[k] += coeff * c if i < j else -coeff * c
-        return tuple(int(x) if x.denominator == 1 else x for x in out)
+        """[u, v]: each pair (i, j) of the table adds u_i v_j - u_j v_i
+        times its terms."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise PreconditionError(
+                f"vector length mismatch: bracket needs vectors of length {self.dim}"
+            )
+        out: List[Scalar] = [0] * self.dim
+        for (i, j), terms in self._table.items():
+            coeff = u[i] * v[j] - u[j] * v[i]
+            if coeff:
+                for k, c in terms:
+                    out[k] += coeff * c
+        return _norm_row(out)
 
     def _check_jacobi(self):
+        """Expand [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        from the table for each basis triple, in order.  A triple none of
+        whose pairs is in the table has three zero terms and is skipped."""
+        table = self._table
+
+        def terms(a: int, b: int) -> Iterable[Tuple[int, Scalar]]:
+            if a < b:
+                return table.get((a, b), ())
+            return [(k, -c) for k, c in table.get((b, a), ())]
+
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            ei = tuple(1 if t == i else 0 for t in range(self.dim))
-            ej = tuple(1 if t == j else 0 for t in range(self.dim))
-            ek = tuple(1 if t == k else 0 for t in range(self.dim))
-            total = [
-                a + b + c
-                for a, b, c in zip(
-                    self.bracket(self.bracket_basis(i, j), ek),
-                    self.bracket(self.bracket_basis(j, k), ei),
-                    self.bracket(self.bracket_basis(k, i), ej),
-                )
-            ]
-            if any(x != 0 for x in total):
+            if (i, j) not in table and (j, k) not in table and (i, k) not in table:
+                continue
+            total: Dict[int, Scalar] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in terms(a, b):
+                    for t, y in terms(m, c):
+                        total[t] = total.get(t, 0) + x * y
+            if any(total.values()):
                 raise PreconditionError(
                     f"Jacobi identity fails on basis triple ({i}, {j}, {k})"
                 )
@@ -145,15 +161,6 @@ class LieAlgebra:
     def bracket_table(self) -> List[Tuple[Tuple[int, int], Tuple[Tuple[int, Scalar], ...]]]:
         """Sorted nonzero structure constants: ((i, j), ((k, c), ...))."""
         return sorted(self._table.items())
-
-    def structure_terms(self, k: int) -> List[Tuple[int, int, Scalar]]:
-        """All (i, j, c_{ij}^k) with i < j and nonzero coefficient."""
-        out = []
-        for (i, j), terms in sorted(self._table.items()):
-            for kk, c in terms:
-                if kk == k:
-                    out.append((i, j, c))
-        return out
 
     def ad(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of [x, -] on columns."""
@@ -289,19 +296,6 @@ def nilpotent_catalog() -> Dict[str, LieAlgebra]:
 # the complex
 
 
-def _sort_with_sign(seq: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    lst = list(seq)
-    if len(set(lst)) != len(lst):
-        return 0, ()
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return sign, tuple(lst)
-
-
 # A differential is stored as its sparse columns: column j lists the
 # (row, value) pairs of its nonzero entries, rows increasing.
 SparseColumn = Tuple[Tuple[int, Scalar], ...]
@@ -344,14 +338,19 @@ def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
 
     Rows that share a column are joined (``_components``); each connected
     block of the nonzero pattern is ranked on its own with
-    ``Matrix.rank`` and the block ranks are summed.
+    ``Matrix.rank`` and the block ranks are summed.  A block of one column,
+    or of one row (every column a single entry), has rank 1 with no
+    elimination, since its entries are nonzero.
     """
     find = _components(columns, nrows)
     blocks: Dict[int, List[SparseColumn]] = {}
     for col in columns:
         if col:
             blocks.setdefault(find(col[0][0]), []).append(col)
-    return sum(_dense_block(cols).rank() for cols in blocks.values())
+    return sum(
+        1 if len(cols) == 1 or all(len(col) == 1 for col in cols) else _dense_block(cols).rank()
+        for cols in blocks.values()
+    )
 
 
 def _sparse(vectors: Iterable[Sequence[Scalar]]) -> List[SparseColumn]:
@@ -572,23 +571,38 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
             f"dimension {n} exceeds the cap {cap}; set {MAX_DIM_ENV} to raise it"
         )
     bases = tuple(tuple(itertools.combinations(range(n), p)) for p in range(n + 1))
-    index = [{key: i for i, key in enumerate(bases[p])} for p in range(n + 1)]
-    terms = [algebra.structure_terms(k) for k in range(n)]
-    diffs = []
-    for p in range(n + 1):
-        cols: List[SparseColumn] = []
-        for key in bases[p]:
-            col: Dict[int, Scalar] = {}
-            for t, kt in enumerate(key):
-                outer_sign = (-1) ** t
-                for i, j, c in terms[kt]:
-                    sign, target = _sort_with_sign(key[:t] + (i, j) + key[t + 1 :])
-                    if sign == 0:
+    # d xi^k = -sum c_{ij}^k xi^i ^ xi^j: one (mask of {i, j}, mask of
+    # i .. j - 1, c) per term
+    terms: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(n)]
+    for (i, j), comps in algebra.bracket_table():
+        for k, c in comps:
+            terms[k].append((1 << i | 1 << j, (1 << j) - (1 << i), c))
+    diffs: List[SparseColumns] = [((),) * len(keys) for keys in bases]
+    if any(terms):
+        # index sets as bitmasks; masks of different degrees never collide
+        bits = [1 << k for k in range(n)]
+        masks = [list(map(sum, itertools.combinations(bits, p))) for p in range(n + 1)]
+        row_of = {m: r for ms in masks for r, m in enumerate(ms)}
+        # a form of degree 0 has no position to expand, one of degree n no room
+        for p in range(1, n):
+            cols: List[SparseColumn] = []
+            for key, mask in zip(bases[p], masks[p]):
+                col: Dict[int, Scalar] = {}
+                for t, k in enumerate(key):
+                    if not terms[k]:
                         continue
-                    row = index[p + 1][target]
-                    col[row] = col.get(row, 0) - outer_sign * sign * c
-            cols.append(tuple((r, v) for r, v in sorted(col.items()) if v != 0))
-        diffs.append(tuple(cols))
+                    rest = mask ^ bits[k]
+                    for pair, between, c in terms[k]:
+                        if rest & pair:
+                            continue
+                        # xi^i ^ xi^j is even, so it moves past the forms before
+                        # position t freely; sorting it into the rest passes the
+                        # forms strictly between i and j
+                        odd = (t + (rest & between).bit_count()) & 1
+                        r = row_of[rest | pair]
+                        col[r] = col.get(r, 0) + (c if odd else -c)
+                cols.append(tuple(sorted((r, v) for r, v in col.items() if v)) if col else ())
+            diffs[p] = tuple(cols)
     for p in range(n):
         check_square_zero(diffs[p], diffs[p + 1], p)
     return KoszulComplex(algebra, bases, tuple(diffs))

@@ -12,6 +12,7 @@ from polyarith import __version__
 from polyarith.cli import main
 from polyarith.errors import InternalError
 from polyarith.jsonio import parse_group_document
+from polyarith.lie import KoszulComplex
 from polyarith.linalg import Matrix
 
 
@@ -356,6 +357,32 @@ class TestLieCohomology:
         code, _, err = run(capsys, "lie-cohomology", path)
         assert code == 2
         assert "Jacobi" in err or "jacobi" in err
+
+    def test_poincare_duality_certificate(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, "heis.json", HEISENBERG_DOC)
+        monkeypatch.setattr(KoszulComplex, "betti", lambda self: (1, 2, 1, 1))
+        code, out, err = run(capsys, "lie-cohomology", path)
+        assert code == 3
+        assert out == ""
+        assert "Betti numbers 1 2 1 1 of a nilpotent algebra of dimension 3" in err
+        assert "Poincare duality" in err
+
+    def test_poincare_duality_not_asked_of_non_nilpotent(self, capsys, tmp_path, monkeypatch):
+        sl2_doc = {
+            "dim": 3,
+            "brackets": [
+                {"i": 1, "j": 2, "k": 2, "c": "2"},
+                {"i": 1, "j": 3, "k": 3, "c": "-2"},
+                {"i": 2, "j": 3, "k": 1, "c": "1"},
+            ],
+        }
+        path = write_json(tmp_path, "sl2.json", sl2_doc)
+        monkeypatch.setattr(KoszulComplex, "betti", lambda self: (1, 2, 1, 1))
+        code, out, _ = run(capsys, "lie-cohomology", path)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["nilpotency_class"] is None
+        assert results["betti"] == [1, 2, 1, 1]
 
 
 class TestKoszulInvariants:

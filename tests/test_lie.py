@@ -314,6 +314,13 @@ class TestSparseComplex:
         )
         assert sparse_rank(columns, nrows) == dense.rank()
 
+    def test_one_row_and_one_column_blocks_need_no_elimination(self, monkeypatch):
+        monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("eliminated"))
+        # blocks {row 0}, {row 1 with two columns}, {rows 2, 3 from one column}
+        columns = (((0, 2),), ((1, -3),), ((1, Fraction(1, 2)),), ((2, 1), (3, 5)))
+        assert sparse_rank(columns, 5) == 3
+        assert sparse_rank((), 4) == 0
+
     def test_square_zero_check(self):
         # d^0: one form to e_0 + e_1; d^1 sends e_0 to f and e_1 to -f
         lower = (((0, 1), (1, 1)),)
@@ -1180,3 +1187,213 @@ class TestTorusShortcut:
         expected = invariant_subcomplex(kos, [torus])
         monkeypatch.setattr(lie, "rational_kernel", lambda *args: pytest.fail("elimination"))
         assert invariant_subcomplex(kos, [torus]) == expected
+
+
+# ---------------------------------------------------------------------------
+# table-driven structure constants against the dense loops they replaced;
+# these test-local copies are the reference, reading a table in the form
+# LieAlgebra keeps: (i, j) with i < j -> ((k, c), ...)
+
+
+def dense_bracket_basis(dim, table, i, j):
+    if i == j:
+        return (0,) * dim
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    out = [0] * dim
+    for k, c in table.get((i, j), ()):
+        out[k] = sign * c
+    return tuple(out)
+
+
+def dense_bracket(dim, table, u, v):
+    out = [Fraction(0)] * dim
+    for i in range(dim):
+        if u[i] == 0:
+            continue
+        for j in range(dim):
+            if v[j] == 0 or i == j:
+                continue
+            coeff = u[i] * v[j]
+            for k, c in table.get((min(i, j), max(i, j)), ()):
+                out[k] += coeff * c if i < j else -coeff * c
+    return tuple(int(x) if x.denominator == 1 else x for x in out)
+
+
+def dense_jacobi_failure(dim, table):
+    """The message of the dense Jacobi check, or None when it passes."""
+    for i, j, k in itertools.combinations(range(dim), 3):
+        ei = tuple(1 if t == i else 0 for t in range(dim))
+        ej = tuple(1 if t == j else 0 for t in range(dim))
+        ek = tuple(1 if t == k else 0 for t in range(dim))
+        total = [
+            a + b + c
+            for a, b, c in zip(
+                dense_bracket(dim, table, dense_bracket_basis(dim, table, i, j), ek),
+                dense_bracket(dim, table, dense_bracket_basis(dim, table, j, k), ei),
+                dense_bracket(dim, table, dense_bracket_basis(dim, table, k, i), ej),
+            )
+        ]
+        if any(x != 0 for x in total):
+            return f"Jacobi identity fails on basis triple ({i}, {j}, {k})"
+    return None
+
+
+def sort_with_sign(seq):
+    lst = list(seq)
+    if len(set(lst)) != len(lst):
+        return 0, ()
+    sign = 1
+    for i in range(len(lst)):
+        for j in range(len(lst) - 1 - i):
+            if lst[j] > lst[j + 1]:
+                lst[j], lst[j + 1] = lst[j + 1], lst[j]
+                sign = -sign
+    return sign, tuple(lst)
+
+
+def dense_koszul_columns(algebra):
+    """The sparse columns of every d^p, each term sorted into place by a
+    bubble sort that counts its swaps."""
+    n = algebra.dim
+    bases = [list(itertools.combinations(range(n), p)) for p in range(n + 1)]
+    index = [{key: i for i, key in enumerate(bases[p])} for p in range(n + 1)]
+    table = algebra.bracket_table()
+    terms = [[(i, j, c) for (i, j), comps in table for kk, c in comps if kk == k] for k in range(n)]
+    diffs = []
+    for p in range(n + 1):
+        cols = []
+        for key in bases[p]:
+            col = {}
+            for t, kt in enumerate(key):
+                outer_sign = (-1) ** t
+                for i, j, c in terms[kt]:
+                    sign, target = sort_with_sign(key[:t] + (i, j) + key[t + 1 :])
+                    if sign == 0:
+                        continue
+                    row = index[p + 1][target]
+                    col[row] = col.get(row, 0) - outer_sign * sign * c
+            cols.append(tuple((r, v) for r, v in sorted(col.items()) if v != 0))
+        diffs.append(tuple(cols))
+    return tuple(diffs)
+
+
+def typed_vector(v):
+    return [(type(x), x) for x in v]
+
+
+def typed_columns(columns):
+    return [[[(r, type(v), v) for r, v in col] for col in cols] for cols in columns]
+
+
+def structure_algebras():
+    rng = random.Random(83)
+    base = dict(nilpotent_catalog())
+    base["sl2"] = sl2()
+    base["strictly_upper_5"] = strictly_upper(5)
+    base["free_two_step_10"] = free_two_step(4)
+    algebras = dict(base)
+    for name in sorted(base):
+        algebras[f"{name}/relabelled"] = relabelled(base[name], rng)
+    small = sorted(name for name, algebra in base.items() if algebra.dim <= 5)
+    for t in range(4):
+        one, two = rng.sample(small, 2)
+        total = direct_sum(base[one], base[two])
+        algebras[f"{one}+{two}"] = total
+        algebras[f"{one}+{two}/relabelled{t}"] = relabelled(total, rng)
+    return algebras
+
+
+def random_scalar(rng):
+    return rng.choice(
+        (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2), Fraction(5, 7))
+    )
+
+
+def perturbed(algebra, rng):
+    """The brackets of the algebra with one structure constant moved."""
+    n = algebra.dim
+    brackets = {pair: dict(terms) for pair, terms in algebra.bracket_table()}
+    pair = tuple(sorted(rng.sample(range(n), 2)))
+    k = rng.randrange(n)
+    comps = brackets.setdefault(pair, {})
+    comps[k] = comps.get(k, 0) + rng.choice((1, -1, 2, Fraction(1, 2)))
+    table = {
+        pair: tuple((k, c) for k, c in sorted(comps.items()) if c)
+        for pair, comps in brackets.items()
+    }
+    return brackets, {pair: terms for pair, terms in table.items() if terms}
+
+
+class TestTableDriven:
+    @pytest.mark.parametrize("name", sorted(structure_algebras()))
+    def test_bracket_matches_dense_loop(self, name):
+        algebra = structure_algebras()[name]
+        n, table = algebra.dim, algebra._table
+        rng = random.Random(name)
+        for i, j in itertools.product(range(n), repeat=2):
+            ei = tuple(int(t == i) for t in range(n))
+            ej = tuple(int(t == j) for t in range(n))
+            got, want = algebra.bracket(ei, ej), dense_bracket(n, table, ei, ej)
+            assert typed_vector(got) == typed_vector(want), (name, i, j)
+        for _ in range(20):
+            u = tuple(random_scalar(rng) for _ in range(n))
+            v = tuple(random_scalar(rng) for _ in range(n))
+            got, want = algebra.bracket(u, v), dense_bracket(n, table, u, v)
+            assert typed_vector(got) == typed_vector(want), (name, u, v)
+
+    @pytest.mark.parametrize("name", sorted(structure_algebras()))
+    def test_koszul_columns_match_sorted_terms(self, name):
+        algebra = structure_algebras()[name]
+        kos = build_koszul(algebra)
+        assert typed_columns(kos.columns) == typed_columns(dense_koszul_columns(algebra))
+
+    def test_structure_algebras_cover_sums_and_fractions(self):
+        algebras = structure_algebras()
+        assert sum("+" in name for name in algebras) == 8
+        fractions = [
+            name
+            for name, algebra in algebras.items()
+            if any(type(c) is Fraction for _, terms in algebra.bracket_table() for _, c in terms)
+        ]
+        assert len(fractions) >= 5
+        assert all("relabelled" in name for name in fractions)
+        assert any(
+            type(v) is Fraction
+            for name in fractions
+            for cols in build_koszul(algebras[name]).columns
+            for col in cols
+            for _, v in col
+        )
+
+    def test_jacobi_check_names_the_dense_triple(self):
+        rng = random.Random(89)
+        failures = 0
+        for name, algebra in sorted(structure_algebras().items()):
+            if algebra.dim < 3:
+                continue
+            for _ in range(3):
+                brackets, table = perturbed(algebra, rng)
+                want = dense_jacobi_failure(algebra.dim, table)
+                try:
+                    LieAlgebra(algebra.dim, brackets)
+                    got = None
+                except PreconditionError as e:
+                    got = str(e)
+                assert got == want, name
+                failures += want is not None
+        assert failures >= 60
+
+    def test_vector_length_checked(self):
+        h = heisenberg()
+        # the table only reads coordinates 0 and 1 here, so without the
+        # check a short x would give a wrong ad silently
+        for x in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(PreconditionError, match="vector length mismatch"):
+                h.ad(x)
+            with pytest.raises(PreconditionError, match="vector length mismatch"):
+                inner_automorphism(h, x)
+        with pytest.raises(PreconditionError, match="vector length mismatch"):
+            h.bracket((1, 0, 0), (0, 1))
+        assert h.ad((1, 0, 0)) == Matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])

@@ -43,18 +43,32 @@ def test_family_survey_json():
 
 def test_koszul_timings_json():
     done = run_script(
-        "koszul_timings.py", "--action", "5", "--torus", "filiform:5", "heisenberg:1", "--json"
+        "koszul_timings.py",
+        "--betti", "filiform:5", "heisenberg:2",
+        "--action", "5",
+        "--torus", "filiform:5", "heisenberg:1",
+        "--json",
     )
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [(row["kind"], row["algebra"]) for row in rows] == [
+        ("betti", "filiform:5"),
+        ("betti", "heisenberg:2"),
         ("action", "filiform:5"),
         ("torus", "filiform:5"),
         ("torus", "heisenberg:1"),
     ]
-    assert all(set(row) == {"kind", "algebra", "seconds", "sha256"} for row in rows)
-    # digests of the results as the dense elimination path gave them
+    assert all(set(row) == {"kind", "algebra", "seconds", "sha256", "stages"} for row in rows[:2])
+    assert all(set(row) == {"kind", "algebra", "seconds", "sha256"} for row in rows[2:])
+    for row in rows[:2]:
+        stages = row["stages"]
+        assert set(stages) == {"algebra", "build_koszul", "betti", "nilpotency_class"}
+        assert all(t >= 0 for t in stages.values())
+    # digests of the results as the dense elimination path gave them; the
+    # betti rows hash the Betti tuples (1, 2, 3, 3, 2, 1) and (1, 4, 5, 5, 4, 1)
     assert [row["sha256"] for row in rows] == [
+        "ea8ce69fd15765fb15ceefec2674658c46facf6700eb20d4b8fb671432cb5606",
+        "2e1afa1a63bbf98fc0f3ba5e588a091d1b9946f679362c7fe0c7e354ae26f3df",
         "d57c44199c84b23a4edae234a59dcaed2b9ca98aae1336818dc16b9c8e33b058",
         "c48e73dd8fd4ae063e0d3f429794bc6dc8d2e55617ae383fdee30f2cea7b59d0",
         "b604a6bc89ce61c28ac9fbbcf80aa75da1790b6b5990ea5e5685c0a7973e22db",
