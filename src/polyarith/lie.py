@@ -36,12 +36,14 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
+    SparseColumn,
+    _dense_columns,
     _norm_row,
+    _wedge_columns,
     min_poly,
     nilpotent_exp,
     rational_kernel,
     rref,
-    wedge_power,
 )
 
 Scalar = Union[int, Fraction]
@@ -170,13 +172,6 @@ class LieAlgebra:
             cols.append(self.bracket(x, ej))
         return Matrix.from_cols(cols, nrows=self.dim)
 
-    def derived_basis(self) -> Matrix:
-        """Canonical basis (rows) of the span of all brackets."""
-        rows = [self.bracket_basis(i, j) for i, j in itertools.combinations(range(self.dim), 2)]
-        if not rows:
-            return Matrix([], ncols=self.dim)
-        return _row_space_basis(Matrix(rows, ncols=self.dim))
-
     def lower_central_series(self) -> List[Matrix]:
         """Bases of g = g^0 >= g^1 >= ..., where g^{i+1} = [g, g^i].
 
@@ -296,9 +291,8 @@ def nilpotent_catalog() -> Dict[str, LieAlgebra]:
 # the complex
 
 
-# A differential is stored as its sparse columns: column j lists the
-# (row, value) pairs of its nonzero entries, rows increasing.
-SparseColumn = Tuple[Tuple[int, Scalar], ...]
+# A differential, a form action and a basis are stored sparse: a
+# differential or a form action as its columns, a basis as its rows.
 SparseColumns = Tuple[SparseColumn, ...]
 
 
@@ -322,15 +316,17 @@ def _components(columns: Iterable[SparseColumn], size: int) -> Callable[[int], i
     return find
 
 
-def _dense_block(columns: Sequence[SparseColumn]) -> Matrix:
-    """The sparse columns as a dense matrix on the rows they touch, in
-    increasing order."""
-    local = {r: i for i, r in enumerate(sorted({r for col in columns for r, _ in col}))}
-    rows = [[0] * len(columns) for _ in local]
+def _dense_block(columns: Sequence[SparseColumn], rows: Optional[Sequence[int]] = None) -> Matrix:
+    """The sparse columns as a dense matrix on the given rows, by default
+    the rows they touch, in increasing order."""
+    if rows is None:
+        rows = sorted({r for col in columns for r, _ in col})
+    local = {r: i for i, r in enumerate(rows)}
+    out = [[0] * len(columns) for _ in local]
     for j, col in enumerate(columns):
         for r, v in col:
-            rows[local[r]][j] = v
-    return Matrix(rows, ncols=len(columns))
+            out[local[r]][j] = v
+    return Matrix(out, ncols=len(columns))
 
 
 def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
@@ -353,9 +349,10 @@ def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
     )
 
 
-def _sparse(vectors: Iterable[Sequence[Scalar]]) -> List[SparseColumn]:
-    """The nonzero (index, entry) pairs of each vector."""
-    return [tuple((i, x) for i, x in enumerate(v) if x) for v in vectors]
+def _sparse(vectors: Iterable[Sequence[Scalar]], labels: Sequence[int] = ()) -> List[SparseColumn]:
+    """The nonzero (index, entry) pairs of each vector; with ``labels``,
+    position i has index ``labels[i]``."""
+    return [tuple((j, x) for j, x in zip(labels or range(len(v)), v) if x) for v in vectors]
 
 
 def _combine(columns: Sequence[SparseColumn], coeffs: Iterable) -> Dict[int, Scalar]:
@@ -378,25 +375,26 @@ def check_square_zero(lower: SparseColumns, upper: SparseColumns, p: int) -> Non
             raise InternalError(f"differential does not square to zero at degree {p}")
 
 
-def check_chain_map(d: SparseColumns, w_here: Matrix, w_up: Matrix) -> None:
-    """Certify w_up * d == d * w_here column by column, in time
-    O(nnz(d) * dim); ``d`` is d^p, ``w_here`` and ``w_up`` are the form
+def check_chain_map(d: SparseColumns, w_here: SparseColumns, w_up: SparseColumns) -> None:
+    """Certify w_up * d == d * w_here column by column, over the nonzero
+    entries only; ``d`` is d^p, ``w_here`` and ``w_up`` are the form
     actions in degrees p and p + 1."""
-    up_cols = _sparse(zip(*w_up.entries))
-    for j, here_col in enumerate(zip(*w_here.entries)):
-        if _combine(up_cols, d[j]) != _combine(d, enumerate(here_col)):
+    for d_col, here_col in zip(d, w_here):
+        if _combine(w_up, d_col) != _combine(d, here_col):
             raise InternalError("form action does not commute with the differential")
 
 
 @dataclass(frozen=True)
 class KoszulComplex:
     """The cochain complex of a Lie algebra: ``bases[p]`` indexes degree p,
-    ``columns[p]`` holds d^p to degree p + 1 as sparse columns.  Ranks,
-    cohomology bases and the dense view ``differentials`` are made on first
-    use.  The bases are built from ``columns`` block by block: forms that a
-    column of d^{p-1} or d^p links share a block, each block is reduced on
-    its own, and the rows are put back in the order the dense eliminations
-    give.  An action on cohomology then runs no elimination."""
+    ``columns[p]`` holds d^p to degree p + 1 as sparse columns.  Ranks and
+    cohomology bases are made on first use; the bases are sparse rows,
+    built from ``columns`` block by block: forms that a column of d^{p-1}
+    or d^p links share a block, each block is reduced on its own, and the
+    rows are put back in the order the dense eliminations give.  An action
+    on cohomology then runs no elimination.  ``differentials``,
+    ``cocycles``, ``coboundaries`` and ``representatives`` are dense views,
+    built only when asked for."""
 
     algebra: LieAlgebra
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]
@@ -411,14 +409,9 @@ class KoszulComplex:
     @cached_property
     def differentials(self) -> Tuple[Matrix, ...]:
         """The differentials as dense matrices (rows index degree p + 1)."""
-        out = []
-        for p, cols in enumerate(self.columns):
-            rows = [[0] * len(cols) for _ in range(self._target_dim(p))]
-            for j, col in enumerate(cols):
-                for r, v in col:
-                    rows[r][j] = v
-            out.append(Matrix(rows, ncols=len(cols)))
-        return tuple(out)
+        return tuple(
+            _dense_columns(cols, self._target_dim(p)) for p, cols in enumerate(self.columns)
+        )
 
     @cached_property
     def ranks(self) -> Tuple[int, ...]:
@@ -438,127 +431,99 @@ class KoszulComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * b for p, b in enumerate(self.betti()))
 
-    @cached_property
-    def _block_cache(self) -> Dict[int, List[Tuple[List[int], List[int]]]]:
-        return {}
-
     def _blocks(self, p: int) -> List[Tuple[List[int], List[int]]]:
         """The forms of degree p in connected blocks, each with the columns
         of d^{p-1} that land in it.  Two forms share a block when a column
         of d^{p-1} or of d^p links them.  Forms increase within a block,
         and blocks come in the order of their first form."""
-        cache = self._block_cache
-        if p not in cache:
-            dim = self.space_dim(p)
-            lower = self.columns[p - 1] if p else ()
-            # nodes: the forms of degree p, then the rows of d^p; column j
-            # of d^p joins form j to its rows
-            upper = [
-                ((j, 1),) + tuple((dim + r, v) for r, v in col)
-                for j, col in enumerate(self.columns[p])
-            ]
-            find = _components(itertools.chain(lower, upper), dim + self._target_dim(p))
-            blocks: Dict[int, Tuple[List[int], List[int]]] = {}
-            for j in range(dim):
-                blocks.setdefault(find(j), ([], []))[0].append(j)
-            for j, col in enumerate(lower):
-                if col:
-                    blocks[find(col[0][0])][1].append(j)
-            cache[p] = list(blocks.values())
-        return cache[p]
+        dim = self.space_dim(p)
+        lower = self.columns[p - 1] if p else ()
+        # nodes: the forms of degree p, then the rows of d^p; column j of
+        # d^p joins form j to its rows
+        upper = [
+            ((j, 1),) + tuple((dim + r, v) for r, v in col) for j, col in enumerate(self.columns[p])
+        ]
+        find = _components(itertools.chain(lower, upper), dim + self._target_dim(p))
+        blocks: Dict[int, Tuple[List[int], List[int]]] = {}
+        for j in range(dim):
+            blocks.setdefault(find(j), ([], []))[0].append(j)
+        for j, col in enumerate(lower):
+            if col:
+                blocks[find(col[0][0])][1].append(j)
+        return list(blocks.values())
 
     def cocycles(self, p: int) -> Matrix:
-        """Basis (rows) of ker d^p over Q, equal to ``rational_kernel`` of
-        the dense d^p: the kernel of each block, one row per free column,
-        rows in the order of that column."""
-        cols, dim = self.columns[p], self.space_dim(p)
-        keyed = []
-        for forms, _ in self._blocks(p):
-            for vec in rational_kernel(_dense_block([cols[j] for j in forms])).entries:
-                free = max(i for i, x in enumerate(vec) if x)
-                keyed.append((forms[free], _spread(forms, vec, dim)))
-        return Matrix([row for _, row in sorted(keyed)], ncols=dim)
+        """Basis (rows) of ker d^p over Q, as ``cohomology_basis`` gives it."""
+        return _dense_rows(self.cohomology_basis(p)[0], self.space_dim(p))
 
     def coboundaries(self, p: int) -> Matrix:
-        """Basis (rows) of im d^{p-1} over Q, equal to the nonzero rows of
-        ``rref`` of the dense (d^{p-1})^T: the reduced rows of each block,
-        in the order of their pivot columns."""
-        dim = self.space_dim(p)
-        keyed = []
-        for forms, lower in self._blocks(p):
-            if not lower:
-                continue
-            pos = {j: i for i, j in enumerate(forms)}
-            rows = [[0] * len(forms) for _ in lower]
-            for row, j in zip(rows, lower):
-                for r, v in self.columns[p - 1][j]:
-                    row[pos[r]] = v
-            reduced, pivots = rref(Matrix(rows, ncols=len(forms)))
-            for c, vec in zip(pivots, reduced.entries):
-                keyed.append((forms[c], _spread(forms, vec, dim)))
-        return Matrix([row for _, row in sorted(keyed)], ncols=dim)
+        """Basis (rows) of im d^{p-1} over Q, as ``cohomology_basis`` gives it."""
+        return _dense_rows(self.cohomology_basis(p)[1], self.space_dim(p))
 
     def representatives(self, p: int) -> Matrix:
         """Cocycle rows completing the coboundaries to ker d^p."""
-        return self.cohomology_basis(p)[0]
+        return _dense_rows(self.cohomology_basis(p)[2], self.space_dim(p))
 
     @cached_property
-    def _cohomology_bases(self) -> Dict[int, Tuple[Matrix, Matrix, Matrix]]:
+    def _cohomology_bases(self) -> Dict[int, Tuple[SparseColumns, ...]]:
         return {}
 
-    def cohomology_basis(self, p: int) -> Tuple[Matrix, Matrix, Matrix]:
-        """``(reps, cocycles, classes)`` of degree p, cached per degree.
+    def cohomology_basis(self, p: int) -> Tuple[SparseColumns, ...]:
+        """``(cocycles, coboundaries, reps, classes)`` of degree p as sparse
+        rows, cached per degree.  They equal the dense eliminations:
 
-        They equal what one ``rref`` of the dense [coboundaries; cocycles]^T
-        gives, with k coboundaries.  ``reps`` are the cocycle rows at the
-        pivots past the k coboundaries: the canonical kernel basis walked in
-        order, keeping each row that grows the span.  Rows k onward of the
-        reduced matrix, on the cocycle columns, are ``classes``: column f is
-        the class of cocycle row f on ``reps``.  Each row lies in one block,
-        so each block is reduced on its own and the results put back in
-        order, by cocycle index."""
+        - ``cocycles``: ``rational_kernel`` of d^p, one row per free
+          column, in the order of that column;
+        - ``coboundaries``: the nonzero rows of ``rref`` of (d^{p-1})^T, in
+          the order of their pivot columns;
+        - ``reps`` and ``classes``: with k coboundaries, one ``rref`` of
+          [coboundaries; cocycles]^T.  ``reps`` are the cocycles at the
+          pivots past k: the kernel basis walked in order, keeping each row
+          that grows the span.  Rows k onward of the reduced matrix, on
+          the cocycle columns, are ``classes``: entry f of row i is the
+          coordinate on rep i of the class of cocycle f.
+
+        Each row lies in one block, so each block is reduced on its own in
+        block-local coordinates, and the rows are keyed by form (free or
+        pivot column) and put back in order."""
+        if not 0 <= p <= self.algebra.dim:
+            raise PreconditionError("degree out of range")
         cache = self._cohomology_bases
         if p not in cache:
-            bound = self.coboundaries(p)
-            cocycles = self.cocycles(p)
-            blocks = self._blocks(p)
-            block_of = [0] * self.space_dim(p)
-            for b, (forms, _) in enumerate(blocks):
-                for j in forms:
-                    block_of[j] = b
-            members: List[Tuple[List[Vector], List[int]]] = [([], []) for _ in blocks]
-            for row in bound.entries:
-                members[block_of[_first_nonzero(row)]][0].append(row)
-            for f, row in enumerate(cocycles.entries):
-                members[block_of[_first_nonzero(row)]][1].append(f)
-            keyed = []
-            for (forms, _), (vecs, zs) in zip(blocks, members):
-                if not zs:
-                    continue
-                k = len(vecs)
-                vecs = vecs + [cocycles.entries[f] for f in zs]
-                local = Matrix([[v[j] for v in vecs] for j in forms], ncols=len(vecs))
-                reduced, pivots = rref(local)
-                for c, vec in zip(pivots[k:], reduced.entries[k:]):
-                    keyed.append((zs[c - k], dict(zip(zs, vec[k:]))))
-            keyed.sort()
-            z = cocycles.nrows
-            reps = Matrix([cocycles.row(f) for f, _ in keyed], ncols=cocycles.ncols)
-            classes = Matrix([[cls.get(g, 0) for g in range(z)] for _, cls in keyed], ncols=z)
-            cache[p] = (reps, cocycles, classes)
+            cocycles, bound, classes = [], [], []
+            for forms, lower in self._blocks(p):
+                kernel = rational_kernel(_dense_block([self.columns[p][j] for j in forms])).entries
+                # a kernel row is keyed by its free column, where it ends in 1
+                zs = _sparse(kernel, forms)
+                keys = [row[-1][0] for row in zs]
+                cocycles.extend(zip(keys, zs))
+                vecs: Sequence[Sequence[Scalar]] = ()
+                if lower:
+                    image = _dense_block([self.columns[p - 1][j] for j in lower], forms)
+                    reduced, pivots = rref(image.transpose())
+                    vecs = reduced.entries[: len(pivots)]
+                    bound.extend(zip((forms[c] for c in pivots), _sparse(vecs, forms)))
+                if kernel:
+                    k = len(vecs)
+                    reduced, pivots = rref(Matrix(list(zip(*vecs, *kernel)), ncols=k + len(kernel)))
+                    found = (v[k:] for v in reduced.entries[k : len(pivots)])
+                    classes.extend(zip((keys[c - k] for c in pivots[k:]), _sparse(found, keys)))
+            cocycles.sort()
+            index = {key: f for f, (key, _) in enumerate(cocycles)}
+            bound.sort()
+            classes.sort()
+            cache[p] = (
+                tuple(row for _, row in cocycles),
+                tuple(row for _, row in bound),
+                tuple(cocycles[index[key]][1] for key, _ in classes),
+                tuple(tuple((index[g], x) for g, x in row) for _, row in classes),
+            )
         return cache[p]
 
 
-def _spread(forms: Sequence[int], local: Sequence[Scalar], dim: int) -> List[Scalar]:
-    """A block-local vector on the forms of its block, as a vector of Q^dim."""
-    row: List[Scalar] = [0] * dim
-    for j, x in zip(forms, local):
-        row[j] = x
-    return row
-
-
-def _first_nonzero(row: Sequence[Scalar]) -> int:
-    return next(j for j, x in enumerate(row) if x)
+def _dense_rows(rows: Sequence[SparseColumn], ncols: int) -> Matrix:
+    """The sparse rows as a dense matrix with ncols columns."""
+    return _dense_columns(rows, ncols).transpose()
 
 
 def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
@@ -608,10 +573,6 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
     return KoszulComplex(algebra, bases, tuple(diffs))
 
 
-def betti_numbers(algebra: LieAlgebra) -> Tuple[int, ...]:
-    return build_koszul(algebra).betti()
-
-
 # ---------------------------------------------------------------------------
 # automorphisms acting on cohomology
 
@@ -655,7 +616,7 @@ class LieAutomorphism:
         return self.matrix.inverse().transpose()
 
     @cached_property
-    def _form_actions(self) -> Dict[int, Matrix]:
+    def _form_actions(self) -> Dict[int, SparseColumns]:
         return {}
 
 
@@ -664,29 +625,34 @@ def inner_automorphism(algebra: LieAlgebra, x: Sequence[Scalar]) -> LieAutomorph
     return LieAutomorphism(algebra, nilpotent_exp(algebra.ad(x)))
 
 
-def form_action(phi: LieAutomorphism, p: int) -> Matrix:
-    """Action on degree-p forms: p-th wedge power of the inverse transpose.
+def form_action(phi: LieAutomorphism, p: int) -> SparseColumns:
+    """Action on degree-p forms: the sparse columns of the p-th wedge power
+    of the inverse transpose (``_wedge_columns``).
 
     Cached on ``phi``, so each degree is computed once per automorphism
     and only when asked for."""
     cache = phi._form_actions
     if p not in cache:
-        cache[p] = wedge_power(phi.dual, p)
+        cache[p] = _wedge_columns(phi.dual, p)
     return cache[p]
 
 
-def _coordinates(basis: Matrix, images: Sequence[Dict[int, Scalar]], what: str) -> Matrix:
-    """Coordinates of the sparse images on the rows of a ``rational_kernel``
-    basis, one column per image.  Each basis row has a 1 in its last
-    nonzero column f, where every other row is 0, so its coordinate is the
-    image's entry at f.  Rebuilding each image certifies the coordinates;
-    a mismatch, an image outside the span, raises InternalError(what)."""
-    rows = _sparse(basis.entries)
-    cols = [[im.get(row[-1][0], 0) for row in rows] for im in images]
-    for im, col in zip(images, cols):
-        if _combine(rows, enumerate(col)) != im:
+def _coordinates(
+    basis: Sequence[SparseColumn], images: Sequence[Dict[int, Scalar]], what: str
+) -> List[SparseColumn]:
+    """Coordinates of the sparse images on the sparse rows of a
+    ``rational_kernel`` basis, one sparse column per image.  Each basis row
+    has a 1 in its last nonzero column f, where every other row is 0, so
+    its coordinate is the image's entry at f.  Rebuilding each image
+    certifies the coordinates; a mismatch, an image outside the span,
+    raises InternalError(what)."""
+    cols = []
+    for im in images:
+        col = tuple((i, im[row[-1][0]]) for i, row in enumerate(basis) if row[-1][0] in im)
+        if _combine(basis, col) != im:
             raise InternalError(what)
-    return Matrix.from_cols(cols, nrows=len(rows))
+        cols.append(col)
+    return cols
 
 
 def action_on_cohomology(
@@ -709,14 +675,15 @@ def action_on_cohomology(
     w_here = form_action(phi, p)
     if p < n:
         check_chain_map(kos.columns[p], w_here, form_action(phi, p + 1))
-    reps, cocycles, classes = kos.cohomology_basis(p)
-    w_cols = _sparse(zip(*w_here.entries))
-    images = [_combine(w_cols, enumerate(row)) for row in reps.entries]
-    coords = _coordinates(cocycles, images, "image of a cocycle left the cocycle space")
+    cocycles, _, reps, classes = kos.cohomology_basis(p)
+    images = [_combine(w_here, row) for row in reps]
+    what = "image of a cocycle left the cocycle space"
+    coords = [dict(col) for col in _coordinates(cocycles, images, what)]
     # classes * coords, over the few nonzero entries of the class map
-    coord_rows = _sparse(coords.entries)
-    rows = [_combine(coord_rows, cls) for cls in _sparse(classes.entries)]
-    return Matrix([[row.get(j, 0) for j in range(len(images))] for row in rows], ncols=len(images))
+    return Matrix(
+        [[sum(x * col.get(f, 0) for f, x in cls) for col in coords] for cls in classes],
+        ncols=len(coords),
+    )
 
 
 @dataclass(frozen=True)
@@ -747,16 +714,17 @@ def semisimple_rigidity_check(
 # invariants under a set of semisimple automorphisms
 
 
-def _fixed_space(operators: Sequence[Matrix], dim: int) -> Matrix:
-    """Rows spanning the vectors of Q^dim fixed by every operator: the
-    kernel of the rows of op - I over all the operators.  When every
-    operator is diagonal, as a torus's are, that kernel is the unit rows
-    e_f for each f where every diagonal entry is 1, read off directly."""
-    if all(op.is_diagonal() for op in operators):
-        fixed = [f for f in range(dim) if all(op[f, f] == 1 for op in operators)]
-        return Matrix([[int(j == f) for j in range(dim)] for f in fixed], ncols=dim)
+def _fixed_space(operators: Sequence[SparseColumns], dim: int) -> List[SparseColumn]:
+    """Sparse rows spanning the vectors of Q^dim fixed by every operator,
+    given by its sparse columns: the kernel of the rows of op - I over all
+    the operators.  When every column j of every operator is ((j, x),), as
+    a torus's are, that kernel is the unit rows e_f for each f where every
+    diagonal entry is 1, read off directly."""
+    if all(len(col) == 1 and col[0][0] == j for op in operators for j, col in enumerate(op)):
+        return [((f, 1),) for f in range(dim) if all(op[f][0][1] == 1 for op in operators)]
     ident = Matrix.identity(dim)
-    return rational_kernel(Matrix([r for op in operators for r in (op - ident).entries], ncols=dim))
+    stacked = [r for op in operators for r in (_dense_columns(op, dim) - ident).entries]
+    return _sparse(rational_kernel(Matrix(stacked, ncols=dim)).entries)
 
 
 @dataclass(frozen=True)
@@ -799,28 +767,30 @@ def invariant_subcomplex(
     # d^p of each fixed form, in coordinates on the fixed forms of degree p + 1
     restricted = []
     for p in range(n):
-        images = [_combine(kos.columns[p], enumerate(row)) for row in bases[p].entries]
+        images = [_combine(kos.columns[p], row) for row in bases[p]]
         what = "differential left the invariant subcomplex"
-        restricted.append(_coordinates(bases[p + 1], images, what))
+        coords = _coordinates(bases[p + 1], images, what)
+        restricted.append(_dense_columns(coords, len(bases[p + 1])))
     restricted.append(Matrix([], ncols=0))
 
     ranks = [d.rank() for d in restricted]
     inv_betti = [
-        bases[p].nrows - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(n + 1)
+        len(bases[p]) - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(n + 1)
     ]
-    fixed_dims = [
-        _fixed_space([action_on_cohomology(phi, p, kos) for phi in autos], h_dim).nrows
-        for p, h_dim in enumerate(kos.betti())
-    ]
+    # each action on cohomology is a small dense matrix, read by its columns
+    fixed_dims = []
+    for p, h in enumerate(kos.betti()):
+        actions = [action_on_cohomology(phi, p, kos).entries for phi in autos]
+        fixed_dims.append(len(_fixed_space([_sparse(zip(*a)) for a in actions], h)))
 
     if inv_betti != fixed_dims:
         raise InternalError(
             "invariant subcomplex cohomology disagrees with cohomology invariants"
         )
     return InvariantCohomology(
-        tuple(b.nrows for b in bases),
+        tuple(map(len, bases)),
         tuple(inv_betti),
         tuple(fixed_dims),
-        tuple(bases),
+        tuple(_dense_rows(b, kos.space_dim(p)) for p, b in enumerate(bases)),
         tuple(restricted),
     )

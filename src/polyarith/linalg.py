@@ -40,6 +40,9 @@ from .polynomials import Poly
 
 Scalar = Union[int, Fraction]
 Vector = Tuple[Scalar, ...]
+# A sparse column lists the (row, value) pairs of its nonzero entries,
+# rows increasing; a sparse row lists (column, value) pairs the same way.
+SparseColumn = Tuple[Tuple[int, Scalar], ...]
 
 
 _INT_ONLY = frozenset((int,))
@@ -104,8 +107,12 @@ class Matrix:
     @staticmethod
     def from_cols(cols: Sequence[Sequence[Scalar]], nrows: Optional[int] = None) -> "Matrix":
         if not cols:
-            return Matrix([[] for _ in range(nrows or 0)], ncols=0) if nrows else Matrix([], ncols=0)
+            return Matrix([[] for _ in range(nrows or 0)], ncols=0)
         height = len(cols[0])
+        if any(len(c) != height for c in cols):
+            raise PreconditionError("ragged columns")
+        if nrows is not None and nrows != height:
+            raise PreconditionError(f"expected {nrows} rows, got {height}")
         return Matrix([[c[i] for c in cols] for i in range(height)], ncols=len(cols))
 
     # basic access
@@ -141,9 +148,6 @@ class Matrix:
         return self.is_square() and all(
             x == (1 if i == j else 0) for i, r in enumerate(self.entries) for j, x in enumerate(r)
         )
-
-    def is_diagonal(self) -> bool:
-        return all(not any(r[:i]) and not any(r[i + 1 :]) for i, r in enumerate(self.entries))
 
     # arithmetic
 
@@ -269,18 +273,6 @@ def _identity_rows(n: int) -> list:
 
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     return sum(x * y for x, y in zip(a, b) if x)
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.nrows != b.nrows:
-        raise PreconditionError("row count mismatch")
-    return Matrix([ra + rb for ra, rb in zip(a.entries, b.entries)], ncols=a.ncols + b.ncols)
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.ncols:
-        raise PreconditionError("column count mismatch")
-    return Matrix(list(a.entries) + list(b.entries), ncols=a.ncols)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
@@ -831,10 +823,19 @@ def nilpotent_exp(m: Matrix) -> Matrix:
     return acc
 
 
-def wedge_power(m: Matrix, p: int) -> Matrix:
-    """p-th exterior power: entries are the p x p minors, index sets in
-    lexicographic order, so column J holds the image of the wedge of the
-    J-indexed basis vectors.
+def _dense_columns(cols: Sequence[SparseColumn], nrows: int) -> Matrix:
+    """The nrows-row matrix with the given sparse columns."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for r, v in col:
+            rows[r][j] = v
+    return Matrix(rows, ncols=len(cols))
+
+
+def _wedge_columns(m: Matrix, p: int) -> Tuple[SparseColumn, ...]:
+    """p-th exterior power as sparse columns: the nonzero p x p minors,
+    index sets in lexicographic order, so column J holds the image of the
+    wedge of the J-indexed basis vectors.
 
     Computed by exterior expansion rather than by determinants: the
     column for J = (j_1 < .. < j_p) is the column for (j_1, .., j_{p-1})
@@ -871,9 +872,16 @@ def wedge_power(m: Matrix, p: int) -> Matrix:
         forms = nxt
     subsets = list(itertools.combinations(range(n), p))
     index = {key: r for r, key in enumerate(subsets)}
-    rows = [[0] * len(subsets) for _ in subsets]
     den = scale ** p
-    for col, key in enumerate(subsets):
-        for idx, c in forms[key].items():
-            rows[index[idx]][col] = _quotient(c, den)
-    return Matrix(rows, ncols=len(subsets))
+    # index sets sort in the order of their rows
+    return tuple(
+        tuple((index[idx], _quotient(c, den)) for idx, c in sorted(forms[key].items()))
+        for key in subsets
+    )
+
+
+def wedge_power(m: Matrix, p: int) -> Matrix:
+    """p-th exterior power as a dense matrix: the p x p minors, index sets
+    in lexicographic order (``_wedge_columns``)."""
+    cols = _wedge_columns(m, p)
+    return _dense_columns(cols, len(cols))

@@ -16,7 +16,6 @@ from polyarith.lie import (
     MAX_DIM_DEFAULT,
     abelian,
     action_on_cohomology,
-    betti_numbers,
     build_koszul,
     check_square_zero,
     dimension_cap,
@@ -33,7 +32,8 @@ from polyarith.lie import (
     sparse_rank,
     strictly_upper,
 )
-from polyarith.linalg import Matrix, rational_kernel, rref, solve, vstack, wedge_power
+from polyarith import linalg
+from polyarith.linalg import Matrix, _dense_columns, rational_kernel, rref, solve, wedge_power
 
 # Betti tables for the catalog, degree 0 upward
 KNOWN_BETTI = {
@@ -50,6 +50,21 @@ KNOWN_BETTI = {
     "heisenberg_pair_6": (1, 4, 8, 10, 8, 4, 1),
     "abelian_5": (1, 5, 10, 10, 5, 1),
 }
+
+
+def stack(a, b):
+    """The rows of a, then the rows of b."""
+    return Matrix(a.entries + b.entries, ncols=a.ncols)
+
+
+def dense(cols):
+    """A square matrix from its sparse columns, as a form action is."""
+    return _dense_columns(cols, len(cols))
+
+
+def dense_rows(rows, ncols):
+    """A matrix from its sparse rows, as the cohomology bases are."""
+    return _dense_columns(rows, ncols).transpose()
 
 
 def diagonal_automorphism(algebra, scalars):
@@ -121,7 +136,6 @@ class TestLieAlgebra:
 
     def test_derived_and_lower_central(self):
         f = filiform(4)
-        assert f.derived_basis().nrows == 2
         assert f.nilpotency_class() == 3
         assert f.is_nilpotent()
         series = f.lower_central_series()
@@ -132,13 +146,11 @@ class TestLieAlgebra:
         s = sl2()
         assert not s.is_nilpotent()
         assert s.nilpotency_class() is None
-        assert s.derived_basis().nrows == 3
 
     def test_abelian(self):
         a = abelian(4)
         assert a.is_nilpotent()
         assert a.nilpotency_class() == 1
-        assert a.derived_basis().nrows == 0
 
     def test_direct_sum(self):
         both = direct_sum(heisenberg(), abelian(1))
@@ -160,20 +172,20 @@ class TestKoszul:
     @pytest.mark.parametrize("name", sorted(KNOWN_BETTI))
     def test_catalog_betti(self, name):
         algebra = nilpotent_catalog()[name]
-        assert betti_numbers(algebra) == KNOWN_BETTI[name]
+        assert build_koszul(algebra).betti() == KNOWN_BETTI[name]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_abelian_betti_binomial(self, n):
         expected = tuple(math.comb(n, p) for p in range(n + 1))
-        assert betti_numbers(abelian(n)) == expected
+        assert build_koszul(abelian(n)).betti() == expected
 
     def test_sl2_betti(self):
         # Whitehead: only top and bottom survive for a semisimple algebra
-        assert betti_numbers(sl2()) == (1, 0, 0, 1)
+        assert build_koszul(sl2()).betti() == (1, 0, 0, 1)
 
     @pytest.mark.parametrize("name", sorted(KNOWN_BETTI))
     def test_poincare_duality_and_euler(self, name):
-        betti = betti_numbers(nilpotent_catalog()[name])
+        betti = build_koszul(nilpotent_catalog()[name]).betti()
         n = len(betti) - 1
         for p in range(n + 1):
             assert betti[p] == betti[n - p]
@@ -204,6 +216,15 @@ class TestKoszul:
         reps = kos.representatives(1)
         assert reps.nrows == 2
 
+    def test_bases_refuse_a_degree_out_of_range(self):
+        # a negative degree must not wrap round to the top one
+        kos = build_koszul(heisenberg())
+        assert kos.cocycles(3) == Matrix([[1]])
+        for p in (-1, -4, 4):
+            for basis in (kos.cohomology_basis, kos.cocycles, kos.coboundaries, kos.representatives):
+                with pytest.raises(PreconditionError, match="^degree out of range$"):
+                    basis(p)
+
     def test_representatives_project_to_basis(self):
         for name in ("heisenberg_3", "filiform_5", "free_two_step_6"):
             algebra = nilpotent_catalog()[name]
@@ -224,13 +245,17 @@ class TestKoszul:
         # functionals vanishing on all brackets
         for algebra in nilpotent_catalog().values():
             kos = build_koszul(algebra)
-            derived = algebra.derived_basis()
+            n = algebra.dim
+            brackets = Matrix(
+                [algebra.bracket_basis(i, j) for i, j in itertools.combinations(range(n), 2)],
+                ncols=n,
+            )
             cocycles = kos.cocycles(1)
             b1 = kos.betti()[1]
-            assert b1 == algebra.dim - derived.nrows
+            assert b1 == n - brackets.rank()
             assert cocycles.nrows == b1
             for z in cocycles.entries:
-                for v in derived.entries:
+                for v in brackets.entries:
                     assert sum(x * y for x, y in zip(z, v)) == 0
 
 
@@ -341,7 +366,7 @@ class TestDimensionCap:
 
     def test_cap_raised(self, monkeypatch):
         monkeypatch.setenv("POLYARITH_MAX_DIM", "6")
-        assert betti_numbers(free_two_step(3))[0] == 1
+        assert build_koszul(free_two_step(3)).betti()[0] == 1
 
     def test_bad_values(self, monkeypatch):
         monkeypatch.setenv("POLYARITH_MAX_DIM", "x")
@@ -394,9 +419,11 @@ class TestLieAutomorphism:
         phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
         psi = diagonal_automorphism(h, (3, 1, 3))
         for p in range(4):
-            assert form_action(phi.compose(psi), p) == form_action(
-                phi, p
-            ) * form_action(psi, p)
+            assert dense(form_action(phi.compose(psi), p)) == dense(form_action(phi, p)) * dense(
+                form_action(psi, p)
+            )
+            # the sparse columns of a diagonal action are its diagonal entries
+            assert all(col == ((j, col[0][1]),) for j, col in enumerate(form_action(phi, p)))
 
 
 class TestActionOnCohomology:
@@ -496,7 +523,7 @@ def reference_action(phi, p, kos):
     w_here = wedge_power(phi.matrix.inverse().transpose(), p)
     reps = reference_representatives(kos, p)
     bound = kos.coboundaries(p)
-    basis_cols = (vstack(reps, bound) if bound.nrows else reps).transpose()
+    basis_cols = stack(reps, bound).transpose()
     cols = []
     for row in reps.entries:
         coeffs = solve(basis_cols, w_here.apply(row))
@@ -560,14 +587,16 @@ class TestCachedActionPath:
 
     def test_bases_and_form_actions_computed_once(self, monkeypatch):
         algebra = nilpotent_catalog()["filiform_5"]
-        # one reduction per block holding a coboundary (the coboundary
-        # rows) and one per block holding a cocycle (the classes)
+        # one kernel per block, one reduction per block holding a coboundary
+        # (the coboundary rows) and one per block holding a cocycle (the
+        # classes)
         ref = build_koszul(algebra)
+        kernels = sum(len(ref._blocks(p)) for p in range(algebra.dim + 1))
         reductions = sum(
             len(row_blocks(ref, p, ref.coboundaries(p))) + len(row_blocks(ref, p, ref.cocycles(p)))
             for p in range(algebra.dim + 1)
         )
-        calls = {"coboundaries": [], "cocycles": [], "wedge_power": [], "rref": []}
+        calls = {"rational_kernel": [], "_wedge_columns": [], "rref": []}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -576,12 +605,8 @@ class TestCachedActionPath:
 
             return wrapper
 
-        for name in ("coboundaries", "cocycles"):
-            monkeypatch.setattr(
-                KoszulComplex, name, counting(name, getattr(KoszulComplex, name))
-            )
-        monkeypatch.setattr(lie, "wedge_power", counting("wedge_power", wedge_power))
-        monkeypatch.setattr(lie, "rref", counting("rref", lie.rref))
+        for name in calls:
+            monkeypatch.setattr(lie, name, counting(name, getattr(lie, name)))
         kos = build_koszul(algebra)
         rng = random.Random(3)
         autos = [graded_filiform_auto(algebra, rng) for _ in range(2)]
@@ -591,24 +616,27 @@ class TestCachedActionPath:
                 action_on_cohomology(phi, p, kos)
             for p in degrees:
                 action_on_cohomology(phi, p, kos)
-        # only the cached cohomology_basis asks for the coboundaries
-        assert sorted(p for _, p in calls["coboundaries"]) == degrees
-        assert sorted(p for _, p in calls["cocycles"]) == degrees
         # each degree's blocks reduced once, not once per automorphism
+        assert len(calls["rational_kernel"]) == kernels
         assert len(calls["rref"]) == reductions
-        computed = [(m.entries, p) for m, p in calls["wedge_power"]]
+        computed = [(m.entries, p) for m, p in calls["_wedge_columns"]]
         assert sorted(computed) == sorted(
             (phi.dual.entries, p) for phi in autos for p in degrees
         )
+        # the dense views read the cache and reduce nothing more
+        for p in degrees:
+            kos.cocycles(p), kos.coboundaries(p), kos.representatives(p)
+        assert len(calls["rational_kernel"]) == kernels
+        assert len(calls["rref"]) == reductions
 
     def test_form_actions_computed_only_when_asked(self, monkeypatch):
         degrees = []
 
         def counting(m, p):
             degrees.append(p)
-            return wedge_power(m, p)
+            return linalg._wedge_columns(m, p)
 
-        monkeypatch.setattr(lie, "wedge_power", counting)
+        monkeypatch.setattr(lie, "_wedge_columns", counting)
         h = nilpotent_catalog()["heisenberg_5"]
         phi = graded_heisenberg_auto(h, random.Random(1))
         action_on_cohomology(phi, 2, build_koszul(h))
@@ -617,6 +645,10 @@ class TestCachedActionPath:
 
 def sparse(vector):
     return {i: x for i, x in enumerate(vector) if x}
+
+
+def sparse_rows(m):
+    return lie._sparse(m.entries)
 
 
 class TestKernelCoordinates:
@@ -631,35 +663,40 @@ class TestKernelCoordinates:
                 for _ in range(rng.randint(0, 3))
             ]
             images = [basis.apply_left(c) for c in coeffs]
-            coords = lie._coordinates(basis, [sparse(v) for v in images], "what")
-            assert (coords.nrows, coords.ncols) == (basis.nrows, len(images))
+            coords = lie._coordinates(sparse_rows(basis), [sparse(v) for v in images], "what")
+            assert len(coords) == len(images)
+            assert all(x for col in coords for _, x in col)
+            dense_coords = _dense_columns(coords, basis.nrows)
             for j, v in enumerate(images):
-                assert coords.col(j) == solve(basis.transpose(), v)
+                assert dense_coords.col(j) == solve(basis.transpose(), v)
 
     def test_image_outside_the_span_is_refused(self):
-        basis = rational_kernel(Matrix([[1, 1, 0]]))
+        basis = sparse_rows(rational_kernel(Matrix([[1, 1, 0]])))
         with pytest.raises(InternalError, match="^what$"):
             lie._coordinates(basis, [{0: 1}], "what")
 
     def test_row_not_ending_in_one_is_refused(self):
         # the entry at column 2 reads 2, not the coordinate 1
         with pytest.raises(InternalError, match="^what$"):
-            lie._coordinates(Matrix([[1, 0, 2]]), [{0: 1, 2: 2}], "what")
+            lie._coordinates([((0, 1), (2, 2))], [{0: 1, 2: 2}], "what")
 
     def test_shapes(self):
-        basis = rational_kernel(Matrix([[1, 1, 0]]))
-        assert lie._coordinates(basis, [], "what") == Matrix([[], []], ncols=0)
-        empty = Matrix([], ncols=3)
-        assert lie._coordinates(empty, [{}, {}], "what") == Matrix([], ncols=2)
+        basis = sparse_rows(rational_kernel(Matrix([[1, 1, 0]])))
+        assert lie._coordinates(basis, [], "what") == []
+        assert _dense_columns(lie._coordinates(basis, [], "what"), 2) == Matrix([[], []], ncols=0)
+        assert lie._coordinates([], [{}, {}], "what") == [(), ()]
+        assert _dense_columns([(), ()], 0) == Matrix([], ncols=2)
         with pytest.raises(InternalError, match="^what$"):
-            lie._coordinates(empty, [{}, {1: 5}], "what")
+            lie._coordinates([], [{}, {1: 5}], "what")
 
     def test_class_map(self):
         for name, algebra in nilpotent_catalog().items():
             kos = build_koszul(algebra)
-            for p in range(algebra.dim + 1):
-                reps, cocycles, classes = kos.cohomology_basis(p)
-                bound = kos.coboundaries(p)
+            dim = algebra.dim
+            for p in range(dim + 1):
+                z, b, r, c = kos.cohomology_basis(p)
+                cocycles, bound = dense_rows(z, kos.space_dim(p)), dense_rows(b, kos.space_dim(p))
+                reps, classes = dense_rows(r, kos.space_dim(p)), dense_rows(c, len(z))
                 assert (classes.nrows, classes.ncols) == (reps.nrows, cocycles.nrows)
                 for f, row in enumerate(cocycles.entries):
                     rest = [
@@ -667,7 +704,7 @@ class TestKernelCoordinates:
                         for t, x in enumerate(row)
                     ]
                     # cocycle f minus its class is a coboundary
-                    assert vstack(bound, Matrix([rest])).rank() == bound.nrows, (name, p, f)
+                    assert stack(bound, Matrix([rest])).rank() == bound.nrows, (name, p, f)
                 own = [cocycles.entries.index(r) for r in reps.entries]
                 assert classes.submatrix(range(reps.nrows), own).is_identity(), (name, p)
 
@@ -696,27 +733,35 @@ class TestActionCertificates:
         kos = build_koszul(h)
         phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
         original = lie.form_action
-        monkeypatch.setattr(
-            lie, "form_action", lambda psi, p: original(psi, p).scale(2) if p == 2 else original(psi, p)
-        )
+
+        def doubled(psi, p):
+            cols = original(psi, p)
+            return tuple(tuple((r, 2 * v) for r, v in col) for col in cols) if p == 2 else cols
+
+        monkeypatch.setattr(lie, "form_action", doubled)
         with pytest.raises(
             InternalError, match="^form action does not commute with the differential$"
         ):
             action_on_cohomology(phi, 1, kos)
 
     def test_chain_map_check_sees_one_wrong_entry(self):
+        # a torus acts by diagonal columns, an inner automorphism by
+        # triangular ones with the 1/k! of exp(ad x)
         kos = build_koszul(nilpotent_catalog()["filiform_5"])
-        phi = graded_filiform_auto(kos.algebra, random.Random(9))
-        for p in range(kos.algebra.dim):
-            w_here = form_action(phi, p)
-            w_up = form_action(phi, p + 1)
-            lie.check_chain_map(kos.columns[p], w_here, w_up)
-            for col in kos.columns[p]:
-                if col:
-                    bumped = w_up.to_lists()
-                    bumped[col[0][0]][col[0][0]] += 1
-                    with pytest.raises(InternalError):
-                        lie.check_chain_map(kos.columns[p], w_here, Matrix(bumped))
+        torus = graded_filiform_auto(kos.algebra, random.Random(9))
+        inner = inner_automorphism(kos.algebra, (1, 0, 0, 0, 1))
+        message = "^form action does not commute with the differential$"
+        for phi in (torus, inner):
+            for p in range(kos.algebra.dim):
+                w_here = form_action(phi, p)
+                w_up = form_action(phi, p + 1)
+                lie.check_chain_map(kos.columns[p], w_here, w_up)
+                for col in kos.columns[p]:
+                    if col:
+                        bumped = dense(w_up).to_lists()
+                        bumped[col[0][0]][col[0][0]] += 1
+                        with pytest.raises(InternalError, match=message):
+                            lie.check_chain_map(kos.columns[p], w_here, lie._sparse(zip(*bumped)))
 
     def test_image_outside_cocycles_is_refused(self, monkeypatch):
         h = heisenberg()
@@ -726,10 +771,10 @@ class TestActionCertificates:
 
         def leaky(psi, p):
             # send xi^0 to xi^0 + xi^2, which is not closed
-            w = original(psi, p).to_lists()
+            w = dense(original(psi, p)).to_lists()
             if p == 1:
                 w[2][0] += 1
-            return Matrix(w)
+            return lie._sparse(zip(*w))
 
         monkeypatch.setattr(lie, "form_action", leaky)
         monkeypatch.setattr(lie, "check_chain_map", lambda *args: None)
@@ -923,7 +968,7 @@ def reference_invariants(kos, autos):
 
 
 def same_row_space(a, b):
-    return a.ncols == b.ncols and a.rank() == b.rank() == vstack(a, b).rank()
+    return a.ncols == b.ncols and a.rank() == b.rank() == stack(a, b).rank()
 
 
 def automorphism_sets(algebra, rng):
@@ -963,8 +1008,8 @@ class TestInvariantKernels:
                 assert inv.restricted_differentials[algebra.dim] == Matrix([], ncols=0)
 
     def test_fixed_space_of_no_operators_is_everything(self):
-        assert lie._fixed_space([], 4) == Matrix.identity(4)
-        assert lie._fixed_space([], 0).nrows == 0
+        assert dense_rows(lie._fixed_space([], 4), 4) == Matrix.identity(4)
+        assert lie._fixed_space([], 0) == []
 
     def test_differential_leaving_the_subcomplex_is_refused(self, monkeypatch):
         h = heisenberg()
@@ -976,7 +1021,7 @@ class TestInvariantKernels:
             # in degree 2 offer xi^0 ^ xi^2, which phi scales by 1/2, in
             # place of the fixed xi^0 ^ xi^1 that d xi^2 lands on
             if operators and operators[0] == form_action(phi, 2):
-                return Matrix([[0, 1, 0]])
+                return [((1, 1),)]
             return original(operators, dim)
 
         monkeypatch.setattr(lie, "_fixed_space", skewed)
@@ -1016,7 +1061,7 @@ def dense_coboundaries(kos, p):
 def dense_cohomology_basis(kos, p):
     bound, cocycles = dense_coboundaries(kos, p), dense_cocycles(kos, p)
     k = bound.nrows
-    reduced, pivots = rref(vstack(bound, cocycles).transpose())
+    reduced, pivots = rref(stack(bound, cocycles).transpose())
     reps = Matrix([cocycles.row(j - k) for j in pivots if j >= k], ncols=cocycles.ncols)
     classes = Matrix([r[k:] for r in reduced.entries[k : len(pivots)]], ncols=cocycles.nrows)
     return reps, cocycles, classes
@@ -1068,10 +1113,21 @@ class TestBlockBases:
         kos = build_koszul(algebra)
         for p in range(algebra.dim + 1):
             where = (name, p)
-            assert typed(kos.cocycles(p)) == typed(dense_cocycles(kos, p)), where
-            assert typed(kos.coboundaries(p)) == typed(dense_coboundaries(kos, p)), where
-            got, want = kos.cohomology_basis(p), dense_cohomology_basis(kos, p)
+            dim = kos.space_dim(p)
+            cocycles, bound, reps, classes = kos.cohomology_basis(p)
+            # sparse rows: no zero entries, columns increasing
+            for row in cocycles + bound + reps + classes:
+                assert all(x for _, x in row), where
+                assert [j for j, _ in row] == sorted({j for j, _ in row}), where
+            assert typed(dense_rows(cocycles, dim)) == typed(dense_cocycles(kos, p)), where
+            assert typed(dense_rows(bound, dim)) == typed(dense_coboundaries(kos, p)), where
+            got = (dense_rows(reps, dim), dense_rows(cocycles, dim), dense_rows(classes, len(cocycles)))
+            want = dense_cohomology_basis(kos, p)
             assert [typed(m) for m in got] == [typed(m) for m in want], where
+            # the dense views are the same matrices
+            assert kos.cocycles(p) == got[1], where
+            assert kos.coboundaries(p) == dense_rows(bound, dim), where
+            assert kos.representatives(p) == got[0], where
 
     def test_oracle_algebras_cover_sums_and_fractions(self):
         names = oracle_algebras()
@@ -1084,9 +1140,9 @@ class TestBlockBases:
                 fractions += sum(
                     type(x) is Fraction
                     for p in range(algebra.dim + 1)
-                    for m in kos.cohomology_basis(p)
-                    for row in m.entries
-                    for x in row
+                    for rows in kos.cohomology_basis(p)
+                    for row in rows
+                    for _, x in row
                 )
         assert fractions > 0
 
@@ -1141,6 +1197,11 @@ def stacked_kernel(operators, dim):
     return rational_kernel(Matrix([r for op in operators for r in (op - ident).entries], ncols=dim))
 
 
+def fixed_space(operators, dim):
+    """``lie._fixed_space`` of dense operators, as a dense matrix."""
+    return dense_rows(lie._fixed_space([sparse_rows(op.transpose()) for op in operators], dim), dim)
+
+
 class TestTorusShortcut:
     def test_diagonal_operators_match_the_stacked_kernel(self):
         rng = random.Random(83)
@@ -1150,16 +1211,17 @@ class TestTorusShortcut:
             for _ in range(rng.randint(0, 3)):
                 diag = [rng.choice((1, 1, 2, -1, Fraction(1, 3), Fraction(3, 3))) for _ in range(dim)]
                 operators.append(Matrix.diagonal(diag))
-            got = lie._fixed_space(operators, dim)
+            got = fixed_space(operators, dim)
             assert typed(got) == typed(stacked_kernel(operators, dim)), operators
 
     def test_entries_one_in_some_operators_only(self):
         a = Matrix.diagonal([1, 2, 1, Fraction(1, 2)])
         b = Matrix.diagonal([1, 1, Fraction(5, 3), Fraction(1, 2)])
-        assert lie._fixed_space([a, b], 4) == Matrix([[1, 0, 0, 0]])
-        assert typed(lie._fixed_space([a, b], 4)) == typed(stacked_kernel([a, b], 4))
-        assert lie._fixed_space([a], 4) == Matrix([[1, 0, 0, 0], [0, 0, 1, 0]])
-        assert typed(lie._fixed_space([], 3)) == typed(stacked_kernel([], 3))
+        assert lie._fixed_space([sparse_rows(a), sparse_rows(b)], 4) == [((0, 1),)]
+        assert fixed_space([a, b], 4) == Matrix([[1, 0, 0, 0]])
+        assert typed(fixed_space([a, b], 4)) == typed(stacked_kernel([a, b], 4))
+        assert fixed_space([a], 4) == Matrix([[1, 0, 0, 0], [0, 0, 1, 0]])
+        assert typed(fixed_space([], 3)) == typed(stacked_kernel([], 3))
 
     def test_diagonal_operators_run_no_elimination(self, monkeypatch):
         calls = []
@@ -1170,13 +1232,17 @@ class TestTorusShortcut:
 
         monkeypatch.setattr(lie, "rational_kernel", counting)
         diagonal = [Matrix.diagonal([1, 2, Fraction(1, 2)]), Matrix.diagonal([1, 1, 3])]
-        assert lie._fixed_space(diagonal, 3) == Matrix([[1, 0, 0]])
-        assert lie._fixed_space([], 3) == Matrix.identity(3)
+        assert fixed_space(diagonal, 3) == Matrix([[1, 0, 0]])
+        assert fixed_space([], 3) == Matrix.identity(3)
         assert calls == []
         # one operator off the diagonal sends the whole list down the general path
         shear = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-        assert lie._fixed_space(diagonal + [shear], 3) == stacked_kernel(diagonal + [shear], 3)
+        assert fixed_space(diagonal + [shear], 3) == stacked_kernel(diagonal + [shear], 3)
         assert len(calls) == 1
+        # a column with its one entry off the diagonal is not a torus's
+        swap = Matrix([[0, 1], [1, 0]])
+        assert fixed_space([swap], 2) == stacked_kernel([swap], 2) == Matrix([[1, 1]])
+        assert len(calls) == 2
 
     def test_torus_invariants_run_no_fixed_space_elimination(self, monkeypatch):
         algebra = nilpotent_catalog()["heisenberg_5"]
@@ -1187,6 +1253,25 @@ class TestTorusShortcut:
         expected = invariant_subcomplex(kos, [torus])
         monkeypatch.setattr(lie, "rational_kernel", lambda *args: pytest.fail("elimination"))
         assert invariant_subcomplex(kos, [torus]) == expected
+
+    def test_torus_invariants_build_no_dense_form_action(self, monkeypatch):
+        algebra = nilpotent_catalog()["heisenberg_5"]
+        kos = build_koszul(algebra)
+        torus = seeded_torus(algebra, random.Random(13))
+        expected = invariant_subcomplex(kos, [torus])
+        fresh = LieAutomorphism(algebra, torus.matrix)
+        original = lie._dense_columns
+
+        def guarded(cols, nrows):
+            if any(cols is w for w in fresh._form_actions.values()):
+                pytest.fail("dense form action")
+            return original(cols, nrows)
+
+        monkeypatch.setattr(lie, "_dense_columns", guarded)
+        monkeypatch.setattr(linalg, "_dense_columns", guarded)
+        monkeypatch.setattr(linalg, "wedge_power", lambda *args: pytest.fail("dense wedge power"))
+        assert invariant_subcomplex(kos, [fresh]) == expected
+        assert sorted(fresh._form_actions) == list(range(algebra.dim + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from polyarith.linalg import (
     char_poly,
     finite_order,
     hnf,
-    hstack,
     jordan_chevalley,
     kernel_lattice,
     lattice_coordinates,
@@ -31,7 +30,6 @@ from polyarith.linalg import (
     snf,
     solve,
     vec,
-    vstack,
     wedge_power,
 )
 from polyarith.lie import filiform, free_two_step, heisenberg
@@ -79,12 +77,13 @@ class TestMatrixBasics:
     def test_from_cols_roundtrip(self):
         m = Matrix([[1, 2], [3, 4], [5, 6]])
         assert Matrix.from_cols([m.col(j) for j in range(2)]) == m
+        assert Matrix.from_cols([m.col(j) for j in range(2)], nrows=3) == m
+        assert Matrix.from_cols([(), ()], nrows=0) == Matrix([], ncols=2)
 
     def test_zero_column_matrix_needs_explicit_count(self):
         m = Matrix([], ncols=3)
         assert (m.nrows, m.ncols) == (0, 3)
         assert Matrix.from_cols([], nrows=2).ncols == 0
-
     def test_arithmetic(self):
         a = Matrix([[1, 2], [3, 4]])
         b = Matrix([[0, 1], [1, 0]])
@@ -122,20 +121,11 @@ class TestMatrixBasics:
     def test_empty_det_is_one(self):
         assert Matrix([], ncols=0).det() == 1
 
-    def test_is_diagonal(self):
-        assert Matrix.diagonal([2, 0, Fraction(1, 3)]).is_diagonal()
-        assert Matrix([], ncols=0).is_diagonal()
-        assert Matrix([[1, 0, 0], [0, 2, 0]]).is_diagonal()
-        assert not Matrix([[1, 0], [Fraction(1, 2), 1]]).is_diagonal()
-        assert not Matrix([[1, 5], [0, 1]]).is_diagonal()
-
     def test_block_helpers(self):
         a = Matrix([[1]])
         b = Matrix([[2, 0], [0, 3]])
         d = block_diag(a, b)
         assert d.entries == ((1, 0, 0), (0, 2, 0), (0, 0, 3))
-        assert hstack(a, Matrix([[5]])).entries == ((1, 5),)
-        assert vstack(a, Matrix([[5]])).entries == ((1,), (5,))
         assert vec(b) == (2, 0, 0, 3)
 
 
@@ -455,6 +445,36 @@ class TestWedgePower:
             for p in range(m.nrows + 1):
                 assert wedge_power(m, p) == Matrix(wedge_minors(rows, p))
 
+    def test_sparse_columns_match_minors(self):
+        # seeded int and Fraction matrices, p from 0 to n: each column lists
+        # the nonzero minors, rows increasing, with the types the minors have
+        rng = random.Random(47)
+        mats = [random_rational_matrix(rng, n, denom=3) for n in range(0, 6)]
+        mats += [Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], ncols=n)
+                 for n in range(1, 6)]
+        mats.append(Matrix.diagonal([Fraction(1, 2), -2, 1, Fraction(3, 5)]))
+        for m in mats:
+            for p in range(m.nrows + 1):
+                want = wedge_minors(m.to_lists(), p)
+                cols = linalg._wedge_columns(m, p)
+                assert len(cols) == len(want)
+                for j, col in enumerate(cols):
+                    # an integral minor comes back as an int
+                    expected = [
+                        (r, int if Fraction(row[j]).denominator == 1 else Fraction, row[j])
+                        for r, row in enumerate(want)
+                        if row[j]
+                    ]
+                    assert [(r, type(x), x) for r, x in col] == expected
+                assert linalg._dense_columns(cols, len(cols)) == wedge_power(m, p)
+
+    def test_dense_columns(self):
+        assert linalg._dense_columns([((0, 1), (2, Fraction(1, 2))), (), ((1, -3),)], 3) == Matrix(
+            [[1, 0, 0], [0, 0, -3], [Fraction(1, 2), 0, 0]]
+        )
+        assert linalg._dense_columns([], 2) == Matrix([[], []], ncols=0)
+        assert linalg._dense_columns([(), ()], 0) == Matrix([], ncols=2)
+
     def test_fraction_entries_keep_their_types(self):
         # the expansion runs in int on a scaled matrix; each entry must come
         # back as the int or Fraction the minor is
@@ -715,8 +735,11 @@ class TestShapeChecks:
             (lambda: Matrix([[1, 2]]) * Matrix([[1, 2]]), "cannot multiply 1x2 by 1x2"),
             (lambda: Matrix([[1, 2]]).apply((1,)), "vector length mismatch"),
             (lambda: Matrix([[1, 2]]).apply_left((1, 2)), "vector length mismatch"),
-            (lambda: hstack(Matrix([[1]]), Matrix([[1], [2]])), "row count mismatch"),
-            (lambda: vstack(Matrix([[1]]), Matrix([[1, 2]])), "column count mismatch"),
+            (lambda: Matrix.from_cols([(1,), (2, 3)]), "ragged columns"),
+            (lambda: Matrix.from_cols([(1, 2), (3,)]), "ragged columns"),
+            (lambda: Matrix.from_cols([(1, 2), (3, 4, 5)], nrows=2), "ragged columns"),
+            (lambda: Matrix.from_cols([(1, 2)], nrows=5), "expected 5 rows, got 2"),
+            (lambda: Matrix.from_cols([(1, 2)], nrows=0), "expected 0 rows, got 2"),
             (lambda: solve(Matrix([[1, 2]]), (1, 2)), "right hand side length mismatch"),
             (lambda: lattice_coordinates(Matrix([[1, 2]]), (1,)), "vector length mismatch"),
         ],

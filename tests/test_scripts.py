@@ -45,8 +45,8 @@ def test_koszul_timings_json():
     done = run_script(
         "koszul_timings.py",
         "--betti", "filiform:5", "heisenberg:2",
-        "--action", "5",
-        "--torus", "filiform:5", "heisenberg:1",
+        "--action", "5", "8",
+        "--torus", "filiform:5", "heisenberg:1", "filiform:9", "heisenberg:4",
         "--json",
     )
     assert done.returncode == 0, done.stderr
@@ -55,8 +55,11 @@ def test_koszul_timings_json():
         ("betti", "filiform:5"),
         ("betti", "heisenberg:2"),
         ("action", "filiform:5"),
+        ("action", "filiform:8"),
         ("torus", "filiform:5"),
         ("torus", "heisenberg:1"),
+        ("torus", "filiform:9"),
+        ("torus", "heisenberg:4"),
     ]
     assert all(set(row) == {"kind", "algebra", "seconds", "sha256", "stages"} for row in rows[:2])
     assert all(set(row) == {"kind", "algebra", "seconds", "sha256"} for row in rows[2:])
@@ -70,6 +73,9 @@ def test_koszul_timings_json():
         "ea8ce69fd15765fb15ceefec2674658c46facf6700eb20d4b8fb671432cb5606",
         "2e1afa1a63bbf98fc0f3ba5e588a091d1b9946f679362c7fe0c7e354ae26f3df",
         "d57c44199c84b23a4edae234a59dcaed2b9ca98aae1336818dc16b9c8e33b058",
+        "c0a93fb7e9e0346791c773982ea0f662075593c455c3b5798976645bbf26e40e",
         "c48e73dd8fd4ae063e0d3f429794bc6dc8d2e55617ae383fdee30f2cea7b59d0",
         "b604a6bc89ce61c28ac9fbbcf80aa75da1790b6b5990ea5e5685c0a7973e22db",
+        "3a6a020ad6e4e38056cd1ec44c4261579cec9ee7e7f0137c5d4ea704ca4db965",
+        "86e82af6961cee14a7603bdab744d9e0b67d327ce7979cca92becf834665538f",
     ]
