@@ -284,7 +284,11 @@ def cmd_lie_cohomology(ns) -> Handler:
     kos = build_koszul(algebra)
     betti = kos.betti()
     euler = kos.euler_characteristic()
-    nil_class = algebra.nilpotency_class()
+    series = algebra.lower_central_series()
+    nil_class = len(series) - 1 if series[-1].nrows == 0 else None
+    # H^1 is the dual of g/[g, g], and [g, g] is the second term of the series
+    if algebra.dim and betti[1] != algebra.dim - series[1].nrows:
+        raise InternalError(f"b_1 = {betti[1]} but dim g - dim [g, g] = {algebra.dim - series[1].nrows}")
     # Poincare duality holds for a nilpotent (hence unimodular) algebra
     if nil_class is not None and betti != betti[::-1]:
         raise InternalError(

@@ -66,11 +66,6 @@ def dimension_cap() -> int:
     return cap
 
 
-def _row_space_basis(m: Matrix) -> Matrix:
-    reduced, pivots = rref(m)
-    return Matrix(reduced.entries[: len(pivots)], ncols=m.ncols)
-
-
 class LieAlgebra:
     """Structure constants c_{ij}^k on a fixed basis, with Jacobi checked.
 
@@ -111,6 +106,8 @@ class LieAlgebra:
         return hash((self.dim, tuple(self.bracket_table())))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise PreconditionError(f"basis index pair ({i}, {j}) out of range for dimension {self.dim}")
         if i == j:
             return (0,) * self.dim
         sign = 1
@@ -173,27 +170,30 @@ class LieAlgebra:
         return Matrix.from_cols(cols, nrows=self.dim)
 
     def lower_central_series(self) -> List[Matrix]:
-        """Bases of g = g^0 >= g^1 >= ..., where g^{i+1} = [g, g^i].
-
-        Stops after the first repeat: the final entry is either the zero
-        subspace (nilpotent case) or the stable nonzero term.
-        """
-        series = [Matrix.identity(self.dim)]
-        while True:
-            cur = series[-1]
-            if cur.nrows == 0:
-                break
+        """Bases of g = g^0 >= g^1 >= ..., where g^{i+1} = [g, g^i], in
+        reduced row echelon form.  One pass over the table per row x of g^i
+        gives [e_a, x] for every a: the pair (i, j) adds x_j times its terms
+        to [e_i, x] and -x_i times them to [e_j, x].  The nonzero products are
+        reduced once per term.  Stops after the first repeat: the last entry
+        is the zero subspace (nilpotent case) or the stable term."""
+        n = self.dim
+        series = [Matrix.identity(n)]
+        while series[-1].nrows:
             prods = []
-            for j in range(self.dim):
-                ej = tuple(1 if t == j else 0 for t in range(self.dim))
-                for row in cur.entries:
-                    prods.append(self.bracket(ej, row))
-            nxt = _row_space_basis(Matrix(prods, ncols=self.dim)) if prods else Matrix([], ncols=self.dim)
-            if nxt.nrows == cur.nrows:
-                series.append(nxt)
-                break
-            series.append(nxt)
-            if nxt.nrows == 0:
+            for x in series[-1].entries:
+                out = [[0] * n for _ in range(n)]
+                for (i, j), terms in self._table.items():
+                    xi, xj = x[i], x[j]
+                    if xj:
+                        for k, c in terms:
+                            out[i][k] += xj * c
+                    if xi:
+                        for k, c in terms:
+                            out[j][k] -= xi * c
+                prods.extend(row for row in out if any(row))
+            reduced, pivots = rref(Matrix(prods, ncols=n))
+            series.append(Matrix(reduced.entries[: len(pivots)], ncols=n))
+            if len(pivots) == series[-2].nrows:
                 break
         return series
 

@@ -264,7 +264,7 @@ class Matrix:
         return Matrix([[_quotient(x, d) for x in row[n:]] for row in rows], ncols=n)
 
     def rank(self) -> int:
-        return len(_eliminate(_integer_rows(self.entries)[0], self.ncols)[1])
+        return len(_eliminate(_integer_rows(self.entries)[0], self.ncols, forward=True)[1])
 
 
 def _identity_rows(n: int) -> list:
@@ -544,7 +544,7 @@ def _quotient(x: int, d: int) -> Scalar:
     return Fraction(x, d) if r else q
 
 
-def _eliminate(rows: list, ncols: int):
+def _eliminate(rows: list, ncols: int, forward: bool = False):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows,
     pivoting in the first ``ncols`` columns; ``rows`` is reduced in place.
 
@@ -556,10 +556,19 @@ def _eliminate(rows: list, ncols: int):
     divided by ``d`` are the reduced row echelon form, and ``sign * d`` is
     the determinant of the pivot rows and columns, ``sign`` being the
     parity of the row swaps.  Returns ``(rows, pivots, d, sign)``.
+
+    With ``forward`` only the forward pass runs (Bareiss 1968), which finds
+    the same pivots: a step updates the rows below the pivot from its
+    column on, as they are zero to its left.  A row with a zero in the
+    pivot column is not scaled by ``p / prev``.  Those factors multiply to
+    ``prev / since``, ``since`` being the pivot of the row's last update,
+    so its next update divides by ``since`` in place of ``prev``, and as a
+    pivot row it is first scaled by ``prev / since``.
     """
     nrows = len(rows)
     pivots = []
     prev = sign = 1
+    since = [1] * nrows
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -569,18 +578,29 @@ def _eliminate(rows: list, ncols: int):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            since[r], since[piv] = since[piv], since[r]
             sign = -sign
         prow = rows[r]
         p = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-            elif p != prev and any(row):
-                rows[i] = [p * x // prev for x in row]
+        if forward:
+            if since[r] != prev:
+                prow[c:] = [x * prev // since[r] for x in prow[c:]]
+                p = prow[c]
+            tail = prow[c:]
+            for i in range(r + 1, nrows):
+                row = rows[i]
+                f = row[c]
+                if f:
+                    row[c:] = [(p * x - f * y) // since[i] for x, y in zip(row[c:], tail)]
+                    since[i] = p
+        else:
+            for i in itertools.chain(range(r), range(r + 1, nrows)):
+                row = rows[i]
+                f = row[c]
+                if f:
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+                elif p != prev and any(row):
+                    rows[i] = [p * x // prev for x in row]
         pivots.append(c)
         prev = p
         r += 1

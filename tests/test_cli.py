@@ -12,7 +12,7 @@ from polyarith import __version__
 from polyarith.cli import main
 from polyarith.errors import InternalError
 from polyarith.jsonio import parse_group_document
-from polyarith.lie import KoszulComplex
+from polyarith.lie import KoszulComplex, LieAlgebra
 from polyarith.linalg import Matrix
 
 
@@ -29,6 +29,14 @@ def write_json(tmp_path, name, obj):
 
 
 HEISENBERG_DOC = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}]}
+SL2_DOC = {
+    "dim": 3,
+    "brackets": [
+        {"i": 1, "j": 2, "k": 2, "c": "2"},
+        {"i": 1, "j": 3, "k": 3, "c": "-2"},
+        {"i": 2, "j": 3, "k": 1, "c": "1"},
+    ],
+}
 TORUS_DOC = {
     "matrices": [
         {
@@ -368,21 +376,43 @@ class TestLieCohomology:
         assert "Poincare duality" in err
 
     def test_poincare_duality_not_asked_of_non_nilpotent(self, capsys, tmp_path, monkeypatch):
-        sl2_doc = {
-            "dim": 3,
-            "brackets": [
-                {"i": 1, "j": 2, "k": 2, "c": "2"},
-                {"i": 1, "j": 3, "k": 3, "c": "-2"},
-                {"i": 2, "j": 3, "k": 1, "c": "1"},
-            ],
-        }
-        path = write_json(tmp_path, "sl2.json", sl2_doc)
-        monkeypatch.setattr(KoszulComplex, "betti", lambda self: (1, 2, 1, 1))
+        path = write_json(tmp_path, "sl2.json", SL2_DOC)
+        # b_1 = 0 = dim g - dim [g, g] holds, so only duality could object
+        monkeypatch.setattr(KoszulComplex, "betti", lambda self: (1, 0, 1, 1))
         code, out, _ = run(capsys, "lie-cohomology", path)
         assert code == 0
         results = json.loads(out)["results"]
         assert results["nilpotency_class"] is None
-        assert results["betti"] == [1, 2, 1, 1]
+        assert results["betti"] == [1, 0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "doc, betti, message",
+        [
+            # heisenberg: [g, g] is the centre, so b_1 = 3 - 1; (1, 1, 1, 1) keeps duality
+            (HEISENBERG_DOC, (1, 1, 1, 1), "b_1 = 1 but dim g - dim [g, g] = 2"),
+            # sl2 is perfect, so b_1 = 0; the check does not wait for nilpotency
+            (SL2_DOC, (1, 1, 1, 1), "b_1 = 1 but dim g - dim [g, g] = 0"),
+        ],
+    )
+    def test_first_betti_certificate(self, capsys, tmp_path, monkeypatch, doc, betti, message):
+        path = write_json(tmp_path, "algebra.json", doc)
+        monkeypatch.setattr(KoszulComplex, "betti", lambda self: betti)
+        code, out, err = run(capsys, "lie-cohomology", path)
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_first_betti_certificate_reads_one_series(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, "heis.json", HEISENBERG_DOC)
+        calls = []
+        series = LieAlgebra.lower_central_series
+        monkeypatch.setattr(
+            LieAlgebra, "lower_central_series", lambda self: calls.append(1) or series(self)
+        )
+        code, out, _ = run(capsys, "lie-cohomology", path)
+        assert code == 0
+        assert json.loads(out)["results"]["nilpotency_class"] == 2
+        assert calls == [1]
 
 
 class TestKoszulInvariants:

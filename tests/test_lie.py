@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -128,6 +129,15 @@ class TestLieAlgebra:
         with pytest.raises(PreconditionError):
             LieAlgebra(3, {(2, 2): {0: 1}})
 
+    def test_bracket_basis_refuses_indices_out_of_range(self):
+        h = heisenberg()
+        for i, j in ((-1, 0), (7, 7), (0, 9), (3, 0), (0, 3)):
+            with pytest.raises(PreconditionError, match=rf"\({i}, {j}\) out of range"):
+                h.bracket_basis(i, j)
+        assert h.bracket_basis(2, 2) == (0, 0, 0)
+        with pytest.raises(PreconditionError):
+            abelian(0).bracket_basis(0, 0)
+
     def test_ad_matrix(self):
         h = heisenberg()
         ad = h.ad((1, 0, 0))
@@ -162,6 +172,116 @@ class TestLieAlgebra:
         u = strictly_upper(4)
         assert u.dim == 6
         assert u.nilpotency_class() == 3
+
+
+def reference_lower_central_series(algebra):
+    """The series as it was computed before the table pass: each term
+    brackets every basis vector with every row of the one before, then
+    keeps the nonzero rows of one rref of those products."""
+    n = algebra.dim
+    series = [Matrix.identity(n)]
+    while True:
+        cur = series[-1]
+        if cur.nrows == 0:
+            break
+        prods = []
+        for j in range(n):
+            ej = tuple(1 if t == j else 0 for t in range(n))
+            for row in cur.entries:
+                prods.append(algebra.bracket(ej, row))
+        reduced, pivots = rref(Matrix(prods, ncols=n))
+        nxt = Matrix(reduced.entries[: len(pivots)], ncols=n)
+        series.append(nxt)
+        if nxt.nrows == cur.nrows or nxt.nrows == 0:
+            break
+    return series
+
+
+def rational_relabelling(algebra, rng):
+    """The algebra on the basis f_a = P e_a, P a seeded permutation times a
+    unit upper triangular matrix times a diagonal of fractions, so its
+    structure constants P^{-1} [P e_a, P e_b] are Fractions."""
+    n = algebra.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    shear = [[1 if i == j else (rng.randint(-2, 2) if i < j else 0) for j in range(n)] for i in range(n)]
+    scale = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(n)]
+    p = (
+        Matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+        * Matrix(shear)
+        * Matrix.diagonal(scale)
+    )
+    inv = p.inverse()
+    brackets = {}
+    for a, b in itertools.combinations(range(n), 2):
+        image = inv.apply(algebra.bracket(p.col(a), p.col(b)))
+        if any(image):
+            brackets[(a, b)] = {k: c for k, c in enumerate(image) if c}
+    return LieAlgebra(n, brackets)
+
+
+@functools.lru_cache(maxsize=None)
+def series_test_algebras():
+    algebras = dict(nilpotent_catalog())
+    algebras.update(
+        {
+            "sl2": sl2(),
+            "strictly_upper_5": strictly_upper(5),
+            "free_two_step_8": free_two_step(4),
+        }
+    )
+    rng = random.Random(1201)
+    for name, algebra in list(algebras.items()):
+        algebras[f"{name}_relabelled"] = rational_relabelling(algebra, rng)
+    algebras.update(
+        {
+            "filiform_5_plus_heisenberg_3": direct_sum(filiform(5), heisenberg()),
+            "sl2_plus_heisenberg_3": direct_sum(sl2(), heisenberg()),
+            "free_two_step_6_plus_abelian_2": direct_sum(free_two_step(3), abelian(2)),
+            "abelian_0": abelian(0),
+        }
+    )
+    return algebras
+
+
+def typed_rows(m):
+    return [[(type(x), x) for x in row] for row in m.entries]
+
+
+class TestLowerCentralSeries:
+    @pytest.mark.parametrize("name", sorted(series_test_algebras()))
+    def test_matches_bracket_by_bracket_series(self, name):
+        algebra = series_test_algebras()[name]
+        got = algebra.lower_central_series()
+        want = reference_lower_central_series(algebra)
+        assert [(m.nrows, m.ncols) for m in got] == [(m.nrows, m.ncols) for m in want]
+        assert [typed_rows(m) for m in got] == [typed_rows(m) for m in want]
+
+    def test_relabellings_have_fraction_constants(self):
+        algebras = series_test_algebras()
+        relabelled = [a for name, a in algebras.items() if name.endswith("_relabelled")]
+        assert len(relabelled) == 15
+        assert all(
+            any(type(c) is Fraction for _, terms in a.bracket_table() for _, c in terms)
+            for a in relabelled
+            if a.bracket_table()
+        )
+        # and some of their series have Fraction entries
+        assert any(
+            type(x) is Fraction
+            for a in relabelled
+            for m in a.lower_central_series()
+            for row in m.entries
+            for x in row
+        )
+
+    def test_calls_no_bracket(self, monkeypatch):
+        algebras = series_test_algebras()
+        monkeypatch.setattr(LieAlgebra, "bracket", lambda *args: pytest.fail("bracket called"))
+        for algebra in algebras.values():
+            algebra.lower_central_series()
+        assert strictly_upper(5).nilpotency_class() == 4
+        assert not sl2().is_nilpotent()
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +426,21 @@ class TestSparseComplex:
     def test_block_rank_matches_dense_rank(self, name):
         kos = build_koszul(rank_test_algebras()[name])
         assert kos.ranks == tuple(d.rank() for d in kos.differentials)
+        # the pivot count of the Gauss-Jordan branch, which the rank no longer runs
+        assert kos.ranks == tuple(len(rref(d)[1]) for d in kos.differentials)
+
+    @pytest.mark.parametrize("name", sorted(rank_test_algebras()))
+    def test_every_block_rank_matches_gauss_jordan(self, name):
+        kos = build_koszul(rank_test_algebras()[name])
+        for p, cols in enumerate(kos.columns):
+            find = lie._components(cols, kos._target_dim(p))
+            blocks = {}
+            for col in cols:
+                if col:
+                    blocks.setdefault(find(col[0][0]), []).append(col)
+            for block in blocks.values():
+                m = lie._dense_block(block)
+                assert m.rank() == len(rref(m)[1])
 
     def test_ranks_computed_once(self, monkeypatch):
         kos = build_koszul(filiform(6))

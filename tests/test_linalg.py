@@ -717,6 +717,45 @@ class TestEliminationKernel:
             assert outcome(m.inverse) == outcome(lambda: fraction_inverse(rows))
             assert typed(min_poly(m)) == typed(fraction_min_poly(m))
 
+    def test_forward_rank_matches_gauss_jordan_pivots(self):
+        rng = random.Random(12)
+        cases = list(kernel_cases())
+        # zero rows and columns spliced into seeded int and Fraction matrices
+        for m in kernel_cases()[3:60]:
+            rows, width = [list(r) for r in m.entries], m.ncols
+            for _ in range(2):
+                rows.insert(rng.randint(0, len(rows)), [0] * width)
+                at = rng.randint(0, width)
+                rows, width = [r[:at] + [0] + r[at:] for r in rows], width + 1
+            cases.append(Matrix(rows, ncols=width))
+        cases.extend(Matrix([], ncols=k) for k in (1, 5))
+        # sparse ones, where most rows miss most pivot columns and wait
+        # several steps between updates
+        for n in (12, 20, 25):
+            for density in (0.1, 0.25):
+                rows = [
+                    [rng.choice((1, -2, 3, Fraction(1, 2))) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(n)
+                ]
+                cases.append(Matrix(rows, ncols=n))
+                cases.append(Matrix(rows[: n // 2], ncols=n) * Matrix(rows[n // 2 :], ncols=n).transpose())
+        for m in cases:
+            pivots = rref(m)[1]
+            assert m.rank() == len(pivots)
+            rows, forward, d, sign = linalg._eliminate(
+                linalg._integer_rows(m.entries)[0], m.ncols, forward=True
+            )
+            assert forward == list(pivots)
+            # echelon form: each pivot row is zero left of its pivot, and
+            # every later row is zero up to and including it
+            for i, p in enumerate(pivots):
+                assert all(x == 0 for x in rows[i][:p]) and rows[i][p] != 0
+                assert all(row[p] == 0 for row in rows[i + 1 :])
+            assert not any(x for row in rows[len(pivots) :] for x in row)
+            # the last pivot is still a minor: the determinant, up to the row scaling
+            if m.is_square() and len(pivots) == m.nrows:
+                assert sign * d == m.det() * linalg._integer_rows(m.entries)[1]
+
     def test_singular_inverse_message(self):
         for m in (Matrix([[1, 2], [2, 4]]), Matrix.zero(1, 1), Matrix([[Fraction(1, 2), 1], [1, 2]])):
             with pytest.raises(PreconditionError, match="^matrix is singular$"):

@@ -79,3 +79,75 @@ def test_koszul_timings_json():
         "3a6a020ad6e4e38056cd1ec44c4261579cec9ee7e7f0137c5d4ea704ca4db965",
         "86e82af6961cee14a7603bdab744d9e0b67d327ce7979cca92becf834665538f",
     ]
+
+
+def write_run(directory, workload, seed, values, trace=0, failed_share=0.0):
+    """A run file as perfbench/run.py writes it, with only the fields the
+    fold reads filled in."""
+    units = {"jobs_per_s": "jobs/s", "latency_p50_ms": "ms", "peak_rss_mb": "MB", "setup_s": "s"}
+    run = {
+        "metadata": {"workload": workload, "seed": seed, "seconds": 20, "trace": trace},
+        "metrics": {name: {"value": values[name], "unit": unit} for name, unit in units.items()},
+        "also": {"failed_share": {"value": failed_share, "unit": "ratio"}},
+    }
+    directory.mkdir(exist_ok=True)
+    (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(run))
+
+
+def run_values(jobs, latency, rss=24.0, setup=0.09):
+    return {"jobs_per_s": jobs, "latency_p50_ms": latency, "peak_rss_mb": rss, "setup_s": setup}
+
+
+def test_bench_fold(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # jobs/s: change wins seeds 1 and 2 and ties seed 3; latency: it wins 1, loses 2, ties 3
+    for seed, (pj, cj), (pl, cl) in (
+        (1, (100.0, 130.0), (2.0, 1.5)),
+        (2, (110.0, 120.0), (2.0, 2.5)),
+        (3, (90.0, 90.0), (3.0, 3.0)),
+    ):
+        write_run(parent, "koszul_betti", seed, run_values(pj, pl))
+        write_run(change, "koszul_betti", seed, run_values(cj, cl), failed_share=0.25 * (seed == 2))
+    write_run(parent, "pell_sweep", 7, run_values(300.0, 3.3, rss=23.0))
+    write_run(change, "pell_sweep", 7, run_values(299.0, 3.4, rss=22.0))
+    # a traced run has no partner and is skipped
+    write_run(change, "pell_sweep", 8, run_values(1.0, 1.0), trace=1)
+    out = tmp_path / "BENCH_1.json"
+    done = run_script(
+        "bench_fold.py", str(parent), str(change), "--out", str(out),
+        "--parent-commit", "abc", "--change-commit", "def",
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert (report["parent"], report["change"]) == ("abc", "def")
+    assert sorted(report["workloads"]) == ["koszul_betti", "pell_sweep"]
+    betti = report["workloads"]["koszul_betti"]
+    assert betti["seeds"] == [1, 2, 3]
+    assert betti["seconds"] == [20]
+    assert betti["max_failed_share"] == {"parent": 0.0, "change": 0.25}
+    jobs = betti["metrics"]["jobs_per_s"]
+    assert (jobs["unit"], jobs["better"], jobs["bound"]) == ("jobs/s", "higher", 0.2)
+    assert jobs["parent"] == {"median": 100.0, "q1": 95.0, "q3": 105.0}
+    assert jobs["change"] == {"median": 120.0, "q1": 105.0, "q3": 125.0}
+    assert (jobs["wins"], jobs["pairs"]) == (2, 3)
+    latency = betti["metrics"]["latency_p50_ms"]
+    assert latency["change"]["median"] == 2.5
+    assert (latency["wins"], latency["pairs"]) == (1, 3)
+    pell = report["workloads"]["pell_sweep"]["metrics"]
+    # one pair: the quartiles are the value itself; lower RSS is better
+    assert pell["peak_rss_mb"]["parent"] == {"median": 23.0, "q1": 23.0, "q3": 23.0}
+    assert pell["peak_rss_mb"]["wins"] == 1
+    assert pell["jobs_per_s"]["wins"] == 0
+    assert set(pell) == {"jobs_per_s", "latency_p50_ms", "peak_rss_mb", "setup_s"}
+
+
+def test_bench_fold_refuses_an_unpaired_run(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_run(parent, "lattice_h1", 1, run_values(270.0, 3.0))
+    write_run(parent, "lattice_h1", 2, run_values(271.0, 3.0))
+    write_run(change, "lattice_h1", 1, run_values(272.0, 3.0))
+    out = tmp_path / "BENCH_1.json"
+    done = run_script("bench_fold.py", str(parent), str(change), "--out", str(out))
+    assert done.returncode == 2
+    assert "runs without a partner: [('lattice_h1', 2)]" in done.stderr
+    assert not out.exists()
