@@ -23,7 +23,7 @@ import json
 import sys
 import traceback
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import __version__
 from .arithmeticity import classify, non_arithmeticity_report
@@ -56,7 +56,8 @@ from .presentations import DihedralEngine, FreeAbelianEngine
 from .quadratic import QuadOrder
 from .semidirect import build_gamma_epsilon
 
-Handler = Tuple[dict, Dict[str, dict], dict, List[str]]
+# the last item lists the --pretty lines; a (matrix, label) pair stands for its _matrix_lines
+Handler = Tuple[dict, Dict[str, dict], dict, List[Union[str, Tuple[Matrix, str]]]]
 
 
 def _matrix_lines(m: Matrix, label: str = "") -> List[str]:
@@ -121,7 +122,7 @@ def cmd_gamma_epsilon(ns) -> Handler:
     results = group_document_to_json(doc)
     pretty = [f"d = {ns.d}", f"epsilon = {ge.unit}", "generators: " + ", ".join(ge.group.presentation.generators)]
     for name, mat in zip(ge.group.presentation.generators, ge.group.action.matrices):
-        pretty.extend(_matrix_lines(mat, f"action of {name}:"))
+        pretty.append((mat, f"action of {name}:"))
     return results, {}, {"d": ns.d}, pretty
 
 
@@ -178,7 +179,7 @@ def cmd_der_action(ns) -> Handler:
         "determinant": det,
     }
     pretty = [f"element: {ns.element}", f"derivation lattice rank: {lattice.rank}"]
-    pretty.extend(_matrix_lines(matrix, "action on the derivation basis (rows are images):"))
+    pretty.append((matrix, "action on the derivation basis (rows are images):"))
     pretty.append(f"determinant: {det}")
     files = {"spec": _digest_entry(ns.spec, digest)}
     return results, files, {"element": ns.element}, pretty
@@ -194,7 +195,7 @@ def cmd_equivariant_units(ns) -> Handler:
     }
     pretty = [f"entry bound: {ns.bound}", f"units found: {len(units)}"]
     for t, u in enumerate(units, start=1):
-        pretty.extend(_matrix_lines(u, f"unit {t}:"))
+        pretty.append((u, f"unit {t}:"))
     files = {"spec": _digest_entry(ns.spec, digest)}
     return results, files, {"bound": ns.bound}, pretty
 
@@ -207,8 +208,7 @@ def cmd_jordan(ns) -> Handler:
         "semisimple_part": matrix_to_json(pair.semisimple),
         "unipotent_part": matrix_to_json(pair.unipotent),
     }
-    pretty = _matrix_lines(pair.semisimple, "semisimple part:")
-    pretty.extend(_matrix_lines(pair.unipotent, "unipotent part:"))
+    pretty = [(pair.semisimple, "semisimple part:"), (pair.unipotent, "unipotent part:")]
     files = {"matrix": _digest_entry(ns.matrix, digest)}
     return results, files, {}, pretty
 
@@ -224,9 +224,8 @@ def cmd_arith_check(ns) -> Handler:
         "unipotent_part": matrix_to_json(verdict.witness.unipotent),
         "note": verdict.interpretation(),
     }
-    pretty = _matrix_lines(matrix, "input:")
-    pretty.extend(_matrix_lines(verdict.witness.semisimple, "semisimple part:"))
-    pretty.extend(_matrix_lines(verdict.witness.unipotent, "unipotent part:"))
+    pretty = [(matrix, "input:"), (verdict.witness.semisimple, "semisimple part:")]
+    pretty.append((verdict.witness.unipotent, "unipotent part:"))
     if verdict.order is not None:
         pretty.append(f"order: {verdict.order}")
     pretty.append(f"note: {verdict.interpretation()}")
@@ -258,10 +257,8 @@ def cmd_teob(ns) -> Handler:
         f"derivation lattice rank: {report.derivation_rank}",
         f"coupling gcd(a+1, b*d) = {report.coupling} (resolved lower-block entry: {report.resolved_entry})",
     ]
-    pretty.extend(
-        _matrix_lines(report.inner_action, "conjugation by the translation generator on derivations:")
-    )
-    pretty.extend(_matrix_lines(report.unipotent_block, "unipotent block:"))
+    pretty.append((report.inner_action, "conjugation by the translation generator on derivations:"))
+    pretty.append((report.unipotent_block, "unipotent block:"))
     pretty.append(f"semisimple factor: {report.infinite_order_factor}")
     pretty.append(f"note: {verdict.interpretation()}")
     pretty.append(f"classification: {verdict.classification}")
@@ -320,7 +317,7 @@ def cmd_lie_cohomology(ns) -> Handler:
         action = [action_on_cohomology(phi, p, kos) for p in range(algebra.dim + 1)]
         results["cohomology_action"] = [matrix_to_json(m) for m in action]
         for p, m in enumerate(action):
-            pretty.extend(_matrix_lines(m, f"induced map on degree {p} cohomology:"))
+            pretty.append((m, f"induced map on degree {p} cohomology:"))
     if ns.invariants is not None:
         autos, idigest = _automorphisms_from_file(algebra, ns.invariants)
         files["invariants"] = _digest_entry(ns.invariants, idigest)
@@ -501,7 +498,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ns.timestamps:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     if ns.pretty:
-        print("\n".join(pretty))
+        parts = (_matrix_lines(*x) if isinstance(x, tuple) else [x] for x in pretty)
+        print("\n".join(line for part in parts for line in part))
     else:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     return 0

@@ -35,11 +35,12 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from .errors import InternalError, PreconditionError
 from .linalg import (
+    ExteriorExpansion,
     Matrix,
     SparseColumn,
     _dense_columns,
     _norm_row,
-    _wedge_columns,
+    _quotient,
     min_poly,
     nilpotent_exp,
     rational_kernel,
@@ -375,12 +376,12 @@ def check_square_zero(lower: SparseColumns, upper: SparseColumns, p: int) -> Non
             raise InternalError(f"differential does not square to zero at degree {p}")
 
 
-def check_chain_map(d: SparseColumns, w_here: SparseColumns, w_up: SparseColumns) -> None:
-    """Certify w_up * d == d * w_here column by column, over the nonzero
-    entries only; ``d`` is d^p, ``w_here`` and ``w_up`` are the form
-    actions in degrees p and p + 1."""
+def check_chain_map(d: SparseColumns, w_here: SparseColumns, w_up: SparseColumns, c=1) -> None:
+    """Certify w_up * d == c * d * w_here column by column, over the
+    nonzero entries only; ``d`` is d^p, ``w_here`` and ``w_up`` are c^p and
+    c^(p+1) times the form actions in degrees p and p + 1."""
     for d_col, here_col in zip(d, w_here):
-        if _combine(w_up, d_col) != _combine(d, here_col):
+        if _combine(w_up, d_col) != _combine(d, ((r, c * v) for r, v in here_col)):
             raise InternalError("form action does not commute with the differential")
 
 
@@ -492,6 +493,15 @@ class KoszulComplex:
         if p not in cache:
             cocycles, bound, classes = [], [], []
             for forms, lower in self._blocks(p):
+                if len(forms) == 1:
+                    # one form: a cocycle when d^p kills it, then a coboundary
+                    # when a column of d^{p-1} lands on it (as d o d = 0, only
+                    # on a cocycle), else a class
+                    j = forms[0]
+                    if not self.columns[p][j]:
+                        cocycles.append((j, ((j, 1),)))
+                        (bound if lower else classes).append((j, ((j, 1),)))
+                    continue
                 kernel = rational_kernel(_dense_block([self.columns[p][j] for j in forms])).entries
                 # a kernel row is keyed by its free column, where it ends in 1
                 zs = _sparse(kernel, forms)
@@ -616,8 +626,9 @@ class LieAutomorphism:
         return self.matrix.inverse().transpose()
 
     @cached_property
-    def _form_actions(self) -> Dict[int, SparseColumns]:
-        return {}
+    def exterior(self) -> ExteriorExpansion:
+        """Exterior powers of c times ``dual``: level p is c^p times the degree-p form action."""
+        return ExteriorExpansion(self.dual)
 
 
 def inner_automorphism(algebra: LieAlgebra, x: Sequence[Scalar]) -> LieAutomorphism:
@@ -627,14 +638,14 @@ def inner_automorphism(algebra: LieAlgebra, x: Sequence[Scalar]) -> LieAutomorph
 
 def form_action(phi: LieAutomorphism, p: int) -> SparseColumns:
     """Action on degree-p forms: the sparse columns of the p-th wedge power
-    of the inverse transpose (``_wedge_columns``).
+    of the inverse transpose, level p of ``phi.exterior`` divided by c^p.
+    Each level is expanded once per automorphism, only when asked for."""
+    return phi.exterior.columns(p)
 
-    Cached on ``phi``, so each degree is computed once per automorphism
-    and only when asked for."""
-    cache = phi._form_actions
-    if p not in cache:
-        cache[p] = _wedge_columns(phi.dual, p)
-    return cache[p]
+
+def _scaled_action(phi: LieAutomorphism, p: int) -> Tuple[SparseColumns, int]:
+    """c^p times the action on degree-p forms as integer sparse columns, and c^p."""
+    return phi.exterior.level(p), phi.exterior.scale ** p
 
 
 def _coordinates(
@@ -646,9 +657,10 @@ def _coordinates(
     its coordinate is the image's entry at f.  Rebuilding each image
     certifies the coordinates; a mismatch, an image outside the span,
     raises InternalError(what)."""
+    free = {row[-1][0]: i for i, row in enumerate(basis)}
     cols = []
     for im in images:
-        col = tuple((i, im[row[-1][0]]) for i, row in enumerate(basis) if row[-1][0] in im)
+        col = tuple(sorted((free[f], x) for f, x in im.items() if f in free))
         if _combine(basis, col) != im:
             raise InternalError(what)
         cols.append(col)
@@ -669,21 +681,29 @@ def action_on_cohomology(
         kos = build_koszul(phi.algebra)
     if kos.algebra != phi.algebra:
         raise PreconditionError("complex and automorphism algebras differ")
-    n = kos.algebra.dim
-    if not 0 <= p <= n:
+    if not 0 <= p <= kos.algebra.dim:
         raise PreconditionError("degree out of range")
-    w_here = form_action(phi, p)
-    if p < n:
-        check_chain_map(kos.columns[p], w_here, form_action(phi, p + 1))
+    cols, den = _class_map(phi, p, kos)
+    return _dense_columns([[(i, _quotient(x, den)) for i, x in col] for col in cols], len(cols))
+
+
+def _class_map(phi: LieAutomorphism, p: int, kos: KoszulComplex) -> Tuple[SparseColumns, int]:
+    """c^p times the induced map on degree-p cohomology, as sparse columns,
+    and c^p; the chain-map check and the coordinate rebuild run first."""
+    w_here, den = _scaled_action(phi, p)
+    if p < kos.algebra.dim:
+        check_chain_map(kos.columns[p], w_here, _scaled_action(phi, p + 1)[0], phi.exterior.scale)
     cocycles, _, reps, classes = kos.cohomology_basis(p)
     images = [_combine(w_here, row) for row in reps]
     what = "image of a cocycle left the cocycle space"
-    coords = [dict(col) for col in _coordinates(cocycles, images, what)]
-    # classes * coords, over the few nonzero entries of the class map
-    return Matrix(
-        [[sum(x * col.get(f, 0) for f, x in cls) for col in coords] for cls in classes],
-        ncols=len(coords),
-    )
+    # c^p times the coordinates: a kernel basis row ends in a 1, so they scale
+    coords = _coordinates(cocycles, images, what)
+    # classes * coords over the nonzero pairs, with the class map by cocycle
+    by_cocycle: List[List[Tuple[int, Scalar]]] = [[] for _ in cocycles]
+    for i, cls in enumerate(classes):
+        for f, x in cls:
+            by_cocycle[f].append((i, x))
+    return tuple(tuple(sorted(_combine(by_cocycle, col).items())) for col in coords), den
 
 
 @dataclass(frozen=True)
@@ -714,16 +734,15 @@ def semisimple_rigidity_check(
 # invariants under a set of semisimple automorphisms
 
 
-def _fixed_space(operators: Sequence[SparseColumns], dim: int) -> List[SparseColumn]:
-    """Sparse rows spanning the vectors of Q^dim fixed by every operator,
-    given by its sparse columns: the kernel of the rows of op - I over all
-    the operators.  When every column j of every operator is ((j, x),), as
-    a torus's are, that kernel is the unit rows e_f for each f where every
-    diagonal entry is 1, read off directly."""
-    if all(len(col) == 1 and col[0][0] == j for op in operators for j, col in enumerate(op)):
-        return [((f, 1),) for f in range(dim) if all(op[f][0][1] == 1 for op in operators)]
+def _fixed_space(operators: Sequence[Tuple[SparseColumns, int]], dim: int) -> List[SparseColumn]:
+    """Sparse rows spanning the vectors of Q^dim fixed by every operator, each
+    given as the sparse columns of s times it with the integer s > 0: the
+    kernel of the rows of op - s I over all the operators, or, when every
+    column j is ((j, x),), as a torus's are, the unit rows e_f where each x is s."""
+    if all(len(col) == 1 and col[0][0] == j for op, _ in operators for j, col in enumerate(op)):
+        return [((f, 1),) for f in range(dim) if all(op[f][0][1] == s for op, s in operators)]
     ident = Matrix.identity(dim)
-    stacked = [r for op in operators for r in (_dense_columns(op, dim) - ident).entries]
+    stacked = [r for op, s in operators for r in (_dense_columns(op, dim) - ident.scale(s)).entries]
     return _sparse(rational_kernel(Matrix(stacked, ncols=dim)).entries)
 
 
@@ -761,7 +780,7 @@ def invariant_subcomplex(
             raise PreconditionError("automorphisms must commute")
 
     bases = [
-        _fixed_space([form_action(phi, p) for phi in autos], kos.space_dim(p))
+        _fixed_space([_scaled_action(phi, p) for phi in autos], kos.space_dim(p))
         for p in range(n + 1)
     ]
     # d^p of each fixed form, in coordinates on the fixed forms of degree p + 1
@@ -777,11 +796,10 @@ def invariant_subcomplex(
     inv_betti = [
         len(bases[p]) - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(n + 1)
     ]
-    # each action on cohomology is a small dense matrix, read by its columns
-    fixed_dims = []
-    for p, h in enumerate(kos.betti()):
-        actions = [action_on_cohomology(phi, p, kos).entries for phi in autos]
-        fixed_dims.append(len(_fixed_space([_sparse(zip(*a)) for a in actions], h)))
+    fixed_dims = [
+        len(_fixed_space([_class_map(phi, p, kos) for phi in autos], h))
+        for p, h in enumerate(kos.betti())
+    ]
 
     if inv_betti != fixed_dims:
         raise InternalError(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -852,56 +851,66 @@ def _dense_columns(cols: Sequence[SparseColumn], nrows: int) -> Matrix:
     return Matrix(rows, ncols=len(cols))
 
 
-def _wedge_columns(m: Matrix, p: int) -> Tuple[SparseColumn, ...]:
-    """p-th exterior power as sparse columns: the nonzero p x p minors,
-    index sets in lexicographic order, so column J holds the image of the
-    wedge of the J-indexed basis vectors.
+class ExteriorExpansion:
+    """The exterior powers of a square matrix m in ``int``, level by level.
 
-    Computed by exterior expansion rather than by determinants: the
-    column for J = (j_1 < .. < j_p) is the column for (j_1, .., j_{p-1})
-    wedged with m e_{j_p}, and only nonzero entries are multiplied, so a
-    diagonal matrix costs O(C(n, p)).  The expansion runs in ``int`` on
-    c * m, c the lcm of the denominators of m, and each minor is divided
-    by c^p at the end.
+    ``scale`` is c, the lcm of the denominators of m.  ``level(k)`` is
+    Lambda^k(c m) as integer sparse columns, index sets in lexicographic
+    order, so column J is the image of the wedge of the J-indexed basis
+    vectors.  Level k is built once, on first use, from level k - 1 by
+    exterior expansion rather than by determinants: column J is column
+    J - j_k wedged with c m e_{j_k}, over the nonzero entries only, so a
+    diagonal matrix costs O(C(n, k)).  ``columns(k)`` is level k over c^k.
     """
-    if not m.is_square():
-        raise PreconditionError("wedge_power needs a square matrix")
-    n = m.nrows
-    if p < 0 or p > n:
-        raise PreconditionError("wedge power degree out of range")
-    scale = lcm(*(x.denominator for r in m.entries for x in r if type(x) is Fraction))
-    images = [[(i, int(x * scale)) for i, x in enumerate(col) if x] for col in zip(*m.entries)]
-    # forms[K] maps each index set I to the coefficient of e_I in the
-    # wedge of c m e_k over k in K; only prefixes of degree-p sets are kept
-    forms: dict = {(): {(): 1}}
-    for k in range(1, p + 1):
-        nxt = {}
-        for key in itertools.combinations(range(n - p + k), k):
-            form: dict = {}
-            prefix = forms[key[:-1]]
-            for i, x in images[key[-1]]:
-                for idx, c in prefix.items():
-                    if i in idx:
-                        continue
-                    # e_I ^ e_i = (-1)^(#{t in I : t > i}) e_{I + i}
-                    pos = bisect_left(idx, i)
-                    target = idx[:pos] + (i,) + idx[pos:]
-                    term = x * c if (k - 1 - pos) % 2 == 0 else -x * c
-                    form[target] = form.get(target, 0) + term
-            nxt[key] = {idx: c for idx, c in form.items() if c}
-        forms = nxt
-    subsets = list(itertools.combinations(range(n), p))
-    index = {key: r for r, key in enumerate(subsets)}
-    den = scale ** p
-    # index sets sort in the order of their rows
-    return tuple(
-        tuple((index[idx], _quotient(c, den)) for idx, c in sorted(forms[key].items()))
-        for key in subsets
-    )
+
+    def __init__(self, m: Matrix):
+        if not m.is_square():
+            raise PreconditionError("wedge_power needs a square matrix")
+        self.scale = lcm(*(x.denominator for r in m.entries for x in r if type(x) is Fraction))
+        cols = zip(*m.entries)
+        self._images = [[(i, int(x * self.scale)) for i, x in enumerate(col) if x] for col in cols]
+        self.levels = [(((0, 1),),)]
+
+    def level(self, k: int) -> Tuple[SparseColumn, ...]:
+        if not 0 <= k <= len(self._images):
+            raise PreconditionError("wedge power degree out of range")
+        while len(self.levels) <= k:
+            self._extend()
+        return self.levels[k]
+
+    def _extend(self) -> None:
+        """Build the level above the last one built."""
+        n, below = len(self._images), self.levels[-1]
+        # the sets I of the level below as bitmasks, in order; I + (j) over
+        # them, then over j past the last index of I, runs through the next
+        subsets = itertools.combinations(range(n), len(self.levels) - 1)
+        masks = [sum(1 << i for i in key) for key in subsets]
+        keys = [(r, j) for r, mask in enumerate(masks) for j in range(mask.bit_length(), n)]
+        row_of = {masks[r] | 1 << j: t for t, (r, j) in enumerate(keys)}
+        cols = []
+        for r, j in keys:
+            col: dict = {}
+            for i, x in self._images[j]:
+                bit = 1 << i
+                for s, c in below[r]:
+                    mask = masks[s]
+                    if not mask & bit:
+                        # e_I ^ e_i = (-1)^(#{t in I : t > i}) e_{I + i}
+                        t = row_of[mask | bit]
+                        col[t] = col.get(t, 0) + (-x * c if (mask >> i).bit_count() & 1 else x * c)
+            cols.append(tuple(sorted((t, v) for t, v in col.items() if v)))
+        self.levels.append(tuple(cols))
+
+    def columns(self, k: int) -> Tuple[SparseColumn, ...]:
+        """Level k over c^k, the sparse columns of Lambda^k m; level k when c = 1."""
+        cols, den = self.level(k), self.scale ** k
+        if den == 1:
+            return cols
+        return tuple(tuple((r, _quotient(v, den)) for r, v in col) for col in cols)
 
 
 def wedge_power(m: Matrix, p: int) -> Matrix:
     """p-th exterior power as a dense matrix: the p x p minors, index sets
-    in lexicographic order (``_wedge_columns``)."""
-    cols = _wedge_columns(m, p)
+    in lexicographic order (``ExteriorExpansion``)."""
+    cols = ExteriorExpansion(m).columns(p)
     return _dense_columns(cols, len(cols))

@@ -722,16 +722,28 @@ class TestCachedActionPath:
 
     def test_bases_and_form_actions_computed_once(self, monkeypatch):
         algebra = nilpotent_catalog()["filiform_5"]
-        # one kernel per block, one reduction per block holding a coboundary
-        # (the coboundary rows) and one per block holding a cocycle (the
-        # classes)
+        degrees = list(range(algebra.dim + 1))
+        # one kernel per block of two or more forms, one reduction per such
+        # block holding a coboundary (the coboundary rows) and one per such
+        # block holding a cocycle (the classes); a block of one form is read off
         ref = build_koszul(algebra)
-        kernels = sum(len(ref._blocks(p)) for p in range(algebra.dim + 1))
+        wide = [{b for b, (forms, _) in enumerate(ref._blocks(p)) if len(forms) > 1} for p in degrees]
+        kernels = sum(map(len, wide))
         reductions = sum(
-            len(row_blocks(ref, p, ref.coboundaries(p))) + len(row_blocks(ref, p, ref.cocycles(p)))
-            for p in range(algebra.dim + 1)
+            len(row_blocks(ref, p, ref.coboundaries(p)) & wide[p])
+            + len(row_blocks(ref, p, ref.cocycles(p)) & wide[p])
+            for p in degrees
         )
-        calls = {"rational_kernel": [], "_wedge_columns": [], "rref": []}
+        assert 0 < kernels < sum(len(ref._blocks(p)) for p in degrees)
+        calls = {"rational_kernel": [], "rref": []}
+        built = []
+        extend = linalg.ExteriorExpansion._extend
+
+        def counting_levels(ext):
+            built.append((ext, len(ext.levels)))
+            extend(ext)
+
+        monkeypatch.setattr(linalg.ExteriorExpansion, "_extend", counting_levels)
 
         def counting(name, fn):
             def wrapper(*args):
@@ -745,7 +757,6 @@ class TestCachedActionPath:
         kos = build_koszul(algebra)
         rng = random.Random(3)
         autos = [graded_filiform_auto(algebra, rng) for _ in range(2)]
-        degrees = list(range(algebra.dim + 1))
         for phi in autos:
             for p in degrees:
                 action_on_cohomology(phi, p, kos)
@@ -754,10 +765,13 @@ class TestCachedActionPath:
         # each degree's blocks reduced once, not once per automorphism
         assert len(calls["rational_kernel"]) == kernels
         assert len(calls["rref"]) == reductions
-        computed = [(m.entries, p) for m, p in calls["_wedge_columns"]]
-        assert sorted(computed) == sorted(
-            (phi.dual.entries, p) for phi in autos for p in degrees
+        # each level of each automorphism's expansion built once, from its dual
+        assert sorted((id(ext), k) for ext, k in built) == sorted(
+            (id(phi.exterior), k) for phi in autos for k in degrees[1:]
         )
+        for phi in autos:
+            fresh = linalg.ExteriorExpansion(phi.dual)
+            assert phi.exterior.levels == [fresh.level(k) for k in degrees]
         # the dense views read the cache and reduce nothing more
         for p in degrees:
             kos.cocycles(p), kos.coboundaries(p), kos.representatives(p)
@@ -765,17 +779,26 @@ class TestCachedActionPath:
         assert len(calls["rref"]) == reductions
 
     def test_form_actions_computed_only_when_asked(self, monkeypatch):
-        degrees = []
+        built = []
+        extend = linalg.ExteriorExpansion._extend
 
-        def counting(m, p):
-            degrees.append(p)
-            return linalg._wedge_columns(m, p)
+        def counting(ext):
+            built.append(len(ext.levels))
+            extend(ext)
 
-        monkeypatch.setattr(lie, "_wedge_columns", counting)
+        monkeypatch.setattr(linalg.ExteriorExpansion, "_extend", counting)
         h = nilpotent_catalog()["heisenberg_5"]
-        phi = graded_heisenberg_auto(h, random.Random(1))
-        action_on_cohomology(phi, 2, build_koszul(h))
-        assert sorted(degrees) == [2, 3]
+        kos = build_koszul(h)
+        for phi in (graded_heisenberg_auto(h, random.Random(1)), inner_automorphism(h, (1, 0, 2, 0, 0))):
+            built.clear()
+            # degrees 2 and 3 are read: levels 1 to 3 are built, none above
+            action_on_cohomology(phi, 2, kos)
+            assert built == [1, 2, 3]
+            assert len(phi.exterior.levels) == 4
+            # the degrees below reuse them
+            action_on_cohomology(phi, 1, kos)
+            form_action(phi, 3)
+            assert built == [1, 2, 3]
 
 
 def sparse(vector):
@@ -798,9 +821,13 @@ class TestKernelCoordinates:
                 for _ in range(rng.randint(0, 3))
             ]
             images = [basis.apply_left(c) for c in coeffs]
-            coords = lie._coordinates(sparse_rows(basis), [sparse(v) for v in images], "what")
+            # each image lists its entries with the columns decreasing
+            reversed_images = [dict(reversed(sparse(v).items())) for v in images]
+            coords = lie._coordinates(sparse_rows(basis), reversed_images, "what")
             assert len(coords) == len(images)
             assert all(x for col in coords for _, x in col)
+            # sparse columns: rows increasing
+            assert all([i for i, _ in col] == sorted(i for i, _ in col) for col in coords)
             dense_coords = _dense_columns(coords, basis.nrows)
             for j, v in enumerate(images):
                 assert dense_coords.col(j) == solve(basis.transpose(), v)
@@ -862,59 +889,75 @@ class TestKernelCoordinates:
             assert got == expected, name
 
 
+def certificate_cases():
+    """(complex, automorphism) pairs whose duals have c = 1 and c > 1, c the
+    lcm of the denominators: the integer columns are c^p times the action."""
+    h, f = heisenberg(), nilpotent_catalog()["filiform_5"]
+    kos_h, kos_f = build_koszul(h), build_koszul(f)
+    cases = [
+        (kos_h, inner_automorphism(h, (1, 0, 0))),
+        (kos_h, diagonal_automorphism(h, (2, Fraction(1, 2), 1))),
+        (kos_f, inner_automorphism(f, (1, 0, 0, 0, 1))),
+    ]
+    assert [phi.exterior.scale for _, phi in cases] == [1, 2, 6]
+    return cases
+
+
 class TestActionCertificates:
     def test_chain_map_check_fires_on_perturbed_form_action(self, monkeypatch):
-        h = heisenberg()
-        kos = build_koszul(h)
-        phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
-        original = lie.form_action
+        original = lie._scaled_action
 
         def doubled(psi, p):
-            cols = original(psi, p)
-            return tuple(tuple((r, 2 * v) for r, v in col) for col in cols) if p == 2 else cols
+            cols, den = original(psi, p)
+            return (tuple(tuple((r, 2 * v) for r, v in col) for col in cols) if p == 2 else cols), den
 
-        monkeypatch.setattr(lie, "form_action", doubled)
-        with pytest.raises(
-            InternalError, match="^form action does not commute with the differential$"
-        ):
-            action_on_cohomology(phi, 1, kos)
+        monkeypatch.setattr(lie, "_scaled_action", doubled)
+        for kos, phi in certificate_cases():
+            with pytest.raises(
+                InternalError, match="^form action does not commute with the differential$"
+            ):
+                action_on_cohomology(phi, 1, kos)
 
     def test_chain_map_check_sees_one_wrong_entry(self):
         # a torus acts by diagonal columns, an inner automorphism by
-        # triangular ones with the 1/k! of exp(ad x)
+        # triangular ones with the 1/k! of exp(ad x), scaled to integers
         kos = build_koszul(nilpotent_catalog()["filiform_5"])
         torus = graded_filiform_auto(kos.algebra, random.Random(9))
-        inner = inner_automorphism(kos.algebra, (1, 0, 0, 0, 1))
         message = "^form action does not commute with the differential$"
-        for phi in (torus, inner):
+        for kos, phi in certificate_cases() + [(kos, torus)]:
+            c = phi.exterior.scale
             for p in range(kos.algebra.dim):
-                w_here = form_action(phi, p)
-                w_up = form_action(phi, p + 1)
-                lie.check_chain_map(kos.columns[p], w_here, w_up)
+                lie.check_chain_map(kos.columns[p], form_action(phi, p), form_action(phi, p + 1))
+                (w_here, den), (w_up, _) = lie._scaled_action(phi, p), lie._scaled_action(phi, p + 1)
+                assert den == c**p
+                lie.check_chain_map(kos.columns[p], w_here, w_up, c)
+                if c > 1 and any(kos.columns[p]):
+                    # the integer sides differ by c
+                    with pytest.raises(InternalError, match=message):
+                        lie.check_chain_map(kos.columns[p], w_here, w_up)
                 for col in kos.columns[p]:
                     if col:
                         bumped = dense(w_up).to_lists()
                         bumped[col[0][0]][col[0][0]] += 1
                         with pytest.raises(InternalError, match=message):
-                            lie.check_chain_map(kos.columns[p], w_here, lie._sparse(zip(*bumped)))
+                            lie.check_chain_map(kos.columns[p], w_here, lie._sparse(zip(*bumped)), c)
 
     def test_image_outside_cocycles_is_refused(self, monkeypatch):
-        h = heisenberg()
-        kos = build_koszul(h)
-        phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
-        original = lie.form_action
+        original = lie._scaled_action
 
         def leaky(psi, p):
-            # send xi^0 to xi^0 + xi^2, which is not closed
-            w = dense(original(psi, p)).to_lists()
+            # send xi^0 to its image plus xi^2, which is not closed
+            cols, den = original(psi, p)
+            w = dense(cols).to_lists()
             if p == 1:
-                w[2][0] += 1
-            return lie._sparse(zip(*w))
+                w[2][0] += den
+            return lie._sparse(zip(*w)), den
 
-        monkeypatch.setattr(lie, "form_action", leaky)
+        monkeypatch.setattr(lie, "_scaled_action", leaky)
         monkeypatch.setattr(lie, "check_chain_map", lambda *args: None)
-        with pytest.raises(InternalError, match="^image of a cocycle left the cocycle space$"):
-            action_on_cohomology(phi, 1, kos)
+        for kos, phi in certificate_cases():
+            with pytest.raises(InternalError, match="^image of a cocycle left the cocycle space$"):
+                action_on_cohomology(phi, 1, kos)
 
 
 class TestRigidity:
@@ -1155,13 +1198,31 @@ class TestInvariantKernels:
         def skewed(operators, dim):
             # in degree 2 offer xi^0 ^ xi^2, which phi scales by 1/2, in
             # place of the fixed xi^0 ^ xi^1 that d xi^2 lands on
-            if operators and operators[0] == form_action(phi, 2):
+            if operators and operators[0] == lie._scaled_action(phi, 2):
                 return [((1, 1),)]
             return original(operators, dim)
 
         monkeypatch.setattr(lie, "_fixed_space", skewed)
         with pytest.raises(
             InternalError, match="^differential left the invariant subcomplex$"
+        ):
+            invariant_subcomplex(kos, [phi])
+
+    def test_fixed_classes_disagreeing_with_the_subcomplex_are_refused(self, monkeypatch):
+        h = heisenberg()
+        kos = build_koszul(h)
+        phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
+        original = lie._class_map
+
+        def fixing(psi, p, kos):
+            # claim that phi fixes both classes of degree 1, which it scales
+            # by 1/2 and 2
+            cols, den = original(psi, p, kos)
+            return (((0, den),), ((1, den),)) if p == 1 else cols, den
+
+        monkeypatch.setattr(lie, "_class_map", fixing)
+        with pytest.raises(
+            InternalError, match="^invariant subcomplex cohomology disagrees with cohomology invariants$"
         ):
             invariant_subcomplex(kos, [phi])
 
@@ -1229,6 +1290,8 @@ def oracle_algebras():
     algebras = dict(catalog)
     algebras["filiform_8"] = filiform(8)
     algebras["free_two_step_10"] = free_two_step(4)
+    algebras["upper_triangular_5"] = strictly_upper(5)
+    algebras["sl2"] = sl2()
     names = sorted(catalog)
     for t in range(6):
         name = rng.choice(names)
@@ -1280,6 +1343,37 @@ class TestBlockBases:
                     for _, x in row
                 )
         assert fractions > 0
+
+    def test_one_form_blocks_run_no_elimination(self, monkeypatch):
+        # every block of these complexes holds one form, and each kind shows:
+        # a class (closed, nothing lands), a coboundary and a form not closed
+        catalog = nilpotent_catalog()
+        algebras = [catalog[name] for name in ("heisenberg_3", "filiform_4", "heisenberg_plus_line")]
+        algebras.append(sl2())
+        expected = []
+        for algebra in algebras:
+            kos = build_koszul(algebra)
+            kinds = set()
+            for p in range(algebra.dim + 1):
+                for forms, lower in kos._blocks(p):
+                    assert len(forms) == 1
+                    kinds.add("bound" if lower else "class" if not kos.columns[p][forms[0]] else "open")
+            assert kinds == {"bound", "class", "open"}
+            expected.append([
+                [typed(m) for m in dense_cohomology_basis(kos, p) + (dense_coboundaries(kos, p),)]
+                for p in range(algebra.dim + 1)
+            ])
+        for fn in ("rref", "rational_kernel"):
+            monkeypatch.setattr(lie, fn, lambda *args: pytest.fail("elimination on one form"))
+        for algebra, want in zip(algebras, expected):
+            kos = build_koszul(algebra)
+            got = []
+            for p in range(algebra.dim + 1):
+                cocycles, bound, reps, classes = kos.cohomology_basis(p)
+                dim = kos.space_dim(p)
+                rows = (reps, dim), (cocycles, dim), (classes, len(cocycles)), (bound, dim)
+                got.append([typed(dense_rows(*r)) for r in rows])
+            assert got == want
 
     def test_blocks_partition_the_forms(self):
         for name, algebra in nilpotent_catalog().items():
@@ -1334,7 +1428,7 @@ def stacked_kernel(operators, dim):
 
 def fixed_space(operators, dim):
     """``lie._fixed_space`` of dense operators, as a dense matrix."""
-    return dense_rows(lie._fixed_space([sparse_rows(op.transpose()) for op in operators], dim), dim)
+    return dense_rows(lie._fixed_space([(sparse_rows(op.transpose()), 1) for op in operators], dim), dim)
 
 
 class TestTorusShortcut:
@@ -1352,11 +1446,31 @@ class TestTorusShortcut:
     def test_entries_one_in_some_operators_only(self):
         a = Matrix.diagonal([1, 2, 1, Fraction(1, 2)])
         b = Matrix.diagonal([1, 1, Fraction(5, 3), Fraction(1, 2)])
-        assert lie._fixed_space([sparse_rows(a), sparse_rows(b)], 4) == [((0, 1),)]
+        assert lie._fixed_space([(sparse_rows(a), 1), (sparse_rows(b), 1)], 4) == [((0, 1),)]
         assert fixed_space([a, b], 4) == Matrix([[1, 0, 0, 0]])
         assert typed(fixed_space([a, b], 4)) == typed(stacked_kernel([a, b], 4))
         assert fixed_space([a], 4) == Matrix([[1, 0, 0, 0], [0, 0, 1, 0]])
         assert typed(fixed_space([], 3)) == typed(stacked_kernel([], 3))
+
+    def test_scaled_operators_fix_what_the_operators_fix(self):
+        # s op, given with s, on the torus path and on the stacked one
+        rng = random.Random(89)
+        for _ in range(40):
+            dim = rng.randint(0, 5)
+            operators = []
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.5:
+                    operators.append(Matrix.diagonal([rng.choice((1, 2, Fraction(1, 3))) for _ in range(dim)]))
+                else:
+                    shear = [[int(i == j) + (rng.randint(-1, 1) if i < j else 0) for j in range(dim)]
+                             for i in range(dim)]
+                    operators.append(Matrix(shear, ncols=dim))
+            scaled = []
+            for op in operators:
+                s = rng.choice((1, 2, 6))
+                scaled.append((sparse_rows(op.scale(s).transpose()), s))
+            got = dense_rows(lie._fixed_space(scaled, dim), dim)
+            assert typed(got) == typed(stacked_kernel(operators, dim)), operators
 
     def test_diagonal_operators_run_no_elimination(self, monkeypatch):
         calls = []
@@ -1398,15 +1512,17 @@ class TestTorusShortcut:
         original = lie._dense_columns
 
         def guarded(cols, nrows):
-            if any(cols is w for w in fresh._form_actions.values()):
+            if any(cols is w for w in fresh.exterior.levels):
                 pytest.fail("dense form action")
             return original(cols, nrows)
 
         monkeypatch.setattr(lie, "_dense_columns", guarded)
         monkeypatch.setattr(linalg, "_dense_columns", guarded)
         monkeypatch.setattr(linalg, "wedge_power", lambda *args: pytest.fail("dense wedge power"))
+        # the fixed classes are read off the sparse class map, not a dense action
+        monkeypatch.setattr(lie, "action_on_cohomology", lambda *args: pytest.fail("dense action"))
         assert invariant_subcomplex(kos, [fresh]) == expected
-        assert sorted(fresh._form_actions) == list(range(algebra.dim + 1))
+        assert len(fresh.exterior.levels) == algebra.dim + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -446,19 +447,27 @@ class TestWedgePower:
                 assert wedge_power(m, p) == Matrix(wedge_minors(rows, p))
 
     def test_sparse_columns_match_minors(self):
-        # seeded int and Fraction matrices, p from 0 to n: each column lists
-        # the nonzero minors, rows increasing, with the types the minors have
+        # seeded int and Fraction matrices, diagonal ones included, k from 0
+        # to n: level k lists c^k times the nonzero minors as ints, rows
+        # increasing, and columns(k) the minors with the types they have
         rng = random.Random(47)
         mats = [random_rational_matrix(rng, n, denom=3) for n in range(0, 6)]
         mats += [Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], ncols=n)
                  for n in range(1, 6)]
         mats.append(Matrix.diagonal([Fraction(1, 2), -2, 1, Fraction(3, 5)]))
+        mats.append(Matrix.diagonal([3, -1, 0, 2, 5]))
         for m in mats:
-            for p in range(m.nrows + 1):
-                want = wedge_minors(m.to_lists(), p)
-                cols = linalg._wedge_columns(m, p)
-                assert len(cols) == len(want)
-                for j, col in enumerate(cols):
+            ext = linalg.ExteriorExpansion(m)
+            c = ext.scale
+            assert c == math.lcm(*(Fraction(x).denominator for row in m.entries for x in row))
+            for k in range(m.nrows + 1):
+                want = wedge_minors(m.to_lists(), k)
+                level, cols = ext.level(k), ext.columns(k)
+                assert len(level) == len(cols) == len(want)
+                for j, (scaled, col) in enumerate(zip(level, cols)):
+                    assert [(r, type(x), x) for r, x in scaled] == [
+                        (r, int, row[j] * c**k) for r, row in enumerate(want) if row[j]
+                    ]
                     # an integral minor comes back as an int
                     expected = [
                         (r, int if Fraction(row[j]).denominator == 1 else Fraction, row[j])
@@ -466,7 +475,37 @@ class TestWedgePower:
                         if row[j]
                     ]
                     assert [(r, type(x), x) for r, x in col] == expected
-                assert linalg._dense_columns(cols, len(cols)) == wedge_power(m, p)
+                assert linalg._dense_columns(cols, len(cols)) == wedge_power(m, k)
+                # each level is built once, from the one below, and none above k
+                assert len(ext.levels) == k + 1
+            assert ext.columns(0) is ext.level(0)
+            if c == 1:
+                assert all(ext.columns(k) is ext.level(k) for k in range(m.nrows + 1))
+
+    def test_expansion_builds_each_level_once_and_only_when_asked(self, monkeypatch):
+        built = []
+        original = linalg.ExteriorExpansion._extend
+
+        def counting(self):
+            built.append(len(self.levels))
+            original(self)
+
+        monkeypatch.setattr(linalg.ExteriorExpansion, "_extend", counting)
+        ext = linalg.ExteriorExpansion(Matrix.diagonal([2, Fraction(1, 3), 5, 7]))
+        assert ext.scale == 3 and ext.level(0) == (((0, 1),),) and built == []
+        # c m = diag(6, 1, 15, 21): one product per pair
+        assert ext.level(2) == (((0, 6),), ((1, 90),), ((2, 126),), ((3, 15),), ((4, 21),), ((5, 315),))
+        assert built == [1, 2]
+        ext.level(1), ext.columns(2), ext.level(2)
+        assert built == [1, 2]
+        ext.level(4)
+        assert built == [1, 2, 3, 4]
+        with pytest.raises(PreconditionError, match="^wedge power degree out of range$"):
+            ext.level(5)
+        with pytest.raises(PreconditionError, match="^wedge power degree out of range$"):
+            ext.columns(-1)
+        with pytest.raises(PreconditionError, match="^wedge_power needs a square matrix$"):
+            linalg.ExteriorExpansion(Matrix([[1, 2]]))
 
     def test_dense_columns(self):
         assert linalg._dense_columns([((0, 1), (2, Fraction(1, 2))), (), ((1, -3),)], 3) == Matrix(
