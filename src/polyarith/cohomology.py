@@ -3,13 +3,12 @@
 A derivation for an action of a group D on F = Z^n is a map with
 d(h1 h2) = d(h1) + h1 . d(h2).  It is determined by its values on the
 generators; an assignment of generator values extends to the group
-exactly when the expansion of every relator evaluates to zero.  The
-expansion of a word is
+exactly when every relator evaluates to zero.  On a word w,
 
-    d(x1 ... xm) = sum_i (x1 ... x_{i-1}) . delta(x_i)
+    d(w) = F_w . d.flatten(),
 
-with delta(g) = d(g) on a positive letter and delta(g^-1) = -g^-1 . d(g)
-on a negative one.
+where column block j of the integer matrix F_w is the Fox derivative
+dw/dx_j (Fox 1953) evaluated through the action.
 
 The lattice of derivations plays the role of the cocycle group Z^1, the
 shifts f |-> (g . f - f) of module vectors are the principal
@@ -61,40 +60,37 @@ class Derivation:
         return Derivation(tuple(tuple(-x for x in v) for v in self.values))
 
 
-def word_value(action: ModuleAction, deriv: Derivation, w: Word) -> Vector:
-    """Value of the derivation on an arbitrary word, by the product rule."""
-    prefix = Matrix.identity(action.rank)
-    acc = [0] * action.rank
+def _fox_matrix(action: ModuleAction, w: Word) -> Matrix:
+    """F_w, in one pass over the letters: at a letter x_i = x_j block j
+    gains the prefix x1 ... x_{i-1}, at x_i = x_j^-1 it loses x1 ... x_i."""
+    n = action.rank
+    rows = [[0] * (n * len(action.matrices)) for _ in range(n)]
+    prefix = Matrix.identity(n)
     for idx, exp in w:
+        if exp == -1:
+            prefix = prefix * action.letter_matrix(idx, -1)
+        block = slice(idx * n, idx * n + n)
+        for row, p in zip(rows, prefix.entries):
+            row[block] = [a + exp * b for a, b in zip(row[block], p)]
         if exp == 1:
-            img = prefix.apply(deriv.values[idx])
-            prefix = prefix * action.matrices[idx]
-        else:
-            prefix = prefix * action.matrices[idx].inverse()
-            img = tuple(-x for x in prefix.apply(deriv.values[idx]))
-        acc = [a + b for a, b in zip(acc, img)]
-    return tuple(acc)
+            prefix = prefix * action.letter_matrix(idx, 1)
+    return Matrix(rows, ncols=n * len(action.matrices))
+
+
+def _flat_values(action: ModuleAction, deriv: Derivation) -> Vector:
+    """The generator values in a row, refused unless they fit the action."""
+    if [len(v) for v in deriv.values] != [action.rank] * len(action.matrices):
+        raise PreconditionError(f"derivation needs one value of length {action.rank} per generator")
+    return deriv.flatten()
+
+
+def word_value(action: ModuleAction, deriv: Derivation, w: Word) -> Vector:
+    """Value of the derivation on an arbitrary word."""
+    return _fox_matrix(action, w).apply(_flat_values(action, deriv))
 
 
 def is_derivation(pres: Presentation, action: ModuleAction, deriv: Derivation) -> bool:
-    return all(
-        all(x == 0 for x in word_value(action, deriv, w)) for w in pres.relators
-    )
-
-
-def _relator_blocks(action: ModuleAction, w: Word, ngens: int) -> List[Matrix]:
-    """Coefficient matrices: relator value = sum_j blocks[j] * d_j."""
-    n = action.rank
-    blocks = [Matrix.zero(n, n) for _ in range(ngens)]
-    prefix = Matrix.identity(n)
-    for idx, exp in w:
-        if exp == 1:
-            blocks[idx] = blocks[idx] + prefix
-            prefix = prefix * action.matrices[idx]
-        else:
-            prefix = prefix * action.matrices[idx].inverse()
-            blocks[idx] = blocks[idx] - prefix
-    return blocks
+    return not any(any(word_value(action, deriv, w)) for w in pres.relators)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class DerivationLattice:
 def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLattice:
     """Saturated lattice of all derivations, as a Hermite basis.
 
-    The constraint matrix stacks one block row per relator; the kernel
+    The constraint matrix stacks the Fox matrices of the relators; the kernel
     over Z is saturated, so every integer derivation is an integer
     combination of the returned basis.
     """
@@ -145,15 +141,12 @@ def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLatt
     n = action.rank
     if ngens == 0:
         return DerivationLattice(pres, action, ())
-    rows: List[List[int]] = []
+    rows: List[Vector] = []
     for w in pres.relators:
-        blocks = _relator_blocks(action, w, ngens)
-        if any(not b.is_integral() for b in blocks):
+        fox = _fox_matrix(action, w)
+        if not fox.is_integral():
             raise InternalError("relator coefficients must be integral")
-        for i in range(n):
-            rows.append(
-                list(itertools.chain.from_iterable(b.entries[i] for b in blocks))
-            )
+        rows.extend(fox.entries)
     constraint = Matrix(rows, ncols=n * ngens)
     kernel = kernel_lattice(constraint) if rows else Matrix.identity(n * ngens)
     basis = tuple(Derivation.unflatten(r, n) for r in kernel.entries)
@@ -173,12 +166,8 @@ def principal_derivation(action: ModuleAction, f: Sequence[int]) -> Derivation:
 def principal_derivations(action: ModuleAction) -> Matrix:
     """Hermite basis (rows, flattened) of the principal sublattice."""
     n = action.rank
-    gens = []
-    for i in range(n):
-        f = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(principal_derivation(action, f).flatten())
-    ngens = len(action.matrices)
-    return row_hermite_basis(Matrix(gens, ncols=n * ngens))
+    gens = [principal_derivation(action, f).flatten() for f in Matrix.identity(n).entries]
+    return row_hermite_basis(Matrix(gens, ncols=n * len(action.matrices)))
 
 
 @dataclass(frozen=True)
@@ -258,6 +247,14 @@ def rewriting_table(engine, g: Word) -> RewritingTable:
     return RewritingTable(tuple(g), tuple(conj))
 
 
+def _conjugation_matrix(action: ModuleAction, table: RewritingTable) -> Matrix:
+    """C with (g * d).flatten() = C . d.flatten(): block row i is
+    M_g F_{w_i} for the conjugate word w_i of generator i."""
+    mg = evaluate_word(action, table.element)
+    rows = [r for w in table.conjugates for r in (mg * _fox_matrix(action, w)).entries]
+    return Matrix(rows, ncols=action.rank * len(action.matrices))
+
+
 def conjugate_derivation(
     action: ModuleAction, deriv: Derivation, table: RewritingTable
 ) -> Derivation:
@@ -266,11 +263,8 @@ def conjugate_derivation(
     Well defined on any word representing the conjugate because d
     satisfies the relators.
     """
-    mg = evaluate_word(action, table.element)
-    values = []
-    for w in table.conjugates:
-        values.append(mg.apply(word_value(action, deriv, w)))
-    return Derivation(tuple(values))
+    flat = _conjugation_matrix(action, table).apply(_flat_values(action, deriv))
+    return Derivation.unflatten(flat, action.rank)
 
 
 def conjugation_action(
@@ -284,10 +278,10 @@ def conjugation_action(
     """
     if tuple(g) != tuple(table.element):
         raise PreconditionError("rewriting table was built for a different element")
+    conj = _conjugation_matrix(lattice.action, table)
     rows = []
-    for d in lattice.basis:
-        image = conjugate_derivation(lattice.action, d, table)
-        coords = lattice.coordinates(image)
+    for image in (lattice.basis_matrix() * conj.transpose()).entries:
+        coords = lattice.coordinates(Derivation.unflatten(image, lattice.action.rank))
         if coords is None:
             raise InternalError("conjugated derivation left the lattice")
         rows.append(coords)

@@ -600,10 +600,12 @@ class LieAutomorphism:
             raise PreconditionError("automorphism matrix has the wrong shape")
         if self.matrix.det() == 0:
             raise PreconditionError("automorphism matrix is singular")
+        cols = list(zip(*self.matrix.entries))
         for i, j in itertools.combinations(range(n), 2):
-            lhs = self.matrix.apply(self.algebra.bracket_basis(i, j))
-            rhs = self.algebra.bracket(self.matrix.col(i), self.matrix.col(j))
-            if tuple(lhs) != tuple(rhs):
+            lhs = [0] * n  # phi[e_i, e_j] = sum_k c_ij^k phi(e_k), read off the table
+            for k, c in self.algebra._table.get((i, j), ()):
+                lhs = [x + c * y for x, y in zip(lhs, cols[k])]
+            if tuple(lhs) != self.algebra.bracket(cols[i], cols[j]):
                 raise PreconditionError(
                     f"matrix does not preserve the bracket on basis pair ({i}, {j})"
                 )

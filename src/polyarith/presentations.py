@@ -15,6 +15,7 @@ attributes ``presentation`` and ``identity`` can be plugged in instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
@@ -106,9 +107,12 @@ class ModuleAction:
             if m.det() not in (1, -1):
                 raise PreconditionError("action matrices must have determinant +-1")
 
+    @cached_property
+    def _inverses(self) -> Tuple[Matrix, ...]:
+        return tuple(m.inverse() for m in self.matrices)
+
     def letter_matrix(self, idx: int, exp: int) -> Matrix:
-        m = self.matrices[idx]
-        return m if exp == 1 else m.inverse()
+        return self.matrices[idx] if exp == 1 else self._inverses[idx]
 
 
 def evaluate_word(action: ModuleAction, w: Word) -> Matrix:

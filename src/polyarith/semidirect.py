@@ -25,7 +25,6 @@ from .presentations import (
     DihedralEngine,
     ModuleAction,
     Presentation,
-    checked_action,
     validate_action,
 )
 from .quadratic import QuadElem, QuadOrder
@@ -46,8 +45,6 @@ class SemidirectGroup:
     """Z^rank twisted by a presented group through a validated action."""
 
     def __init__(self, presentation: Presentation, action: ModuleAction, engine):
-        if len(action.matrices) != len(presentation.generators):
-            raise PreconditionError("one action matrix per generator required")
         bad = validate_action(presentation, action)
         if bad is not None:
             raise PreconditionError(f"relator {bad} does not act trivially")
@@ -244,8 +241,8 @@ def build_gamma_epsilon(d: int) -> GammaEpsilon:
     pres = engine.presentation
     mat_a = block_diag(eps.mult_matrix(), Matrix([[1]]))
     mat_t = block_diag(order.conjugation_matrix(), Matrix([[-1]]))
-    action = checked_action(pres, (mat_a, mat_t), 3)
-    return GammaEpsilon(SemidirectGroup(pres, action, engine), eps)
+    group = SemidirectGroup(pres, ModuleAction(3, (mat_a, mat_t)), engine)
+    return GammaEpsilon(group, eps)
 
 
 def gamma_epsilon_derivation_basis(ge: GammaEpsilon) -> Tuple[Derivation, ...]:

@@ -248,3 +248,53 @@ def wedge_minors(rows, p):
         [det_exact([[rows[i][j] for j in cols] for i in rsub]) for cols in subsets]
         for rsub in subsets
     ]
+
+
+# derivation values letter by letter
+
+
+def _integer_inverse(rows):
+    inv = sympy.Matrix(rows).inv()
+    return tuple(tuple(int(inv[i, j]) for j in range(inv.cols)) for i in range(inv.rows))
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _letter_prefixes(mats, w):
+    """For each letter of w: the prefix matrix that multiplies its value
+    and the sign of that value.  A positive letter x_i contributes
+    + (x1 ... x_{i-1}) d(x_i), a negative one - (x1 ... x_i) d(x_i)."""
+    prefix = _identity(len(mats[0]))
+    out = []
+    for idx, exp in w:
+        if exp == 1:
+            out.append((idx, 1, prefix))
+            prefix = _mat_mul(prefix, mats[idx])
+        else:
+            prefix = _mat_mul(prefix, _integer_inverse(mats[idx]))
+            out.append((idx, -1, prefix))
+    return out
+
+
+def word_value_by_letters(mats, values, w):
+    """d(w) from the generator values by the product rule, one letter at a time."""
+    acc = [0] * len(mats[0])
+    for idx, sign, prefix in _letter_prefixes(mats, w):
+        img = [sum(p * v for p, v in zip(row, values[idx])) for row in prefix]
+        acc = [a + sign * b for a, b in zip(acc, img)]
+    return tuple(acc)
+
+
+def relator_rows_by_letters(mats, w):
+    """Coefficient rows of d(w) in the flattened generator values: one
+    rank x rank block per generator, laid side by side."""
+    n = len(mats[0])
+    blocks = [[[0] * n for _ in range(n)] for _ in mats]
+    for idx, sign, prefix in _letter_prefixes(mats, w):
+        blocks[idx] = [
+            [a + sign * b for a, b in zip(brow, prow)]
+            for brow, prow in zip(blocks[idx], prefix)
+        ]
+    return [tuple(itertools.chain.from_iterable(b[i] for b in blocks)) for i in range(n)]

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from polyarith import cohomology
 from polyarith.cohomology import (
     CohomologyGroup,
     Derivation,
     DerivationLattice,
+    RewritingTable,
+    _fox_matrix,
     commutant_lattice,
     conjugate_derivation,
     conjugation_action,
@@ -20,11 +23,17 @@ from polyarith.cohomology import (
     word_value,
 )
 from polyarith.errors import PreconditionError
-from polyarith.linalg import Matrix, lattice_coordinates
-from polyarith.presentations import ModuleAction, Presentation, dihedral_presentation
+from polyarith.linalg import Matrix, kernel_lattice, lattice_coordinates
+from polyarith.presentations import (
+    FreeAbelianEngine,
+    ModuleAction,
+    Presentation,
+    dihedral_presentation,
+    evaluate_word,
+)
 from polyarith.semidirect import build_gamma_epsilon
 
-from oracles import finite_group_h1
+from oracles import finite_group_h1, relator_rows_by_letters, word_value_by_letters
 
 # ---------------------------------------------------------------------------
 # finite test groups: presentation, faithful permutations, actions
@@ -421,3 +430,143 @@ def test_commutant_lattice_ranks():
     assert commutant_lattice(ge.group.action).nrows == 2
     assert commutant_lattice(ModuleAction(2, (SWAP,))).nrows == 2
     assert commutant_lattice(ModuleAction(2, (Matrix.identity(2),))).nrows == 4
+
+
+# ---------------------------------------------------------------------------
+# Fox matrices against the letter-by-letter expansion
+
+
+def _elementary_product(n, rng):
+    """Seeded product of 3n to 4n elementary matrices, as in lattice_h1."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(rng.randint(3 * n, 4 * n)):
+        i = t % n
+        j = rng.choice([x for x in range(n) if x != i])
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return Matrix(m)
+
+
+def _free_abelian_case(n, k, seed):
+    m = _elementary_product(n, random.Random(seed))
+    mats = (m, m * m)[:k]
+    pres = Presentation(
+        tuple(f"g{i + 1}" for i in range(k)),
+        (((0, 1), (1, 1), (0, -1), (1, -1)),) if k == 2 else (),
+    )
+    return pres, ModuleAction(n, mats)
+
+
+def _fox_cases():
+    for n, k in ((6, 1), (7, 2), (9, 2), (12, 1), (12, 2)):
+        yield f"free abelian n={n} k={k}", _free_abelian_case(n, k, 100 * n + k)
+    for d in (2, 3, 5, 7, 13):
+        g = build_gamma_epsilon(d).group
+        yield f"Pell d={d}", (g.presentation, g.action)
+
+
+FOX_CASES = list(_fox_cases())
+
+
+def _random_word(rng, ngens, length):
+    return tuple((rng.randrange(ngens), rng.choice((1, -1))) for _ in range(length))
+
+
+def _random_values(rng, action):
+    return tuple(
+        tuple(rng.randint(-4, 4) for _ in range(action.rank)) for _ in action.matrices
+    )
+
+
+@pytest.mark.parametrize("label,case", FOX_CASES, ids=[c[0] for c in FOX_CASES])
+class TestFoxMatrix:
+    def test_word_value_matches_letter_expansion(self, label, case):
+        pres, action = case
+        mats = [m.entries for m in action.matrices]
+        rng = random.Random(label)
+        for length in (0, 1, 2, 5, 9):
+            for _ in range(3):
+                w = _random_word(rng, len(mats), length)
+                values = _random_values(rng, action)
+                assert word_value(action, Derivation(values), w) == (
+                    word_value_by_letters(mats, values, w)
+                )
+
+    def test_constraint_rows_match_relator_blocks(self, label, case):
+        pres, action = case
+        mats = [m.entries for m in action.matrices]
+        rng = random.Random(label)
+        words = list(pres.relators) + [_random_word(rng, len(mats), 6) for _ in range(4)]
+        rows = []
+        for w in words:
+            expected = relator_rows_by_letters(mats, w)
+            assert _fox_matrix(action, w).entries == tuple(expected)
+            if w in pres.relators:
+                rows.extend(expected)
+        lattice = derivation_space(pres, action)
+        ncols = action.rank * len(mats)
+        if rows:
+            assert lattice.basis_matrix() == kernel_lattice(Matrix(rows, ncols=ncols))
+        else:
+            assert lattice.basis_matrix() == Matrix.identity(ncols)
+
+    def test_conjugate_derivation_matches_letter_expansion(self, label, case):
+        pres, action = case
+        mats = [m.entries for m in action.matrices]
+        rng = random.Random(label)
+        for _ in range(4):
+            g = _random_word(rng, len(mats), 3)
+            conjugates = tuple(_random_word(rng, len(mats), 5) for _ in mats)
+            table = RewritingTable(g, conjugates)
+            mg = evaluate_word(action, g)
+            values = _random_values(rng, action)
+            expected = tuple(
+                mg.apply(word_value_by_letters(mats, values, w)) for w in conjugates
+            )
+            assert conjugate_derivation(action, Derivation(values), table).values == expected
+
+
+def test_derivation_must_fit_the_action():
+    action = ModuleAction(2, (Matrix([[1, 1], [0, 1]]), Matrix([[0, 1], [1, 0]])))
+    w = ((0, 1), (1, 1))
+    # d(x0 x1) = d(x0) + M0 d(x1)
+    assert word_value(action, Derivation(((1, 0), (0, 1))), w) == (2, 1)
+    table = RewritingTable(((1, 1),), (((1, -1), (0, 1), (1, 1)), ((1, 1),)))
+    for values in (
+        ((1, 0), (0, 1), (5, 5)),  # a surplus generator value
+        ((1, 0),),  # a missing one
+        ((1, 0, 0), (1,)),  # right flattened length, wrong shape
+    ):
+        with pytest.raises(PreconditionError, match="per generator"):
+            word_value(action, Derivation(values), w)
+        with pytest.raises(PreconditionError, match="per generator"):
+            conjugate_derivation(action, Derivation(values), table)
+
+
+def test_conjugation_action_builds_each_fox_matrix_once(monkeypatch):
+    pres, action = _free_abelian_case(7, 2, 3)
+    inversions = []
+    original_inverse = Matrix.inverse
+
+    def counting_inverse(self):
+        inversions.append(self)
+        return original_inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    lattice = derivation_space(pres, action)
+    engine = FreeAbelianEngine(2)
+    g = ((0, -1), (1, -1), (0, -1))
+    table = rewriting_table(engine, g)
+    fox_words, evaluated = [], []
+    original_fox, original_evaluate = cohomology._fox_matrix, cohomology.evaluate_word
+    monkeypatch.setattr(
+        cohomology, "_fox_matrix", lambda a, w: fox_words.append(w) or original_fox(a, w)
+    )
+    monkeypatch.setattr(
+        cohomology, "evaluate_word", lambda a, w: evaluated.append(w) or original_evaluate(a, w)
+    )
+    conjugation_action(g, table, lattice)
+    assert fox_words == list(table.conjugates)
+    assert evaluated == [g]
+    assert 0 < len(inversions) <= len(action.matrices)
+    assert all(any(m is x for x in action.matrices) for m in inversions)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -529,6 +530,39 @@ class TestLieAutomorphism:
             diagonal_automorphism(h, (2, 1, 1))
         with pytest.raises(PreconditionError):
             LieAutomorphism(h, Matrix.zero(3, 3))
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [heisenberg(2), filiform(6), free_two_step(3), sl2()],
+        ids=["heisenberg2", "filiform6", "free_two_step3", "sl2"],
+    )
+    def test_perturbed_matrix_names_first_unpreserved_pair(self, algebra):
+        # reference: phi applied to the dense bracket of each basis pair
+        def first_bad_pair(m):
+            for i, j in itertools.combinations(range(algebra.dim), 2):
+                if m.apply(algebra.bracket_basis(i, j)) != algebra.bracket(m.col(i), m.col(j)):
+                    return i, j
+            return None
+
+        n = algebra.dim
+        rng = random.Random(n)
+        seen_bad = 0
+        for _ in range(12):
+            rows = Matrix.identity(n).to_lists()
+            for _ in range(rng.randint(1, 3)):
+                rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1, Fraction(1, 2)))
+            m = Matrix(rows)
+            if m.det() == 0:
+                continue
+            bad = first_bad_pair(m)
+            if bad is None:
+                assert LieAutomorphism(algebra, m).matrix == m
+            else:
+                seen_bad += 1
+                message = f"matrix does not preserve the bracket on basis pair {bad}"
+                with pytest.raises(PreconditionError, match=re.escape(message)):
+                    LieAutomorphism(algebra, m)
+        assert seen_bad
 
     def test_compose_and_inverse(self):
         h = heisenberg()

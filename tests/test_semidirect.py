@@ -107,8 +107,29 @@ class TestGroupLaw:
         # the braid relator (A t)^2
         a = Matrix([[1, 1], [0, 1]])
         t = Matrix([[0, 1], [1, 0]])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"relator .* does not act trivially"):
             SemidirectGroup(pres, ModuleAction(2, (a, t)), DihedralEngine())
+
+    def test_missing_action_matrix_rejected(self):
+        action = ModuleAction(1, (Matrix([[1]]),))
+        with pytest.raises(PreconditionError, match="one matrix per generator"):
+            SemidirectGroup(dihedral_presentation(), action, DihedralEngine())
+
+    def test_pell_action_validated_once(self, monkeypatch):
+        import polyarith.presentations as presentations
+        import polyarith.semidirect as semidirect
+
+        calls = []
+        original = presentations.validate_action
+
+        def counting(pres, action):
+            calls.append(action)
+            return original(pres, action)
+
+        monkeypatch.setattr(presentations, "validate_action", counting)
+        monkeypatch.setattr(semidirect, "validate_action", counting)
+        ge = build_gamma_epsilon(5)
+        assert calls == [ge.group.action]
 
 
 class TestGammaEpsilonFamily:
