@@ -60,9 +60,10 @@ class Derivation:
         return Derivation(tuple(tuple(-x for x in v) for v in self.values))
 
 
-def _fox_matrix(action: ModuleAction, w: Word) -> Matrix:
-    """F_w, in one pass over the letters: at a letter x_i = x_j block j
-    gains the prefix x1 ... x_{i-1}, at x_i = x_j^-1 it loses x1 ... x_i."""
+def _fox_matrix(action: ModuleAction, w: Word) -> Tuple[Matrix, Matrix]:
+    """F_w and the matrix M_w of w, in one pass over the letters: at a
+    letter x_i = x_j block j gains the prefix x1 ... x_{i-1}, at
+    x_i = x_j^-1 it loses x1 ... x_i; the last prefix is M_w."""
     n = action.rank
     rows = [[0] * (n * len(action.matrices)) for _ in range(n)]
     prefix = Matrix.identity(n)
@@ -74,7 +75,7 @@ def _fox_matrix(action: ModuleAction, w: Word) -> Matrix:
             row[block] = [a + exp * b for a, b in zip(row[block], p)]
         if exp == 1:
             prefix = prefix * action.letter_matrix(idx, 1)
-    return Matrix(rows, ncols=n * len(action.matrices))
+    return Matrix(rows, ncols=n * len(action.matrices)), prefix
 
 
 def _flat_values(action: ModuleAction, deriv: Derivation) -> Vector:
@@ -86,7 +87,7 @@ def _flat_values(action: ModuleAction, deriv: Derivation) -> Vector:
 
 def word_value(action: ModuleAction, deriv: Derivation, w: Word) -> Vector:
     """Value of the derivation on an arbitrary word."""
-    return _fox_matrix(action, w).apply(_flat_values(action, deriv))
+    return _fox_matrix(action, w)[0].apply(_flat_values(action, deriv))
 
 
 def is_derivation(pres: Presentation, action: ModuleAction, deriv: Derivation) -> bool:
@@ -133,7 +134,8 @@ def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLatt
 
     The constraint matrix stacks the Fox matrices of the relators; the kernel
     over Z is saturated, so every integer derivation is an integer
-    combination of the returned basis.
+    combination of the returned basis.  An action under which a relator
+    does not act trivially is refused.
     """
     if len(action.matrices) != len(pres.generators):
         raise PreconditionError("one matrix per generator required")
@@ -143,7 +145,9 @@ def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLatt
         return DerivationLattice(pres, action, ())
     rows: List[Vector] = []
     for w in pres.relators:
-        fox = _fox_matrix(action, w)
+        fox, mw = _fox_matrix(action, w)
+        if not mw.is_identity():
+            raise PreconditionError(f"relator {w} does not act trivially")
         if not fox.is_integral():
             raise InternalError("relator coefficients must be integral")
         rows.extend(fox.entries)
@@ -251,7 +255,7 @@ def _conjugation_matrix(action: ModuleAction, table: RewritingTable) -> Matrix:
     """C with (g * d).flatten() = C . d.flatten(): block row i is
     M_g F_{w_i} for the conjugate word w_i of generator i."""
     mg = evaluate_word(action, table.element)
-    rows = [r for w in table.conjugates for r in (mg * _fox_matrix(action, w)).entries]
+    rows = [r for w in table.conjugates for r in (mg * _fox_matrix(action, w)[0]).entries]
     return Matrix(rows, ncols=action.rank * len(action.matrices))
 
 

@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     SparseColumn,
     _dense_columns,
+    _is_diagonal,
     _norm_row,
     _quotient,
     min_poly,
@@ -617,7 +618,7 @@ class LieAutomorphism:
         return LieAutomorphism(self.algebra, self.matrix.inverse())
 
     def is_semisimple(self) -> bool:
-        return min_poly(self.matrix).is_squarefree()
+        return _is_diagonal(self.matrix.entries) or min_poly(self.matrix).is_squarefree()
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity()

@@ -247,7 +247,7 @@ class Matrix:
         if not self.is_square():
             raise PreconditionError("determinant needs a square matrix")
         rows, scale = _integer_rows(self.entries)
-        _, pivots, d, sign = _eliminate(rows, self.ncols)
+        _, pivots, d, sign = _eliminate(rows, self.ncols, forward=True)
         if len(pivots) < self.nrows:
             return 0
         return _quotient(sign * d, scale)
@@ -549,20 +549,21 @@ def _eliminate(rows: list, ncols: int, forward: bool = False):
 
     Each step replaces every other row by ``(p * row - f * pivot_row) //
     prev``, with ``p`` the new pivot, ``f`` the row's entry in the pivot
-    column and ``prev`` the previous pivot.  By Sylvester's identity every
-    entry stays a minor of the input, so each division is exact, and at
-    the end every pivot entry equals the last pivot ``d``: the pivot rows
-    divided by ``d`` are the reduced row echelon form, and ``sign * d`` is
-    the determinant of the pivot rows and columns, ``sign`` being the
-    parity of the row swaps.  Returns ``(rows, pivots, d, sign)``.
+    column and ``prev`` the previous pivot, and a row with ``f == 0`` by
+    ``p * row // prev``.  By Sylvester's identity every entry stays a minor
+    of the input, so each division is exact, and at the end every pivot
+    entry equals the last pivot ``d``: the pivot rows divided by ``d`` are
+    the reduced row echelon form, and ``sign * d`` is the determinant of
+    the pivot rows and columns, ``sign`` being the parity of the row swaps.
+    Returns ``(rows, pivots, d, sign)``.
 
-    With ``forward`` only the forward pass runs (Bareiss 1968), which finds
-    the same pivots: a step updates the rows below the pivot from its
-    column on, as they are zero to its left.  A row with a zero in the
-    pivot column is not scaled by ``p / prev``.  Those factors multiply to
-    ``prev / since``, ``since`` being the pivot of the row's last update,
-    so its next update divides by ``since`` in place of ``prev``, and as a
-    pivot row it is first scaled by ``prev / since``.
+    The scaling by ``p / prev`` is lazy.  The factors a row misses multiply
+    to ``prev / since``, ``since`` being the pivot of its last update, so
+    its next update divides by ``since`` in place of ``prev``, a pivot row
+    is first scaled by ``prev / since``, and so is every row at the end.
+    With ``forward`` a step clears only the rows below the pivot (Bareiss
+    1968), which finds the same pivots and ``d``, and the final scaling is
+    skipped: the rows are then an echelon form, not the reduced one.
     """
     nrows = len(rows)
     pivots = []
@@ -579,30 +580,23 @@ def _eliminate(rows: list, ncols: int, forward: bool = False):
             rows[r], rows[piv] = rows[piv], rows[r]
             since[r], since[piv] = since[piv], since[r]
             sign = -sign
+        if since[r] != prev:
+            rows[r] = [x * prev // since[r] for x in rows[r]]
         prow = rows[r]
-        p = prow[c]
-        if forward:
-            if since[r] != prev:
-                prow[c:] = [x * prev // since[r] for x in prow[c:]]
-                p = prow[c]
-            tail = prow[c:]
-            for i in range(r + 1, nrows):
-                row = rows[i]
-                f = row[c]
-                if f:
-                    row[c:] = [(p * x - f * y) // since[i] for x, y in zip(row[c:], tail)]
-                    since[i] = p
-        else:
-            for i in itertools.chain(range(r), range(r + 1, nrows)):
-                row = rows[i]
-                f = row[c]
-                if f:
-                    rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-                elif p != prev and any(row):
-                    rows[i] = [p * x // prev for x in row]
+        p = since[r] = prow[c]
+        for i in range(r + 1, nrows) if forward else itertools.chain(range(r), range(r + 1, nrows)):
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // since[i] for x, y in zip(row, prow)]
+                since[i] = p
         pivots.append(c)
         prev = p
         r += 1
+    if not forward:
+        for i, s in enumerate(since):
+            if s != prev:
+                rows[i] = [x * prev // s for x in rows[i]]
     return rows, pivots, prev, sign
 
 

@@ -502,6 +502,29 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error (precondition): cannot multiply 1x2 by 1x2\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["h1"], ["derivations"], ["der-action", "--element", "a"]], ids=lambda a: a[0]
+    )
+    def test_action_breaking_a_relator_is_precondition_exit_code(self, capsys, tmp_path, argv):
+        # a shear and a swap do not commute, so [a, b] does not act trivially
+        matrices = {
+            "a": {"rows": 2, "cols": 2, "entries": [["1", "1"], ["0", "1"]]},
+            "b": {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]},
+        }
+        path = write_json(
+            tmp_path,
+            "noncommuting.json",
+            {
+                "action": {"matrices": matrices, "rank": 2},
+                "engine": "free_abelian",
+                "presentation": {"generators": ["a", "b"], "relators": [[["a", 1], ["b", 1], ["a", -1], ["b", -1]]]},
+            },
+        )
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "error (precondition): relator ((0, 1), (1, 1), (0, -1), (1, -1)) does not act trivially\n"
+
     def test_keyboard_interrupt_not_caught(self, monkeypatch):
         import polyarith.cli as cli_module
 

@@ -500,7 +500,7 @@ class TestFoxMatrix:
         rows = []
         for w in words:
             expected = relator_rows_by_letters(mats, w)
-            assert _fox_matrix(action, w).entries == tuple(expected)
+            assert _fox_matrix(action, w)[0].entries == tuple(expected)
             if w in pres.relators:
                 rows.extend(expected)
         lattice = derivation_space(pres, action)

@@ -1,9 +1,11 @@
 import functools
 import itertools
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import polyarith.lie as lie
 from polyarith.errors import InternalError, PreconditionError
+from polyarith.jsonio import parse_lie_algebra, parse_matrices_list
 from polyarith.lie import (
     KoszulComplex,
     LieAlgebra,
@@ -1557,6 +1560,21 @@ class TestTorusShortcut:
         monkeypatch.setattr(lie, "action_on_cohomology", lambda *args: pytest.fail("dense action"))
         assert invariant_subcomplex(kos, [fresh]) == expected
         assert len(fresh.exterior.levels) == algebra.dim + 1
+
+    @pytest.mark.parametrize("slot", ["torus/free_two_step_6", "torus/filiform_7"])
+    def test_workload_tori_run_no_min_poly(self, monkeypatch, slot):
+        # a diagonal torus is semisimple on sight
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        job = workloads.action_job(slot, 0)
+        docs = {name: json.loads(data) for name, data in job.file_bytes().items()}
+        algebra = parse_lie_algebra(docs["algebra"], "")
+        kos = build_koszul(algebra)
+        tori = [LieAutomorphism(algebra, m) for m in parse_matrices_list(docs["tori"], "")]
+        expected = invariant_subcomplex(kos, tori)
+        monkeypatch.setattr(lie, "min_poly", lambda *args: pytest.fail("min_poly"))
+        assert invariant_subcomplex(kos, tori) == expected
 
 
 # ---------------------------------------------------------------------------

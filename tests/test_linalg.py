@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyarith import linalg
+from polyarith import lie, linalg
 from polyarith.cohomology import Derivation, derivation_space, principal_derivations
 from polyarith.errors import PreconditionError
 from polyarith.linalg import (
@@ -33,7 +33,7 @@ from polyarith.linalg import (
     vec,
     wedge_power,
 )
-from polyarith.lie import filiform, free_two_step, heisenberg
+from polyarith.lie import filiform, free_two_step, heisenberg, inner_automorphism
 from polyarith.polynomials import Poly
 from polyarith.presentations import ModuleAction, Presentation
 
@@ -676,6 +676,33 @@ def outcome(f):
         return ("error", type(e), str(e))
 
 
+def waiting_row_cases():
+    """``kernel_cases`` and matrices whose rows wait several pivots between
+    updates: zero rows and columns spliced in, and sparse ones."""
+    rng = random.Random(12)
+    cases = list(kernel_cases())
+    # zero rows and columns spliced into seeded int and Fraction matrices
+    for m in kernel_cases()[3:60]:
+        rows, width = [list(r) for r in m.entries], m.ncols
+        for _ in range(2):
+            rows.insert(rng.randint(0, len(rows)), [0] * width)
+            at = rng.randint(0, width)
+            rows, width = [r[:at] + [0] + r[at:] for r in rows], width + 1
+        cases.append(Matrix(rows, ncols=width))
+    cases.extend(Matrix([], ncols=k) for k in (1, 5))
+    # sparse ones, where most rows miss most pivot columns and wait
+    # several steps between updates
+    for n in (12, 20, 25):
+        for density in (0.1, 0.25):
+            rows = [
+                [rng.choice((1, -2, 3, Fraction(1, 2))) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            cases.append(Matrix(rows, ncols=n))
+            cases.append(Matrix(rows[: n // 2], ncols=n) * Matrix(rows[n // 2 :], ncols=n).transpose())
+    return cases
+
+
 class TestEliminationKernel:
     def test_entry_contract(self):
         m = Matrix([[3, True, Fraction(4, 2), Fraction(1, 2), 0.5, -Fraction(6, 3)]])
@@ -757,28 +784,7 @@ class TestEliminationKernel:
             assert typed(min_poly(m)) == typed(fraction_min_poly(m))
 
     def test_forward_rank_matches_gauss_jordan_pivots(self):
-        rng = random.Random(12)
-        cases = list(kernel_cases())
-        # zero rows and columns spliced into seeded int and Fraction matrices
-        for m in kernel_cases()[3:60]:
-            rows, width = [list(r) for r in m.entries], m.ncols
-            for _ in range(2):
-                rows.insert(rng.randint(0, len(rows)), [0] * width)
-                at = rng.randint(0, width)
-                rows, width = [r[:at] + [0] + r[at:] for r in rows], width + 1
-            cases.append(Matrix(rows, ncols=width))
-        cases.extend(Matrix([], ncols=k) for k in (1, 5))
-        # sparse ones, where most rows miss most pivot columns and wait
-        # several steps between updates
-        for n in (12, 20, 25):
-            for density in (0.1, 0.25):
-                rows = [
-                    [rng.choice((1, -2, 3, Fraction(1, 2))) if rng.random() < density else 0 for _ in range(n)]
-                    for _ in range(n)
-                ]
-                cases.append(Matrix(rows, ncols=n))
-                cases.append(Matrix(rows[: n // 2], ncols=n) * Matrix(rows[n // 2 :], ncols=n).transpose())
-        for m in cases:
+        for m in waiting_row_cases():
             pivots = rref(m)[1]
             assert m.rank() == len(pivots)
             rows, forward, d, sign = linalg._eliminate(
@@ -794,6 +800,20 @@ class TestEliminationKernel:
             # the last pivot is still a minor: the determinant, up to the row scaling
             if m.is_square() and len(pivots) == m.nrows:
                 assert sign * d == m.det() * linalg._integer_rows(m.entries)[1]
+
+    def test_waiting_rows_match_fraction_eliminations(self):
+        # one operator's op - s I as lie._fixed_space stacks it: exp(ad x)
+        # on the 3-forms of filiform(6), whose rows mostly miss a pivot column
+        phi = inner_automorphism(filiform(6), (1, 0, 0, 0, 0, 1))
+        op, s = lie._scaled_action(phi, 3)
+        stacked = linalg._dense_columns(op, len(op)) - Matrix.identity(len(op)).scale(s)
+        for m in waiting_row_cases() + [stacked]:
+            rows = m.to_lists()
+            ref_rows, ref_pivots = fraction_rref(rows, m.ncols)
+            assert typed(rref(m)) == typed((Matrix(ref_rows, ncols=m.ncols), tuple(ref_pivots)))
+            if m.is_square():
+                assert typed(m.det()) == typed(fraction_det(rows))
+                assert outcome(m.inverse) == outcome(lambda: fraction_inverse(rows))
 
     def test_singular_inverse_message(self):
         for m in (Matrix([[1, 2], [2, 4]]), Matrix.zero(1, 1), Matrix([[Fraction(1, 2), 1], [1, 2]])):
