@@ -7,10 +7,17 @@ is an error, and traced runs are skipped.  For each workload and each
 end-to-end metric of ``BENCHMARK.json`` the output gives each side's
 median and quartiles, and how many pairs the change won (ties count for
 neither side), in the direction the metric calls better.  It also gives
-each side's largest share of failed jobs.  Run from the root of a
+each side's largest share of failed jobs.
+
+``--timings`` takes the ``scripts/koszul_timings.py --json`` output of
+each side, the rows at the dimension cap that the 20-second workloads do
+not reach.  Rows of the same kind and algebra make a pair, and may
+repeat; the output gives each side's seconds in file order and whether
+every digest of the two sides is the same.  Run from the root of a
 checkout:
 
     python3 scripts/bench_fold.py runs/parent runs/change --out BENCH_n.json \\
+        --timings runs/parent.jsonl runs/change.jsonl \\
         --parent-commit 99547cf --change-commit "the commit that adds BENCH_n.json"
 """
 
@@ -80,17 +87,51 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
     return out
 
 
+def fold_timings(parent: list, change: list) -> dict:
+    """Per kind and algebra: each side's seconds and whether the digests match."""
+
+    def keyed(rows):
+        out = {}
+        for row in rows:
+            out.setdefault(f"{row['kind']} {row['algebra']}", []).append(row)
+        return out
+
+    parent, change = keyed(parent), keyed(change)
+    unmatched = sorted(set(parent) ^ set(change))
+    if unmatched:
+        raise ValueError(f"timing rows without a partner: {unmatched}")
+    return {
+        key: {
+            "seconds": {
+                "parent": [r["seconds"] for r in rows],
+                "change": [r["seconds"] for r in change[key]],
+            },
+            "sha256_match": len({r["sha256"] for r in rows + change[key]}) == 1,
+        }
+        for key, rows in parent.items()
+    }
+
+
+def load_timings(path: Path) -> list:
+    """The rows of one ``koszul_timings.py --json`` output."""
+    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="directory of the parent's run files")
     ap.add_argument("change", type=Path, help="directory of the change's run files")
     ap.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
+    ap.add_argument("--timings", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="each side's koszul_timings.py --json output")
     ap.add_argument("--parent-commit", default="", help="what the parent runs measured")
     ap.add_argument("--change-commit", default="", help="what the change runs measured")
     args = ap.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     try:
         workloads = fold(load_runs(args.parent), load_runs(args.change), end_to_end)
+        if args.timings:
+            cap_rows = fold_timings(*map(load_timings, args.timings))
     except ValueError as e:
         print(f"bench_fold: {e}", file=sys.stderr)
         return 2
@@ -99,6 +140,8 @@ def main(argv=None) -> int:
         "change": args.change_commit,
         "workloads": workloads,
     }
+    if args.timings:
+        report["cap_rows"] = cap_rows
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -52,7 +52,7 @@ from .jsonio import (
 )
 from .lie import LieAutomorphism, action_on_cohomology, build_koszul, invariant_subcomplex
 from .linalg import Matrix, jordan_chevalley
-from .presentations import DihedralEngine, FreeAbelianEngine
+from .presentations import DihedralEngine, FreeAbelianEngine, _check_engine
 from .quadratic import QuadOrder
 from .semidirect import build_gamma_epsilon
 
@@ -87,13 +87,13 @@ def _engine_for(document: GroupDocument):
         raise SchemaError(
             "/engine", "this command needs a normal form engine tag (dihedral or free_abelian)"
         )
+    pres = document.presentation
     if document.engine == "dihedral":
-        if len(document.presentation.generators) != 2:
-            raise PreconditionError("the dihedral engine needs exactly two generators")
-        return DihedralEngine()
-    return FreeAbelianEngine(
-        len(document.presentation.generators), document.presentation.generators
-    )
+        engine = DihedralEngine()
+    else:
+        engine = FreeAbelianEngine(len(pres.generators), pres.generators)
+    _check_engine(pres, engine)
+    return engine
 
 
 # ---------------------------------------------------------------------------

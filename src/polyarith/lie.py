@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     SparseColumn,
     _dense_columns,
+    _exterior_index,
     _is_diagonal,
     _norm_row,
     _quotient,
@@ -242,18 +243,13 @@ def strictly_upper(size: int) -> LieAlgebra:
     slots = list(itertools.combinations(range(size), 2))
     index = {s: t for t, s in enumerate(slots)}
     brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for p, (i, j) in enumerate(slots):
-        for q, (k, l) in enumerate(slots):
-            if p >= q:
-                continue
-            comps: Dict[int, Scalar] = {}
-            if j == k:
-                comps[index[(i, l)]] = comps.get(index[(i, l)], 0) + 1
-            if l == i:
-                comps[index[(k, j)]] = comps.get(index[(k, j)], 0) - 1
-            comps = {k2: v for k2, v in comps.items() if v != 0}
-            if comps:
-                brackets[(p, q)] = comps
+    # [E_ij, E_kl] = [j == k] E_il - [l == i] E_kj, and i < j, k < l allow
+    # at most one of the two
+    for (p, (i, j)), (q, (k, l)) in itertools.combinations(enumerate(slots), 2):
+        if j == k:
+            brackets[(p, q)] = {index[(i, l)]: 1}
+        elif l == i:
+            brackets[(p, q)] = {index[(k, j)]: -1}
     return LieAlgebra(len(slots), brackets)
 
 
@@ -318,19 +314,6 @@ def _components(columns: Iterable[SparseColumn], size: int) -> Callable[[int], i
     return find
 
 
-def _dense_block(columns: Sequence[SparseColumn], rows: Optional[Sequence[int]] = None) -> Matrix:
-    """The sparse columns as a dense matrix on the given rows, by default
-    the rows they touch, in increasing order."""
-    if rows is None:
-        rows = sorted({r for col in columns for r, _ in col})
-    local = {r: i for i, r in enumerate(rows)}
-    out = [[0] * len(columns) for _ in local]
-    for j, col in enumerate(columns):
-        for r, v in col:
-            out[local[r]][j] = v
-    return Matrix(out, ncols=len(columns))
-
-
 def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
     """Rank over Q of the nrows-row matrix with the given sparse columns.
 
@@ -346,7 +329,7 @@ def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
         if col:
             blocks.setdefault(find(col[0][0]), []).append(col)
     return sum(
-        1 if len(cols) == 1 or all(len(col) == 1 for col in cols) else _dense_block(cols).rank()
+        1 if len(cols) == 1 or all(len(col) == 1 for col in cols) else _dense_columns(cols).rank()
         for cols in blocks.values()
     )
 
@@ -420,9 +403,6 @@ class KoszulComplex:
         """Rank of d^p for every degree p."""
         return tuple(sparse_rank(cols, self._target_dim(p)) for p, cols in enumerate(self.columns))
 
-    def differential(self, p: int) -> Matrix:
-        return self.differentials[p]
-
     def betti(self) -> Tuple[int, ...]:
         ranks = self.ranks
         return tuple(
@@ -456,15 +436,15 @@ class KoszulComplex:
 
     def cocycles(self, p: int) -> Matrix:
         """Basis (rows) of ker d^p over Q, as ``cohomology_basis`` gives it."""
-        return _dense_rows(self.cohomology_basis(p)[0], self.space_dim(p))
+        return _dense_columns(self.cohomology_basis(p)[0], self.space_dim(p)).transpose()
 
     def coboundaries(self, p: int) -> Matrix:
         """Basis (rows) of im d^{p-1} over Q, as ``cohomology_basis`` gives it."""
-        return _dense_rows(self.cohomology_basis(p)[1], self.space_dim(p))
+        return _dense_columns(self.cohomology_basis(p)[1], self.space_dim(p)).transpose()
 
     def representatives(self, p: int) -> Matrix:
         """Cocycle rows completing the coboundaries to ker d^p."""
-        return _dense_rows(self.cohomology_basis(p)[2], self.space_dim(p))
+        return _dense_columns(self.cohomology_basis(p)[2], self.space_dim(p)).transpose()
 
     @cached_property
     def _cohomology_bases(self) -> Dict[int, Tuple[SparseColumns, ...]]:
@@ -503,14 +483,14 @@ class KoszulComplex:
                         cocycles.append((j, ((j, 1),)))
                         (bound if lower else classes).append((j, ((j, 1),)))
                     continue
-                kernel = rational_kernel(_dense_block([self.columns[p][j] for j in forms])).entries
+                kernel = rational_kernel(_dense_columns([self.columns[p][j] for j in forms])).entries
                 # a kernel row is keyed by its free column, where it ends in 1
                 zs = _sparse(kernel, forms)
                 keys = [row[-1][0] for row in zs]
                 cocycles.extend(zip(keys, zs))
                 vecs: Sequence[Sequence[Scalar]] = ()
                 if lower:
-                    image = _dense_block([self.columns[p - 1][j] for j in lower], forms)
+                    image = _dense_columns([self.columns[p - 1][j] for j in lower], forms)
                     reduced, pivots = rref(image.transpose())
                     vecs = reduced.entries[: len(pivots)]
                     bound.extend(zip((forms[c] for c in pivots), _sparse(vecs, forms)))
@@ -532,11 +512,6 @@ class KoszulComplex:
         return cache[p]
 
 
-def _dense_rows(rows: Sequence[SparseColumn], ncols: int) -> Matrix:
-    """The sparse rows as a dense matrix with ncols columns."""
-    return _dense_columns(rows, ncols).transpose()
-
-
 def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
     """Construct all exterior degrees and differentials, then certify
     that consecutive differentials compose to zero."""
@@ -555,10 +530,7 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
             terms[k].append((1 << i | 1 << j, (1 << j) - (1 << i), c))
     diffs: List[SparseColumns] = [((),) * len(keys) for keys in bases]
     if any(terms):
-        # index sets as bitmasks; masks of different degrees never collide
-        bits = [1 << k for k in range(n)]
-        masks = [list(map(sum, itertools.combinations(bits, p))) for p in range(n + 1)]
-        row_of = {m: r for ms in masks for r, m in enumerate(ms)}
+        masks, row_of = _exterior_index(n)
         # a form of degree 0 has no position to expand, one of degree n no room
         for p in range(1, n):
             cols: List[SparseColumn] = []
@@ -567,7 +539,7 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
                 for t, k in enumerate(key):
                     if not terms[k]:
                         continue
-                    rest = mask ^ bits[k]
+                    rest = mask ^ 1 << k
                     for pair, between, c in terms[k]:
                         if rest & pair:
                             continue
@@ -812,6 +784,6 @@ def invariant_subcomplex(
         tuple(map(len, bases)),
         tuple(inv_betti),
         tuple(fixed_dims),
-        tuple(_dense_rows(b, kos.space_dim(p)) for p, b in enumerate(bases)),
+        tuple(_dense_columns(b, kos.space_dim(p)).transpose() for p, b in enumerate(bases)),
         tuple(restricted),
     )

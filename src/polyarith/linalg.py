@@ -27,12 +27,13 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
 from .polynomials import Poly
@@ -657,7 +658,6 @@ def char_poly(a: Matrix) -> Poly:
     n = a.nrows
     if n == 0:
         return Poly.of(1)
-    ident = Matrix.identity(n)
     mk = a
     desc = [Fraction(1), -Fraction(mk.trace())]
     for k in range(2, n + 1):
@@ -728,15 +728,9 @@ def jordan_chevalley(a: Matrix) -> JordanPair:
 
 
 def _totient(m: int) -> int:
-    n, phi, p = m, m, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            phi -= phi // p
-        p += 1
-    if n > 1:
-        phi -= phi // n
+    phi = m
+    for p in _prime_factors(m):
+        phi -= phi // p
     return phi
 
 
@@ -836,13 +830,34 @@ def nilpotent_exp(m: Matrix) -> Matrix:
     return acc
 
 
-def _dense_columns(cols: Sequence[SparseColumn], nrows: int) -> Matrix:
-    """The nrows-row matrix with the given sparse columns."""
-    rows = [[0] * len(cols) for _ in range(nrows)]
+def _dense_columns(
+    cols: Sequence[SparseColumn], rows: Union[int, Sequence[int], None] = None
+) -> Matrix:
+    """The sparse columns as a dense matrix: on ``rows`` rows when it is a
+    count, else on the given increasing rows, by default the rows that the
+    columns touch."""
+    if rows is None:
+        rows = sorted({r for col in cols for r, _ in col})
+    local = range(rows) if isinstance(rows, int) else {r: i for i, r in enumerate(rows)}
+    out = [[0] * len(cols) for _ in local]
     for j, col in enumerate(cols):
         for r, v in col:
-            rows[r][j] = v
-    return Matrix(rows, ncols=len(cols))
+            out[local[r]][j] = v
+    return Matrix(out, ncols=len(cols))
+
+
+@functools.lru_cache(maxsize=None)
+def _exterior_index(n: int) -> Tuple[Tuple[Tuple[int, ...], ...], Dict[int, int]]:
+    """The index sets of range(n) as bitmasks, degree by degree, each degree
+    in lexicographic order, and the position of each mask within its
+    degree; masks of different degrees never collide, so one dict holds
+    every position.  The Koszul complex and the exterior expansion share
+    this basis of the exterior algebra."""
+    masks = tuple(
+        tuple(sum(1 << i for i in key) for key in itertools.combinations(range(n), p))
+        for p in range(n + 1)
+    )
+    return masks, {m: r for ms in masks for r, m in enumerate(ms)}
 
 
 class ExteriorExpansion:
@@ -874,20 +889,20 @@ class ExteriorExpansion:
 
     def _extend(self) -> None:
         """Build the level above the last one built."""
-        n, below = len(self._images), self.levels[-1]
-        # the sets I of the level below as bitmasks, in order; I + (j) over
-        # them, then over j past the last index of I, runs through the next
-        subsets = itertools.combinations(range(n), len(self.levels) - 1)
-        masks = [sum(1 << i for i in key) for key in subsets]
-        keys = [(r, j) for r, mask in enumerate(masks) for j in range(mask.bit_length(), n)]
-        row_of = {masks[r] | 1 << j: t for t, (r, j) in enumerate(keys)}
+        k, below, images = len(self.levels), self.levels[-1], self._images
+        masks, row_of = _exterior_index(len(images))
+        lower = masks[k - 1]
         cols = []
-        for r, j in keys:
+        # column J is column J - j of the level below wedged with image j,
+        # for j the last index of J
+        for top in masks[k]:
+            j = top.bit_length() - 1
+            rest = below[row_of[top ^ 1 << j]]
             col: dict = {}
-            for i, x in self._images[j]:
+            for i, x in images[j]:
                 bit = 1 << i
-                for s, c in below[r]:
-                    mask = masks[s]
+                for s, c in rest:
+                    mask = lower[s]
                     if not mask & bit:
                         # e_I ^ e_i = (-1)^(#{t in I : t > i}) e_{I + i}
                         t = row_of[mask | bit]

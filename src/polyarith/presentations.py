@@ -220,3 +220,17 @@ class FreeAbelianEngine:
             if exp:
                 out = out * (action.matrices[idx] ** exp)
         return out
+
+
+def _check_engine(pres: Presentation, engine) -> None:
+    """Refuse an engine that does not fit the presentation: it must have the
+    same number of generators, and each of its relators must be a relator
+    of the presentation, as the same index word.  Otherwise the engine's
+    normal forms would rewrite words the presentation does not identify."""
+    want, have = len(engine.presentation.generators), len(pres.generators)
+    if want != have:
+        raise PreconditionError(f"the engine needs {want} generators, the presentation has {have}")
+    relators = set(pres.relators)
+    for w in engine.presentation.relators:
+        if w not in relators:
+            raise PreconditionError(f"engine relator {w} is not a relator of the presentation")

@@ -25,6 +25,7 @@ from .presentations import (
     DihedralEngine,
     ModuleAction,
     Presentation,
+    _check_engine,
     validate_action,
 )
 from .quadratic import QuadElem, QuadOrder
@@ -48,8 +49,7 @@ class SemidirectGroup:
         bad = validate_action(presentation, action)
         if bad is not None:
             raise PreconditionError(f"relator {bad} does not act trivially")
-        if len(engine.presentation.generators) != len(presentation.generators):
-            raise PreconditionError("engine does not match the presentation")
+        _check_engine(presentation, engine)
         self.presentation = presentation
         self.action = action
         self.engine = engine

@@ -152,7 +152,7 @@ def test_06_lie_cohomology_desk_values():
             assert betti[p] == betti[n - p]
         assert sum((-1) ** p * b for p, b in enumerate(betti)) == 0
         for p in range(n):
-            assert (kos.differential(p + 1) * kos.differential(p)).is_zero()
+            assert (kos.differentials[p + 1] * kos.differentials[p]).is_zero()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     stamp(6, f"desk Betti tables verified on {len(catalog)}-algebra suite")

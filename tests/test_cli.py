@@ -525,6 +525,57 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error (precondition): relator ((0, 1), (1, 1), (0, -1), (1, -1)) does not act trivially\n"
 
+    def test_engine_relator_missing_from_the_presentation_is_refused(self, capsys, tmp_path):
+        # Z^2 rewrites a^-1 b a to b, which the free group on a and b does not;
+        # the conjugation action would come out diag(-1, -1) for diag(-1, 1)
+        one = {"rows": 1, "cols": 1, "entries": [["1"]]}
+        path = write_json(
+            tmp_path,
+            "free.json",
+            {
+                "action": {"matrices": {"a": {**one, "entries": [["-1"]]}, "b": one}, "rank": 1},
+                "engine": "free_abelian",
+                "presentation": {"generators": ["a", "b"], "relators": []},
+            },
+        )
+        code, out, err = run(capsys, "der-action", path, "--element", "a")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error (precondition): engine relator ((0, 1), (1, 1), (0, -1), (1, -1))"
+            " is not a relator of the presentation\n"
+        )
+
+    def test_dihedral_document_without_the_braid_relator_is_refused(self, capsys, tmp_path, gamma_spec):
+        with open(gamma_spec) as fh:
+            doc = json.load(fh)
+        assert doc["presentation"]["relators"].pop() == [["A", 1], ["t", 1], ["A", 1], ["t", 1]]
+        path = write_json(tmp_path, "no_braid.json", doc)
+        code, out, err = run(capsys, "der-action", path, "--element", "t")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error (precondition): engine relator ((0, 1), (1, 1), (0, 1), (1, 1))"
+            " is not a relator of the presentation\n"
+        )
+        # a third generator does not fit the dihedral engine either
+        doc["presentation"]["generators"].append("s")
+        doc["action"]["matrices"]["s"] = doc["action"]["matrices"]["t"]
+        code, out, err = run(capsys, "der-action", write_json(tmp_path, "three.json", doc), "--element", "t")
+        assert (code, out) == (2, "")
+        assert err == "error (precondition): the engine needs 2 generators, the presentation has 3\n"
+        # the document as gamma-epsilon writes it carries the engine's relators
+        code, out, _ = run(capsys, "der-action", gamma_spec, "--element", "t")
+        assert code == 0 and json.loads(out)["results"]["rank"] > 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_workload_lattice_documents_fit_their_engine(self, monkeypatch, k):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import workloads
+
+        from polyarith.cli import _engine_for
+
+        document = parse_group_document(workloads.lattice_document(6, k, 0, 0))
+        assert _engine_for(document).presentation.relators == document.presentation.relators
+
     def test_keyboard_interrupt_not_caught(self, monkeypatch):
         import polyarith.cli as cli_module
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -329,6 +330,12 @@ class TestFiniteOrder:
         assert not (m ** 6).is_identity()
         assert not (m ** 4).is_identity()
 
+    def test_totient_and_prime_factors_match_sympy(self):
+        # the order bound reads phi(m) for every m up to 2 n^2 + 2
+        for m in range(1, 401):
+            assert linalg._totient(m) == sympy.totient(m), m
+            assert linalg._prime_factors(m) == sympy.primefactors(m), m
+
 
 class TestJordanChevalley:
     def test_identity(self):
@@ -513,6 +520,45 @@ class TestWedgePower:
         )
         assert linalg._dense_columns([], 2) == Matrix([[], []], ncols=0)
         assert linalg._dense_columns([(), ()], 0) == Matrix([], ncols=2)
+        # the rows kept, and by default the rows touched, in increasing order
+        cols = [((1, 4), (5, -1)), (), ((3, Fraction(2, 3)),)]
+        assert linalg._dense_columns(cols, [1, 2, 3, 5]) == Matrix(
+            [[4, 0, 0], [0, 0, 0], [0, 0, Fraction(2, 3)], [-1, 0, 0]]
+        )
+        assert linalg._dense_columns(cols) == Matrix([[4, 0, 0], [0, 0, Fraction(2, 3)], [-1, 0, 0]])
+        assert linalg._dense_columns([(), ()]) == Matrix([], ncols=2)
+        assert linalg._dense_columns([]) == Matrix([], ncols=0)
+
+    def test_dense_columns_row_forms_match_a_naive_builder(self):
+        def naive(cols, rows):
+            entries = {(r, j): v for j, col in enumerate(cols) for r, v in col}
+            return Matrix([[entries.get((r, j), 0) for j in range(len(cols))] for r in rows],
+                          ncols=len(cols))
+
+        rng = random.Random(61)
+        for _ in range(60):
+            nrows, ncols = rng.randint(0, 7), rng.randint(0, 6)
+            cols = [
+                tuple((r, rng.choice((1, -2, Fraction(3, 4)))) for r in range(nrows)
+                      if rng.random() < 0.3)
+                for _ in range(ncols)
+            ]
+            touched = sorted({r for col in cols for r, _ in col})
+            kept = sorted(set(touched) | set(rng.sample(range(nrows), nrows // 2)))
+            assert linalg._dense_columns(cols, nrows) == naive(cols, range(nrows))
+            assert linalg._dense_columns(cols, kept) == naive(cols, kept)
+            assert linalg._dense_columns(cols) == naive(cols, touched)
+
+    def test_exterior_index_is_combinations_order(self):
+        for n in range(11):
+            masks, position = linalg._exterior_index(n)
+            assert len(masks) == n + 1
+            for p, level in enumerate(masks):
+                keys = list(itertools.combinations(range(n), p))
+                assert list(level) == [sum(1 << i for i in key) for key in keys]
+                assert [position[m] for m in level] == list(range(len(keys)))
+            assert len(position) == 2**n
+            assert linalg._exterior_index(n) is linalg._exterior_index(n)
 
     def test_fraction_entries_keep_their_types(self):
         # the expansion runs in int on a scaled matrix; each entry must come

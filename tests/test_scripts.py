@@ -157,3 +157,50 @@ def test_bench_fold_refuses_an_unpaired_run(tmp_path):
     assert done.returncode == 2
     assert "runs without a partner: [('lattice_h1', 2)]" in done.stderr
     assert not out.exists()
+
+
+def test_bench_fold_cap_rows(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_run(parent, "koszul_action", 1, run_values(300.0, 3.0))
+    write_run(change, "koszul_action", 1, run_values(310.0, 2.9))
+
+    def timings(name, rows):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return str(path)
+
+    # the action row runs twice on each side; the torus digests differ
+    action = {"kind": "action", "algebra": "filiform:14", "sha256": "030e"}
+    torus = {"kind": "torus", "algebra": "abelian:14"}
+    before = timings("parent.jsonl", [
+        {**action, "seconds": 34.3}, {**torus, "seconds": 0.63, "sha256": "bc6f"},
+        {**action, "seconds": 33.9},
+    ])
+    after = timings("change.jsonl", [
+        {**action, "seconds": 30.1}, {**action, "seconds": 30.4},
+        {**torus, "seconds": 0.61, "sha256": "0000"},
+    ])
+    out = tmp_path / "BENCH_1.json"
+    done = run_script("bench_fold.py", str(parent), str(change), "--out", str(out),
+                      "--timings", before, after)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["cap_rows"] == {
+        "action filiform:14": {
+            "seconds": {"parent": [34.3, 33.9], "change": [30.1, 30.4]}, "sha256_match": True,
+        },
+        "torus abelian:14": {
+            "seconds": {"parent": [0.63], "change": [0.61]}, "sha256_match": False,
+        },
+    }
+    # without --timings the report has no cap rows
+    done = run_script("bench_fold.py", str(parent), str(change), "--out", str(out))
+    assert done.returncode == 0 and "cap_rows" not in json.loads(out.read_text())
+    # a row on one side only is refused, and nothing is written
+    out.unlink()
+    lonely = timings("lonely.jsonl", [{**action, "seconds": 30.0}])
+    done = run_script("bench_fold.py", str(parent), str(change), "--out", str(out),
+                      "--timings", before, lonely)
+    assert done.returncode == 2
+    assert "timing rows without a partner: ['torus abelian:14']" in done.stderr
+    assert not out.exists()

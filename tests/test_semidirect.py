@@ -13,7 +13,7 @@ from polyarith.cohomology import (
 )
 from polyarith.errors import InternalError, PreconditionError
 from polyarith.linalg import Matrix
-from polyarith.presentations import DihedralEngine, ModuleAction, dihedral_presentation
+from polyarith.presentations import DihedralEngine, ModuleAction, Presentation, dihedral_presentation
 from polyarith.semidirect import (
     Automorphism,
     DerivationAtom,
@@ -100,6 +100,16 @@ class TestGroupLaw:
 
         with pytest.raises(PreconditionError):
             SemidirectGroup(pres, action, FreeAbelianEngine(1))
+
+    def test_engine_relator_missing_from_the_presentation_rejected(self):
+        # the reflection group <A, t | t^2> is not the infinite dihedral group
+        pres = Presentation(("A", "t"), (((1, 1), (1, 1)),))
+        action = ModuleAction(1, (Matrix([[1]]), Matrix([[-1]])))
+        with pytest.raises(
+            PreconditionError,
+            match=r"^engine relator \(\(0, 1\), \(1, 1\), \(0, 1\), \(1, 1\)\) is not a relator",
+        ):
+            SemidirectGroup(pres, action, DihedralEngine())
 
     def test_bad_action_rejected(self):
         pres = dihedral_presentation()
