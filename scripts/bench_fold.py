@@ -12,7 +12,8 @@ each side's largest share of failed jobs.
 ``--timings`` takes the ``scripts/koszul_timings.py --json`` output of
 each side, the rows at the dimension cap that the 20-second workloads do
 not reach.  Rows of the same kind and algebra make a pair, and may
-repeat; the output gives each side's seconds in file order and whether
+repeat; the output gives each side's seconds and ``peak_rss_mb`` in file
+order (null for a row from before the script recorded it) and whether
 every digest of the two sides is the same.  Run from the root of a
 checkout:
 
@@ -88,7 +89,8 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
 
 
 def fold_timings(parent: list, change: list) -> dict:
-    """Per kind and algebra: each side's seconds and whether the digests match."""
+    """Per kind and algebra: each side's seconds and peak RSS, and whether
+    the digests match."""
 
     def keyed(rows):
         out = {}
@@ -102,9 +104,12 @@ def fold_timings(parent: list, change: list) -> dict:
         raise ValueError(f"timing rows without a partner: {unmatched}")
     return {
         key: {
-            "seconds": {
-                "parent": [r["seconds"] for r in rows],
-                "change": [r["seconds"] for r in change[key]],
+            **{
+                field: {
+                    "parent": [r.get(field) for r in rows],
+                    "change": [r.get(field) for r in change[key]],
+                }
+                for field in ("seconds", "peak_rss_mb")
             },
             "sha256_match": len({r["sha256"] for r in rows + change[key]}) == 1,
         }

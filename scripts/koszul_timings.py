@@ -14,10 +14,13 @@ Three kinds of row, each on a freshly built complex:
   automorphisms of ``perfbench/workloads.py``'s ``torus_matrices``, with
   the identity relabelling.
 
-Each row gives the wall time in seconds and a sha256 of the result
-entries (the Betti tuple for a ``betti`` row), so runs on two commits can
-be compared for time and for output.  Run from the root of a checkout
-with the package on PYTHONPATH:
+Each row gives the wall time in seconds, a sha256 of the result entries
+(the Betti tuple for a ``betti`` row), so runs on two commits can be
+compared for time and for output, and ``peak_rss_mb``: the process's
+peak resident set size (``ru_maxrss``) once the row is done.  That is a
+high-water mark over every row run so far, so run one row per process to
+read it as that row's own peak.  Run from the root of a checkout with
+the package on PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/koszul_timings.py --action 9 10 --torus filiform:9 heisenberg:4
     PYTHONPATH=src python3 scripts/koszul_timings.py --betti filiform:12 abelian:14 --action --torus
@@ -27,6 +30,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -146,7 +150,9 @@ def main(argv=None):
         map(betti_row, args.betti), map(action_row, args.action), map(torus_row, args.torus)
     )
     for row in rows:
-        line = f"{row['kind']:<6} {row['algebra']:<18} {row['seconds']:>9.3f} s  {row['sha256']}"
+        row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        line = (f"{row['kind']:<6} {row['algebra']:<18} {row['seconds']:>9.3f} s"
+                f" {row['peak_rss_mb']:>8.1f} MB  {row['sha256']}")
         if "stages" in row:
             line += "\n       " + "  ".join(f"{k} {v:.4f} s" for k, v in row["stages"].items())
         print(json.dumps(row, sort_keys=True) if args.json else line, flush=True)

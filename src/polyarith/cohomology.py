@@ -32,7 +32,9 @@ from .linalg import (
     row_hermite_basis,
     snf,
 )
-from .presentations import ModuleAction, Presentation, Word, concat_words, evaluate_word, invert_word
+from .presentations import (
+    ModuleAction, Presentation, Word, _refuse_relator, concat_words, evaluate_word, invert_word
+)
 
 Vector = Tuple[int, ...]
 
@@ -146,8 +148,7 @@ def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLatt
     rows: List[Vector] = []
     for w in pres.relators:
         fox, mw = _fox_matrix(action, w)
-        if not mw.is_identity():
-            raise PreconditionError(f"relator {w} does not act trivially")
+        _refuse_relator(None if mw.is_identity() else w)
         if not fox.is_integral():
             raise InternalError("relator coefficients must be integral")
         rows.extend(fox.entries)

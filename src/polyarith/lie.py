@@ -709,12 +709,17 @@ def semisimple_rigidity_check(
 # invariants under a set of semisimple automorphisms
 
 
+def _is_torus(operators: Sequence[Tuple[SparseColumns, int]]) -> bool:
+    """Whether column j of every operator is ((j, x),) for each j, as a torus's are."""
+    return all(len(col) == 1 and col[0][0] == j for op, _ in operators for j, col in enumerate(op))
+
+
 def _fixed_space(operators: Sequence[Tuple[SparseColumns, int]], dim: int) -> List[SparseColumn]:
     """Sparse rows spanning the vectors of Q^dim fixed by every operator, each
     given as the sparse columns of s times it with the integer s > 0: the
-    kernel of the rows of op - s I over all the operators, or, when every
-    column j is ((j, x),), as a torus's are, the unit rows e_f where each x is s."""
-    if all(len(col) == 1 and col[0][0] == j for op, _ in operators for j, col in enumerate(op)):
+    kernel of the rows of op - s I over all the operators, or, for a torus
+    (``_is_torus``), the unit rows e_f where each diagonal entry is s."""
+    if _is_torus(operators):
         return [((f, 1),) for f in range(dim) if all(op[f][0][1] == s for op, s in operators)]
     ident = Matrix.identity(dim)
     stacked = [r for op, s in operators for r in (_dense_columns(op, dim) - ident.scale(s)).entries]
@@ -754,32 +759,43 @@ def invariant_subcomplex(
         if one.matrix * two.matrix != two.matrix * one.matrix:
             raise PreconditionError("automorphisms must commute")
 
-    bases = [
-        _fixed_space([_scaled_action(phi, p) for phi in autos], kos.space_dim(p))
-        for p in range(n + 1)
-    ]
+    levels = [[_scaled_action(phi, p) for phi in autos] for p in range(n + 1)]
+    bases = [_fixed_space(ops, kos.space_dim(p)) for p, ops in enumerate(levels)]
     # d^p of each fixed form, in coordinates on the fixed forms of degree p + 1
     restricted = []
     for p in range(n):
         images = [_combine(kos.columns[p], row) for row in bases[p]]
-        what = "differential left the invariant subcomplex"
-        coords = _coordinates(bases[p + 1], images, what)
+        coords = _coordinates(bases[p + 1], images, "differential left the invariant subcomplex")
         restricted.append(_dense_columns(coords, len(bases[p + 1])))
     restricted.append(Matrix([], ncols=0))
 
     ranks = [d.rank() for d in restricted]
-    inv_betti = [
-        len(bases[p]) - ranks[p] - (ranks[p - 1] if p > 0 else 0) for p in range(n + 1)
-    ]
-    fixed_dims = [
-        len(_fixed_space([_class_map(phi, p, kos) for phi in autos], h))
-        for p, h in enumerate(kos.betti())
-    ]
+    inv_betti = [len(b) - ranks[p] - (ranks[p - 1] if p else 0) for p, b in enumerate(bases)]
+    if all(map(_is_torus, levels)):
+        # a form's weight is its entries on the diagonals; d keeps weights, so a block
+        # has one, and only the blocks of weight c^p under every torus hold fixed classes
+        fixed_dims = []
+        for p, ops in enumerate(levels):
+            forms, lower = [], []
+            for block, into in kos._blocks(p):
+                weights = {tuple(op[j][0][1] for op, _ in ops) for j in block}
+                if len(weights) > 1:
+                    raise InternalError(f"a block of {len(block)} forms in degree {p} has several weights")
+                if weights == {tuple(s for _, s in ops)}:
+                    forms += block
+                    lower += into
+            out_rank = sparse_rank([kos.columns[p][j] for j in forms], kos._target_dim(p))
+            in_rank = sparse_rank([kos.columns[p - 1][j] for j in lower], kos.space_dim(p))
+            fixed_dims.append(len(forms) - out_rank - in_rank)
+        for p in range(n):
+            for phi, (w_here, _), (w_up, _) in zip(autos, levels[p], levels[p + 1]):
+                check_chain_map(kos.columns[p], w_here, w_up, phi.exterior.scale)
+    else:
+        maps = [[_class_map(phi, p, kos) for phi in autos] for p in range(n + 1)]
+        fixed_dims = [len(_fixed_space(ops, h)) for ops, h in zip(maps, kos.betti())]
 
     if inv_betti != fixed_dims:
-        raise InternalError(
-            "invariant subcomplex cohomology disagrees with cohomology invariants"
-        )
+        raise InternalError("invariant subcomplex cohomology disagrees with cohomology invariants")
     return InvariantCohomology(
         tuple(map(len, bases)),
         tuple(inv_betti),

@@ -133,11 +133,15 @@ def validate_action(pres: Presentation, action: ModuleAction) -> Optional[Word]:
     return None
 
 
-def checked_action(pres: Presentation, matrices: Sequence[Matrix], rank: int) -> ModuleAction:
-    action = ModuleAction(rank, tuple(matrices))
-    bad = validate_action(pres, action)
+def _refuse_relator(bad: Optional[Word]) -> None:
+    """The relator rule: ``bad``, a relator that does not act trivially, is refused."""
     if bad is not None:
         raise PreconditionError(f"relator {bad} does not act trivially")
+
+
+def checked_action(pres: Presentation, matrices: Sequence[Matrix], rank: int) -> ModuleAction:
+    action = ModuleAction(rank, tuple(matrices))
+    _refuse_relator(validate_action(pres, action))
     return action
 
 

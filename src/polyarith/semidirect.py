@@ -26,6 +26,7 @@ from .presentations import (
     ModuleAction,
     Presentation,
     _check_engine,
+    _refuse_relator,
     validate_action,
 )
 from .quadratic import QuadElem, QuadOrder
@@ -46,9 +47,7 @@ class SemidirectGroup:
     """Z^rank twisted by a presented group through a validated action."""
 
     def __init__(self, presentation: Presentation, action: ModuleAction, engine):
-        bad = validate_action(presentation, action)
-        if bad is not None:
-            raise PreconditionError(f"relator {bad} does not act trivially")
+        _refuse_relator(validate_action(presentation, action))
         _check_engine(presentation, engine)
         self.presentation = presentation
         self.action = action

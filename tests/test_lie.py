@@ -1246,9 +1246,31 @@ class TestInvariantKernels:
             invariant_subcomplex(kos, [phi])
 
     def test_fixed_classes_disagreeing_with_the_subcomplex_are_refused(self, monkeypatch):
+        # a torus: the fixed classes are counted on the blocks of weight 1
         h = heisenberg()
         kos = build_koszul(h)
         phi = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
+        original = KoszulComplex._blocks
+
+        def unlinked(self, p):
+            # claim that d xi^2 does not land on xi^0 ^ xi^1, the one fixed
+            # form of degree 2, so that the form would carry a fixed class
+            return [(forms, [] if p == 2 else lower) for forms, lower in original(self, p)]
+
+        monkeypatch.setattr(KoszulComplex, "_blocks", unlinked)
+        with pytest.raises(
+            InternalError, match="^invariant subcomplex cohomology disagrees with cohomology invariants$"
+        ):
+            invariant_subcomplex(kos, [phi])
+
+    def test_fixed_classes_off_the_class_map_disagreeing_are_refused(self, monkeypatch):
+        # the torus conjugated by exp(ad e_0) is not diagonal, so its fixed
+        # classes are read off the class map
+        h = heisenberg()
+        kos = build_koszul(h)
+        u = inner_automorphism(h, (1, 0, 0))
+        phi = u.compose(diagonal_automorphism(h, (2, Fraction(1, 2), 1))).compose(u.inverse())
+        assert not linalg._is_diagonal(phi.matrix.entries)
         original = lie._class_map
 
         def fixing(psi, p, kos):
@@ -1262,6 +1284,36 @@ class TestInvariantKernels:
             InternalError, match="^invariant subcomplex cohomology disagrees with cohomology invariants$"
         ):
             invariant_subcomplex(kos, [phi])
+
+    def test_a_block_of_two_weights_is_refused(self, monkeypatch):
+        h = heisenberg(2)
+        kos = build_koszul(h)
+        phi = diagonal_automorphism(h, (2, 3, 1, 6, 6))
+        # xi^0 ^ xi^1 and xi^2 ^ xi^3 make one block, as d xi^4 lands on both
+        j = kos.bases[2].index((2, 3))
+        assert [0, j] in [forms for forms, _ in kos._blocks(2)]
+        original = lie._scaled_action
+
+        def tampered(psi, p):
+            # give xi^2 ^ xi^3 a weight of its own, fixed by phi no more
+            # than the block's
+            cols, s = original(psi, p)
+            if p == 2:
+                assert cols[j] == ((j, 6),) and s == 36
+                cols = cols[:j] + (((j, 18),),) + cols[j + 1 :]
+            return cols, s
+
+        monkeypatch.setattr(lie, "_scaled_action", tampered)
+        with pytest.raises(InternalError, match="^a block of 2 forms in degree 2 has several weights$"):
+            invariant_subcomplex(kos, [phi])
+
+    def test_no_automorphisms_give_the_betti_numbers(self):
+        algebras = dict(nilpotent_catalog(), sl2=sl2())
+        for name, algebra in algebras.items():
+            kos = build_koszul(algebra)
+            inv = invariant_subcomplex(kos, [])
+            assert inv.invariant_betti == inv.fixed_cohomology_dims == kos.betti(), name
+            assert inv.subspace_dims == tuple(map(kos.space_dim, range(algebra.dim + 1))), name
 
     def test_invariant_path_reads_no_dense_differential(self, monkeypatch):
         h = nilpotent_catalog()["filiform_6"]
@@ -1575,6 +1627,35 @@ class TestTorusShortcut:
         expected = invariant_subcomplex(kos, tori)
         monkeypatch.setattr(lie, "min_poly", lambda *args: pytest.fail("min_poly"))
         assert invariant_subcomplex(kos, tori) == expected
+
+    @pytest.mark.parametrize("slot", ["torus/free_two_step_6", "torus/filiform_7"])
+    def test_workload_tori_reduce_no_block_of_nonzero_weight(self, monkeypatch, slot):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        job = workloads.action_job(slot, 0)
+        docs = {name: json.loads(data) for name, data in job.file_bytes().items()}
+        algebra = parse_lie_algebra(docs["algebra"], "")
+        kos = build_koszul(algebra)
+        tori = [LieAutomorphism(algebra, m) for m in parse_matrices_list(docs["tori"], "")]
+        monkeypatch.setattr(lie, "rational_kernel", lambda *args: pytest.fail("rational_kernel"))
+        monkeypatch.setattr(lie, "rref", lambda *args: pytest.fail("rref"))
+        ranked = []
+        original = Matrix.rank
+
+        def rank(self):
+            ranked.append(self.ncols)
+            return original(self)
+
+        monkeypatch.setattr(Matrix, "rank", rank)
+        inv = invariant_subcomplex(kos, tori)
+        # every matrix ranked is a restricted differential or a block of
+        # fixed forms, or of the columns of d on them
+        assert ranked and max(ranked) <= max(inv.subspace_dims)
+        # while blocks of several forms, none of them fixed, are there
+        assert sum(inv.subspace_dims) < sum(
+            len(forms) for p in range(algebra.dim + 1) for forms, _ in kos._blocks(p) if len(forms) > 1
+        )
 
 
 # ---------------------------------------------------------------------------

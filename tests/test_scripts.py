@@ -63,8 +63,12 @@ def test_koszul_timings_json():
         ("torus", "heisenberg:4"),
         ("torus", "heisenberg:5"),
     ]
-    assert all(set(row) == {"kind", "algebra", "seconds", "sha256", "stages"} for row in rows[:2])
-    assert all(set(row) == {"kind", "algebra", "seconds", "sha256"} for row in rows[2:])
+    fields = {"kind", "algebra", "seconds", "sha256", "peak_rss_mb"}
+    assert all(set(row) == fields | {"stages"} for row in rows[:2])
+    assert all(set(row) == fields for row in rows[2:])
+    # the peak RSS is the process's high-water mark, so it never falls
+    peaks = [row["peak_rss_mb"] for row in rows]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
     for row in rows[:2]:
         stages = row["stages"]
         assert set(stages) == {"algebra", "build_koszul", "betti", "nilpotency_class"}
@@ -85,6 +89,23 @@ def test_koszul_timings_json():
         "86e82af6961cee14a7603bdab744d9e0b67d327ce7979cca92becf834665538f",
         "33ce64a1136ef1281b91356506fa465fc73089b2edb5de9fb707d0a2aa23ed60",
     ]
+
+
+def test_koszul_timings_torus_rows_at_the_cap():
+    # both tori fix the constants alone: the invariant subcomplex is the
+    # constants, in filiform(14) and in abelian(14)
+    done = run_script(
+        "koszul_timings.py", "--action", "--torus", "filiform:14", "abelian:14", "--json"
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["kind"], row["algebra"]) for row in rows] == [
+        ("torus", "filiform:14"),
+        ("torus", "abelian:14"),
+    ]
+    assert [row["sha256"] for row in rows] == [
+        "bc6f4498212e0c0f7c9a909cc65f00a82349a44f2ece2ab07b09820c0be87230"
+    ] * 2
 
 
 def write_run(directory, workload, seed, values, trace=0, failed_share=0.0):
@@ -169,16 +190,19 @@ def test_bench_fold_cap_rows(tmp_path):
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         return str(path)
 
-    # the action row runs twice on each side; the torus digests differ
+    # the action row runs twice on each side; the torus digests differ; the
+    # parent's action rows come from before rows carried a peak RSS
     action = {"kind": "action", "algebra": "filiform:14", "sha256": "030e"}
     torus = {"kind": "torus", "algebra": "abelian:14"}
     before = timings("parent.jsonl", [
-        {**action, "seconds": 34.3}, {**torus, "seconds": 0.63, "sha256": "bc6f"},
+        {**action, "seconds": 34.3},
+        {**torus, "seconds": 0.63, "sha256": "bc6f", "peak_rss_mb": 98.5},
         {**action, "seconds": 33.9},
     ])
     after = timings("change.jsonl", [
-        {**action, "seconds": 30.1}, {**action, "seconds": 30.4},
-        {**torus, "seconds": 0.61, "sha256": "0000"},
+        {**action, "seconds": 30.1, "peak_rss_mb": 715.2},
+        {**action, "seconds": 30.4, "peak_rss_mb": 716.0},
+        {**torus, "seconds": 0.61, "sha256": "0000", "peak_rss_mb": 97.1},
     ])
     out = tmp_path / "BENCH_1.json"
     done = run_script("bench_fold.py", str(parent), str(change), "--out", str(out),
@@ -187,10 +211,14 @@ def test_bench_fold_cap_rows(tmp_path):
     report = json.loads(out.read_text())
     assert report["cap_rows"] == {
         "action filiform:14": {
-            "seconds": {"parent": [34.3, 33.9], "change": [30.1, 30.4]}, "sha256_match": True,
+            "seconds": {"parent": [34.3, 33.9], "change": [30.1, 30.4]},
+            "peak_rss_mb": {"parent": [None, None], "change": [715.2, 716.0]},
+            "sha256_match": True,
         },
         "torus abelian:14": {
-            "seconds": {"parent": [0.63], "change": [0.61]}, "sha256_match": False,
+            "seconds": {"parent": [0.63], "change": [0.61]},
+            "peak_rss_mb": {"parent": [98.5], "change": [97.1]},
+            "sha256_match": False,
         },
     }
     # without --timings the report has no cap rows
