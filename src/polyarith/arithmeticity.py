@@ -17,7 +17,7 @@ from typing import Optional
 
 from .cohomology import DerivationLattice, conjugation_action, derivation_space, rewriting_table
 from .errors import InternalError, PreconditionError
-from .linalg import JordanPair, Matrix, char_poly, finite_order, jordan_chevalley, min_poly, snf
+from .linalg import JordanPair, Matrix, char_poly, finite_order, jordan_chevalley, min_poly
 from .polynomials import Poly
 from .semidirect import GammaEpsilon, build_gamma_epsilon, gamma_epsilon_derivation_basis
 
@@ -127,8 +127,7 @@ def non_arithmeticity_report(d: int) -> FamilyReport:
     coords = [full.coordinates(deriv) for deriv in basis]
     if any(c is None for c in coords):
         raise InternalError("distinguished derivation outside the full lattice")
-    index_factors = snf(Matrix(coords, ncols=full.rank)).invariant_factors
-    if list(index_factors) != [1] * full.rank:
+    if Matrix(coords, ncols=full.rank).det() not in (1, -1):
         raise InternalError("distinguished basis does not span the full lattice")
 
     g_word = group.presentation.word([("A", 1)])

@@ -73,13 +73,21 @@ def _matrix_lines(m: Matrix, label: str = "") -> List[str]:
     return out
 
 
-def _digest_entry(path: str, digest: str) -> dict:
-    return {"path": path, "sha256": digest}
-
-
-def _load_group(path: str):
+def _load(path: str, parse):
+    """Read the document at ``path`` and parse it; return the value with
+    its ``files`` entry."""
     doc, digest = load_document(path)
-    return parse_group_document(doc), digest
+    return parse(doc, ""), {"path": path, "sha256": digest}
+
+
+def _verdict_json(verdict) -> dict:
+    return {
+        "classification": verdict.classification,
+        "order": verdict.order,
+        "semisimple_part": matrix_to_json(verdict.witness.semisimple),
+        "unipotent_part": matrix_to_json(verdict.witness.unipotent),
+        "note": verdict.interpretation(),
+    }
 
 
 def _engine_for(document: GroupDocument):
@@ -127,7 +135,7 @@ def cmd_gamma_epsilon(ns) -> Handler:
 
 
 def cmd_derivations(ns) -> Handler:
-    document, digest = _load_group(ns.spec)
+    document, spec = _load(ns.spec, parse_group_document)
     lattice = derivation_space(document.presentation, document.action)
     names = document.presentation.generators
     results = {
@@ -142,11 +150,11 @@ def cmd_derivations(ns) -> Handler:
     for t, deriv in enumerate(lattice.basis, start=1):
         parts = ", ".join(f"{n} -> {list(v)}" for n, v in zip(names, deriv.values))
         pretty.append(f"  d{t}: {parts}")
-    return results, {"spec": _digest_entry(ns.spec, digest)}, {}, pretty
+    return results, {"spec": spec}, {}, pretty
 
 
 def cmd_h1(ns) -> Handler:
-    document, digest = _load_group(ns.spec)
+    document, spec = _load(ns.spec, parse_group_document)
     group = h1(document.presentation, document.action)
     order = group.order()
     results = {
@@ -161,11 +169,11 @@ def cmd_h1(ns) -> Handler:
         f"invariant factors: {list(group.torsion)}",
         f"H1 = {group}",
     ]
-    return results, {"spec": _digest_entry(ns.spec, digest)}, {}, pretty
+    return results, {"spec": spec}, {}, pretty
 
 
 def cmd_der_action(ns) -> Handler:
-    document, digest = _load_group(ns.spec)
+    document, spec = _load(ns.spec, parse_group_document)
     engine = _engine_for(document)
     word = parse_element_text(ns.element, document.presentation, "/element")
     lattice = derivation_space(document.presentation, document.action)
@@ -181,12 +189,11 @@ def cmd_der_action(ns) -> Handler:
     pretty = [f"element: {ns.element}", f"derivation lattice rank: {lattice.rank}"]
     pretty.append((matrix, "action on the derivation basis (rows are images):"))
     pretty.append(f"determinant: {det}")
-    files = {"spec": _digest_entry(ns.spec, digest)}
-    return results, files, {"element": ns.element}, pretty
+    return results, {"spec": spec}, {"element": ns.element}, pretty
 
 
 def cmd_equivariant_units(ns) -> Handler:
-    document, digest = _load_group(ns.spec)
+    document, spec = _load(ns.spec, parse_group_document)
     units = equivariant_units(document.action, ns.bound)
     results = {
         "bound": ns.bound,
@@ -196,42 +203,31 @@ def cmd_equivariant_units(ns) -> Handler:
     pretty = [f"entry bound: {ns.bound}", f"units found: {len(units)}"]
     for t, u in enumerate(units, start=1):
         pretty.append((u, f"unit {t}:"))
-    files = {"spec": _digest_entry(ns.spec, digest)}
-    return results, files, {"bound": ns.bound}, pretty
+    return results, {"spec": spec}, {"bound": ns.bound}, pretty
 
 
 def cmd_jordan(ns) -> Handler:
-    doc, digest = load_document(ns.matrix)
-    matrix = parse_matrix(doc, "")
+    matrix, entry = _load(ns.matrix, parse_matrix)
     pair = jordan_chevalley(matrix)
     results = {
         "semisimple_part": matrix_to_json(pair.semisimple),
         "unipotent_part": matrix_to_json(pair.unipotent),
     }
     pretty = [(pair.semisimple, "semisimple part:"), (pair.unipotent, "unipotent part:")]
-    files = {"matrix": _digest_entry(ns.matrix, digest)}
-    return results, files, {}, pretty
+    return results, {"matrix": entry}, {}, pretty
 
 
 def cmd_arith_check(ns) -> Handler:
-    doc, digest = load_document(ns.matrix)
-    matrix = parse_matrix(doc, "")
+    matrix, entry = _load(ns.matrix, parse_matrix)
     verdict = classify(matrix)
-    results = {
-        "classification": verdict.classification,
-        "order": verdict.order,
-        "semisimple_part": matrix_to_json(verdict.witness.semisimple),
-        "unipotent_part": matrix_to_json(verdict.witness.unipotent),
-        "note": verdict.interpretation(),
-    }
+    results = _verdict_json(verdict)
     pretty = [(matrix, "input:"), (verdict.witness.semisimple, "semisimple part:")]
     pretty.append((verdict.witness.unipotent, "unipotent part:"))
     if verdict.order is not None:
         pretty.append(f"order: {verdict.order}")
     pretty.append(f"note: {verdict.interpretation()}")
     pretty.append(f"classification: {verdict.classification}")
-    files = {"matrix": _digest_entry(ns.matrix, digest)}
-    return results, files, {}, pretty
+    return results, {"matrix": entry}, {}, pretty
 
 
 def cmd_teob(ns) -> Handler:
@@ -246,11 +242,7 @@ def cmd_teob(ns) -> Handler:
         "inner_action": matrix_to_json(report.inner_action),
         "unipotent_block": matrix_to_json(report.unipotent_block),
         "infinite_order_factor": poly_to_json(report.infinite_order_factor),
-        "classification": verdict.classification,
-        "order": verdict.order,
-        "semisimple_part": matrix_to_json(verdict.witness.semisimple),
-        "unipotent_part": matrix_to_json(verdict.witness.unipotent),
-        "note": verdict.interpretation(),
+        **_verdict_json(verdict),
     }
     pretty = [
         f"d = {report.d}, epsilon = {report.a} + {report.b}*sqrt({report.d})",
@@ -265,19 +257,8 @@ def cmd_teob(ns) -> Handler:
     return results, {}, {"d": ns.d}, pretty
 
 
-def _parse_lie_file(path: str):
-    doc, digest = load_document(path)
-    return parse_lie_algebra(doc, ""), digest
-
-
-def _automorphisms_from_file(algebra, path: str):
-    doc, digest = load_document(path)
-    mats = parse_matrices_list(doc, "")
-    return [LieAutomorphism(algebra, m) for m in mats], digest
-
-
 def cmd_lie_cohomology(ns) -> Handler:
-    algebra, digest = _parse_lie_file(ns.algebra)
+    algebra, entry = _load(ns.algebra, parse_lie_algebra)
     kos = build_koszul(algebra)
     betti = kos.betti()
     euler = kos.euler_characteristic()
@@ -299,7 +280,8 @@ def cmd_lie_cohomology(ns) -> Handler:
         "nilpotency_class": nil_class,
         "algebra": lie_algebra_to_json(algebra),
     }
-    files = {"algebra": _digest_entry(ns.algebra, digest)}
+    files = {"algebra": entry}
+    params = {}
     pretty = [
         f"dimension: {algebra.dim}",
         f"nilpotency class: {nil_class}",
@@ -307,8 +289,9 @@ def cmd_lie_cohomology(ns) -> Handler:
         f"euler characteristic: {euler}",
     ]
     if ns.automorphism is not None:
-        autos, adigest = _automorphisms_from_file(algebra, ns.automorphism)
-        files["automorphism"] = _digest_entry(ns.automorphism, adigest)
+        mats, files["automorphism"] = _load(ns.automorphism, parse_matrices_list)
+        autos = [LieAutomorphism(algebra, m) for m in mats]
+        params["automorphism"] = ns.automorphism
         if not autos:
             raise SchemaError("/matrices", "at least one matrix is required")
         phi = autos[0]
@@ -319,28 +302,23 @@ def cmd_lie_cohomology(ns) -> Handler:
         for p, m in enumerate(action):
             pretty.append((m, f"induced map on degree {p} cohomology:"))
     if ns.invariants is not None:
-        autos, idigest = _automorphisms_from_file(algebra, ns.invariants)
-        files["invariants"] = _digest_entry(ns.invariants, idigest)
-        inv = invariant_subcomplex(kos, autos)
+        mats, files["invariants"] = _load(ns.invariants, parse_matrices_list)
+        params["invariants"] = ns.invariants
+        inv = invariant_subcomplex(kos, [LieAutomorphism(algebra, m) for m in mats])
         results["invariant"] = {
             "subspace_dims": list(inv.subspace_dims),
             "invariant_betti": list(inv.invariant_betti),
             "fixed_cohomology_dims": list(inv.fixed_cohomology_dims),
         }
         pretty.append("invariant betti numbers: " + " ".join(str(b) for b in inv.invariant_betti))
-    params = {}
-    if ns.automorphism is not None:
-        params["automorphism"] = ns.automorphism
-    if ns.invariants is not None:
-        params["invariants"] = ns.invariants
     return results, files, params, pretty
 
 
 def cmd_koszul_invariants(ns) -> Handler:
-    algebra, digest = _parse_lie_file(ns.algebra)
+    algebra, entry = _load(ns.algebra, parse_lie_algebra)
     kos = build_koszul(algebra)
-    autos, idigest = _automorphisms_from_file(algebra, ns.matrices)
-    inv = invariant_subcomplex(kos, autos)
+    mats, matrices = _load(ns.matrices, parse_matrices_list)
+    inv = invariant_subcomplex(kos, [LieAutomorphism(algebra, m) for m in mats])
     betti = kos.betti()
     results = {
         "dim": algebra.dim,
@@ -350,10 +328,7 @@ def cmd_koszul_invariants(ns) -> Handler:
         "fixed_cohomology_dims": list(inv.fixed_cohomology_dims),
         "dims_agree": list(inv.invariant_betti) == list(inv.fixed_cohomology_dims),
     }
-    files = {
-        "algebra": _digest_entry(ns.algebra, digest),
-        "matrices": _digest_entry(ns.matrices, idigest),
-    }
+    files = {"algebra": entry, "matrices": matrices}
     pretty = [
         "betti numbers: " + " ".join(str(b) for b in betti),
         "invariant subcomplex dimensions: " + " ".join(str(x) for x in inv.subspace_dims),
@@ -386,32 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pell", parents=[common], help="fundamental norm-one unit of Z[sqrt(d)]")
     p.add_argument("d", type=int)
-    p.set_defaults(handler="cmd_pell")
 
     p = sub.add_parser(
         "gamma-epsilon", parents=[common], help="emit the Pell family group description"
     )
     p.add_argument("d", type=int)
-    p.set_defaults(handler="cmd_gamma_epsilon")
 
     p = sub.add_parser(
         "derivations", parents=[common], help="basis of the derivation lattice of a group spec"
     )
     p.add_argument("spec")
-    p.set_defaults(handler="cmd_derivations")
 
     p = sub.add_parser(
         "h1", parents=[common], help="first cohomology (cocycles modulo coboundaries)"
     )
     p.add_argument("spec")
-    p.set_defaults(handler="cmd_h1")
 
     p = sub.add_parser(
         "der-action", parents=[common], help="conjugation action of an element on derivations"
     )
     p.add_argument("spec")
     p.add_argument("--element", required=True, help='word such as "A" or "A t A^-1"')
-    p.set_defaults(handler="cmd_der_action")
 
     p = sub.add_parser(
         "equivariant-units",
@@ -420,13 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("spec")
     p.add_argument("--bound", type=int, default=10)
-    p.set_defaults(handler="cmd_equivariant_units")
 
     p = sub.add_parser(
         "jordan", parents=[common], help="multiplicative Jordan decomposition of a rational matrix"
     )
     p.add_argument("matrix")
-    p.set_defaults(handler="cmd_jordan")
 
     p = sub.add_parser(
         "arith-check",
@@ -434,13 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="necessary-condition classification of an integer matrix",
     )
     p.add_argument("matrix")
-    p.set_defaults(handler="cmd_arith_check")
 
     p = sub.add_parser(
         "teob", parents=[common], help="full non-arithmeticity report for a Pell parameter"
     )
     p.add_argument("d", type=int)
-    p.set_defaults(handler="cmd_teob")
 
     p = sub.add_parser(
         "lie-cohomology", parents=[common], help="Betti numbers and actions for a Lie algebra"
@@ -448,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--automorphism", default=None, help="matrices file; composed left to right")
     p.add_argument("--invariants", default=None, help="matrices file of commuting semisimple maps")
-    p.set_defaults(handler="cmd_lie_cohomology")
 
     p = sub.add_parser(
         "koszul-invariants",
@@ -457,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("algebra")
     p.add_argument("matrices")
-    p.set_defaults(handler="cmd_koszul_invariants")
 
     return parser
 
@@ -465,15 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser every ``main`` call shares, built on first use rather
-    than at import.  It holds handler names, not functions, so ``main``
-    finds each handler in this module when it runs."""
+    than at import.  It holds no handlers: subcommand ``x-y`` is handled
+    by ``cmd_x_y``, which ``main`` finds in this module when it runs."""
     return build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        results, files, params, pretty = globals()[ns.handler](ns)
+        results, files, params, pretty = globals()["cmd_" + ns.command.replace("-", "_")](ns)
     except SchemaError as e:
         print(f"error (malformed input): {e}", file=sys.stderr)
         return 1

@@ -755,8 +755,10 @@ def invariant_subcomplex(
             raise PreconditionError("complex and automorphism algebras differ")
         if not phi.is_semisimple():
             raise PreconditionError("invariant subcomplex needs semisimple automorphisms")
-    for one, two in itertools.combinations(autos, 2):
-        if one.matrix * two.matrix != two.matrix * one.matrix:
+    # level 1 is c times the inverse transpose (level 0 when n = 0);
+    # two maps commute exactly when these do
+    for one, two in itertools.combinations([phi.exterior.level(min(n, 1)) for phi in autos], 2):
+        if any(_combine(one, y) != _combine(two, x) for x, y in zip(one, two)):
             raise PreconditionError("automorphisms must commute")
 
     levels = [[_scaled_action(phi, p) for phi in autos] for p in range(n + 1)]

@@ -70,21 +70,15 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = [Fraction(c) for c in self.coeffs]
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = Fraction(other.coeffs[-1])
         d = other.degree
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            rem.pop()
-        return Poly(_normalize(quo)), Poly(_normalize(rem))
+        lead = Fraction(other.coeffs[-1])
+        quo = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(quo))):
+            q = quo[k] = rem[k + d] / lead
+            if q:
+                for i, c in enumerate(other.coeffs):
+                    rem[k + i] -= q * c
+        return Poly(_normalize(quo)), Poly(_normalize(rem[:d]))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]

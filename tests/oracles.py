@@ -220,6 +220,26 @@ def pell_brute(d):
         y += 1
 
 
+def poly_div(num, den):
+    """Quotient and remainder of two ascending coefficient lists by
+    sympy.div over QQ, as ascending lists of Fractions with no trailing
+    zeros (the zero polynomial is the empty list)."""
+    x = sympy.Symbol("x")
+
+    def to_sympy(coeffs):
+        terms = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in coeffs]
+        return sympy.Poly(list(reversed(terms)) or [0], x, domain=sympy.QQ)
+
+    def from_sympy(poly):
+        out = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    q, r = sympy.div(to_sympy(num), to_sympy(den), domain=sympy.QQ)
+    return from_sympy(q), from_sympy(r)
+
+
 def det_exact(rows):
     """Determinant of a square list of rows by Fraction elimination."""
     a = [[Fraction(x) for x in r] for r in rows]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -432,6 +433,19 @@ class TestKoszulInvariants:
         _, out, _ = run(capsys, "koszul-invariants", algebra, torus, "--pretty")
         assert "matches invariants of cohomology: yes" in out
 
+    def test_non_commuting_automorphisms_rejected(self, capsys, tmp_path):
+        algebra = write_json(tmp_path, "heis.json", HEISENBERG_DOC)
+        # the torus of TORUS_DOC and its conjugate by exp(ad e_1)
+        conjugate = {
+            "rows": 3,
+            "cols": 3,
+            "entries": [["2", "0", "0"], ["0", "1/2", "0"], ["0", "-1/2", "1"]],
+        }
+        pair = write_json(tmp_path, "pair.json", {"matrices": TORUS_DOC["matrices"] + [conjugate]})
+        code, out, err = run(capsys, "koszul-invariants", algebra, pair)
+        assert (code, out) == (2, "")
+        assert err == "error (precondition): automorphisms must commute\n"
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -632,6 +646,15 @@ class TestSharedParser:
         assert code == 0
         assert json.loads(out)["results"] == {"patched": 5}
 
+    def test_every_subcommand_has_a_handler(self):
+        import polyarith.cli as cli_module
+
+        parser = cli_module.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert len(sub.choices) == 11
+        for name in sub.choices:
+            assert callable(getattr(cli_module, "cmd_" + name.replace("-", "_"), None)), name
+
 
 class TestConsoleScript:
     def test_entry_point(self):
@@ -742,6 +765,38 @@ PINNED = {
         ("koszul-invariants", "{fil5}", "{torus5}"),
         "66f11dfc25614d8b2e968bd62e74f34569725faa9caf0e58e691c7f4a72f6cd6",
         "b2136860f277ee7f45446d3dd80580e1a1918f74e7cd9e11f06bc22cf27bf3a8",
+    ),
+    # the rows below were recorded before the handlers shared one loader
+    # and one verdict renderer
+    "pell-3": (
+        ("pell", "3"),
+        "c8c8bfc9b5f34d253aaa5ae889ae133612abb4696ca8610ce1d6748acb75f600",
+        "617316c79e9b731067820ccc55d3b166b70896d0ced4d315b63f74a5d1adb190",
+    ),
+    "gamma-epsilon-3": (
+        ("gamma-epsilon", "3"),
+        "3116bb13dad4f6bb1ed637e4f344ee45043f531db8df0f55b797df7ee998e551",
+        "c07b851d2f02fc08b615e2ec938d13358ae4e13f7158b18a12457fee2a90804f",
+    ),
+    "derivations-gamma3": (
+        ("derivations", "{gamma3}"),
+        "89abe8a98139f71fb5670f9147ad00d5f863ab1fc2ac5f90d43fbd191628527a",
+        "9bf5f372dcc19639a0165775cefb237a19e2f25b4b32ac88d13f96586144c2c6",
+    ),
+    "equivariant-units-gamma3": (
+        ("equivariant-units", "{gamma3}", "--bound", "2"),
+        "5c057f1596066235412902f6afb8bf854eaa1388f0c7fa54af66b6a3dfc56a7f",
+        "67729ac49b7407a37619ef2296bbcdac8e3e52015ad07fe26f30d687ff9884fd",
+    ),
+    "lie-cohomology-fil5": (
+        ("lie-cohomology", "{fil5}"),
+        "5ed8fc375cdf83f092831d998da6731c8ff65133fb3e078b92b55b4fee8b81b2",
+        "4e84e5b9863c4a1e673b5a67a47f07c8c2090003d4457e5435b0d84e9130fc46",
+    ),
+    "lie-cohomology-invariants": (
+        ("lie-cohomology", "{fil5}", "--invariants", "{torus5}"),
+        "83e92ba84409e4f1eaee4850aa383c47b9ac7eb63d3d2a1d20f818f967e00adc",
+        "9bd22c04d432676dbf8050f1862f0d08102b4c5adff64bebb23ea52cc48a46cf",
     ),
 }
 

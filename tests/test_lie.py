@@ -1107,6 +1107,50 @@ class TestInvariantSubcomplex:
         with pytest.raises(PreconditionError):
             invariant_subcomplex(kos, [one, swap])
 
+    def test_a_torus_and_its_conjugate_are_refused(self):
+        # exp(ad e_0) conjugates the torus off the diagonal; the two do not
+        # commute, while the conjugate commutes with its own square
+        h = heisenberg(1)
+        kos = build_koszul(h)
+        torus = diagonal_automorphism(h, (2, Fraction(1, 2), 1))
+        u = inner_automorphism(h, (1, 0, 0))
+        conjugate = u.compose(torus).compose(u.inverse())
+        assert torus.matrix * conjugate.matrix != conjugate.matrix * torus.matrix
+        with pytest.raises(PreconditionError, match="^automorphisms must commute$"):
+            invariant_subcomplex(kos, [torus, conjugate])
+        inv = invariant_subcomplex(kos, [conjugate, conjugate.compose(conjugate)])
+        assert inv.invariant_betti == (1, 0, 0, 1)
+
+    def test_two_automorphisms_of_the_zero_algebra_commute(self):
+        # the zero algebra has no one-forms: its exterior expansion stops at level 0
+        a = abelian(0)
+        ident = LieAutomorphism(a, Matrix([], ncols=0))
+        assert invariant_subcomplex(build_koszul(a), [ident, ident]).invariant_betti == (1,)
+
+    def test_commutation_matches_the_matrix_products(self):
+        # conjugates of tori are semisimple; two of them commute at least
+        # when they share the conjugator
+        rng = random.Random(18)
+        h = heisenberg(1)
+        kos = build_koszul(h)
+        conjugators = [inner_automorphism(h, x) for x in ((0, 0, 0), (1, 0, 0), (0, 2, 0), (1, -1, 0))]
+        seen = set()
+        for _ in range(24):
+            pair = []
+            for _ in range(2):
+                u = rng.choice(conjugators)
+                a, b = rng.choice((1, -1, 2, Fraction(1, 3))), rng.choice((1, -1, 3))
+                pair.append(u.compose(diagonal_automorphism(h, (a, b, a * b))).compose(u.inverse()))
+            one, two = (phi.matrix for phi in pair)
+            commute = one * two == two * one
+            seen.add(commute)
+            if commute:
+                invariant_subcomplex(kos, pair)
+            else:
+                with pytest.raises(PreconditionError, match="^automorphisms must commute$"):
+                    invariant_subcomplex(kos, pair)
+        assert seen == {True, False}
+
     def test_complex_of_another_algebra_rejected(self):
         phi = diagonal_automorphism(heisenberg(), (2, 3, 6))
         with pytest.raises(PreconditionError, match="algebras differ"):

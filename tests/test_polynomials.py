@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import poly_div
 from polyarith.polynomials import Poly
 
 coeff = st.one_of(
@@ -37,6 +39,32 @@ def test_divmod_exact():
     q, r = num.divmod(den)
     assert q == Poly.of(1, 1, 1)
     assert r.is_zero()
+
+
+def test_divmod_matches_sympy():
+    rng = random.Random(18)
+
+    def draw(size):
+        pick = (0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        return [rng.choice(pick) for _ in range(size)]
+
+    cases = [
+        ((), (3,)),  # the zero polynomial
+        ((), (1, Fraction(1, 2))),
+        ((1, Fraction(2, 3)), (0, 0, 1)),  # a dividend shorter than the divisor
+        ((Fraction(1, 2), 0, 4), (Fraction(-2, 3),)),  # a constant divisor
+        ((5, 0, 0, 0, 1), (0, 1)),  # quotient steps whose leading entry is zero
+    ]
+    cases += [(draw(rng.randint(0, 8)), draw(rng.randint(1, 5))) for _ in range(300)]
+    checked = 0
+    for num, den in cases:
+        a, b = Poly.of(*num), Poly.of(*den)
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        assert (list(q.coeffs), list(r.coeffs)) == poly_div(a.coeffs, b.coeffs)
+        checked += 1
+    assert checked > 250
 
 
 def test_divmod_by_zero():
