@@ -87,7 +87,6 @@ from .presentations import (
     ModuleAction,
     Presentation,
     checked_action,
-    dihedral_normal_form,
     dihedral_presentation,
     evaluate_word,
     free_abelian_presentation,

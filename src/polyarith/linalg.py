@@ -32,7 +32,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
@@ -793,6 +793,17 @@ def nilpotency_index(a: Matrix) -> Optional[int]:
     return None
 
 
+def _nilpotent_series(nil: Matrix, start: Matrix, coeff) -> Matrix:
+    """start + sum of coeff(k) nil^k over k >= 1, up to the first zero power."""
+    acc, power = start, Matrix.identity(nil.nrows)
+    for k in range(1, nil.nrows + 1):
+        power = power * nil
+        if power.is_zero():
+            break
+        acc = acc + power.scale(coeff(k))
+    return acc
+
+
 def nilpotent_log(u: Matrix) -> Matrix:
     """Logarithm of a unipotent matrix, a finite exact series."""
     if not u.is_square():
@@ -801,14 +812,7 @@ def nilpotent_log(u: Matrix) -> Matrix:
     nil = u - Matrix.identity(n)
     if nilpotency_index(nil) is None:
         raise PreconditionError("matrix is not unipotent")
-    acc = Matrix.zero(n, n)
-    power = Matrix.identity(n)
-    for k in range(1, n + 1):
-        power = power * nil
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    return _nilpotent_series(nil, Matrix.zero(n, n), lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def nilpotent_exp(m: Matrix) -> Matrix:
@@ -817,17 +821,7 @@ def nilpotent_exp(m: Matrix) -> Matrix:
         raise PreconditionError("nilpotent_exp needs a square matrix")
     if nilpotency_index(m) is None:
         raise PreconditionError("matrix is not nilpotent")
-    n = m.nrows
-    acc = Matrix.identity(n)
-    power = Matrix.identity(n)
-    fact = 1
-    for k in range(1, n + 1):
-        power = power * m
-        if power.is_zero():
-            break
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-    return acc
+    return _nilpotent_series(m, Matrix.identity(m.nrows), lambda k: Fraction(1, factorial(k)))
 
 
 def _dense_columns(

@@ -7,9 +7,12 @@ letters' matrices.
 
 Normal form engines are provided for the two group families the rest
 of the package needs: the infinite dihedral group and free abelian
-groups.  Any object with the same five methods (``normal_form``,
-``multiply``, ``invert``, ``to_word``, ``action_matrix``) and the
-attributes ``presentation`` and ``identity`` can be plugged in instead.
+groups.  An engine has four members: the attributes ``presentation``
+and ``identity``, ``normal_form(word)`` and ``to_word(form)``, with
+``normal_form(to_word(form)) == form``.  Any object with these can be
+plugged in instead.  ``SemidirectGroup`` derives the group law and the
+matrix of a form from words: a product is the normal form of the
+concatenated words, and a form acts by ``evaluate_word`` of its word.
 """
 
 from __future__ import annotations
@@ -149,22 +152,6 @@ def checked_action(pres: Presentation, matrices: Sequence[Matrix], rank: int) ->
 # normal form engines
 
 
-def dihedral_normal_form(w: Word) -> Tuple[int, int]:
-    """Normal form (k, t) for A^k t^t in the infinite dihedral group.
-
-    Multiplication law: (k1, t1) * (k2, t2) = (k1 + (-1)^t1 * k2, t1 xor t2).
-    """
-    k, t = 0, 0
-    for idx, exp in w:
-        if idx == 0:
-            k += exp if t == 0 else -exp
-        elif idx == 1:
-            t ^= 1
-        else:
-            raise PreconditionError("dihedral words use generators 0 and 1 only")
-    return k, t
-
-
 class DihedralEngine:
     """Normal forms for the infinite dihedral group <A, t | t^2, (A t)^2>."""
 
@@ -173,26 +160,21 @@ class DihedralEngine:
         self.identity = (0, 0)
 
     def normal_form(self, w: Word) -> Tuple[int, int]:
-        return dihedral_normal_form(w)
-
-    def multiply(self, a, b):
-        k1, t1 = a
-        k2, t2 = b
-        return (k1 + (k2 if t1 == 0 else -k2), t1 ^ t2)
-
-    def invert(self, a):
-        k, t = a
-        return (-k, 0) if t == 0 else (k, 1)
+        """Normal form (k, t) for A^k t^t: t A = A^-1 t moves each t to the right."""
+        k, t = 0, 0
+        for idx, exp in w:
+            if idx == 0:
+                k += exp if t == 0 else -exp
+            elif idx == 1:
+                t ^= 1
+            else:
+                raise PreconditionError("dihedral words use generators 0 and 1 only")
+        return k, t
 
     def to_word(self, a) -> Word:
         k, t = a
         w = make_word([(0, k)])
         return w + ((1, 1),) if t else w
-
-    def action_matrix(self, a, action: ModuleAction) -> Matrix:
-        k, t = a
-        m = action.matrices[0] ** k
-        return m * action.matrices[1] if t else m
 
 
 class FreeAbelianEngine:
@@ -209,21 +191,8 @@ class FreeAbelianEngine:
             out[idx] += exp
         return tuple(out)
 
-    def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def invert(self, a):
-        return tuple(-x for x in a)
-
     def to_word(self, a) -> Word:
         return make_word(list(enumerate(a)))
-
-    def action_matrix(self, a, action: ModuleAction) -> Matrix:
-        out = Matrix.identity(action.rank)
-        for idx, exp in enumerate(a):
-            if exp:
-                out = out * (action.matrices[idx] ** exp)
-        return out
 
 
 def _check_engine(pres: Presentation, engine) -> None:

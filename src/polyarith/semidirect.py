@@ -6,6 +6,9 @@ form from the group engine.  The product rule is
 
     (f1, g1) * (f2, g2) = (f1 + g1 . f2, g1 g2).
 
+The engine gives normal forms and words only: g1 g2 is the normal form
+of the concatenated words, and g acts by the matrix of its word.
+
 Automorphisms fixing the translation lattice setwise and inducing the
 identity on the quotient are built from three kinds of atoms: a
 derivation shift (m, g) |-> (m + d(g), g), an equivariant unit
@@ -27,6 +30,8 @@ from .presentations import (
     Presentation,
     _check_engine,
     _refuse_relator,
+    evaluate_word,
+    invert_word,
     validate_action,
 )
 from .quadratic import QuadElem, QuadOrder
@@ -63,22 +68,25 @@ class SemidirectGroup:
             raise PreconditionError("translation length must equal the rank")
         if any(not isinstance(x, int) or isinstance(x, bool) for x in translation):
             raise PreconditionError("translation entries must be integers")
+        if self.engine.normal_form(self.engine.to_word(form)) != form:
+            raise PreconditionError(f"{form!r} is not a normal form")
         return SemidirectElement(translation, form)
 
     def form_matrix(self, form) -> Matrix:
-        return self.engine.action_matrix(form, self.action)
+        return evaluate_word(self.action, self.engine.to_word(form))
 
     def multiply(self, x: SemidirectElement, y: SemidirectElement) -> SemidirectElement:
-        moved = self.form_matrix(x.form).apply(y.translation)
+        wx = self.engine.to_word(x.form)
+        moved = evaluate_word(self.action, wx).apply(y.translation)
         return SemidirectElement(
             tuple(a + b for a, b in zip(x.translation, moved)),
-            self.engine.multiply(x.form, y.form),
+            self.engine.normal_form(wx + self.engine.to_word(y.form)),
         )
 
     def invert(self, x: SemidirectElement) -> SemidirectElement:
-        gi = self.engine.invert(x.form)
-        moved = self.form_matrix(gi).apply(x.translation)
-        return SemidirectElement(tuple(-v for v in moved), gi)
+        wi = invert_word(self.engine.to_word(x.form))
+        moved = evaluate_word(self.action, wi).apply(x.translation)
+        return SemidirectElement(tuple(-v for v in moved), self.engine.normal_form(wi))
 
     def conjugate(self, g: SemidirectElement, x: SemidirectElement) -> SemidirectElement:
         return self.multiply(self.multiply(g, x), self.invert(g))
@@ -94,9 +102,8 @@ class SemidirectGroup:
             gens.append(self.element(e, self.engine.identity))
             gens.append(self.element(tuple(-x for x in e), self.engine.identity))
         for j in range(len(self.presentation.generators)):
-            form = self.engine.normal_form(((j, 1),))
-            gens.append(self.element((0,) * self.rank, form))
-            gens.append(self.element((0,) * self.rank, self.engine.invert(form)))
+            for exp in (1, -1):
+                gens.append(self.element((0,) * self.rank, self.engine.normal_form(((j, exp),))))
         return gens
 
 

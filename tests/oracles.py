@@ -318,3 +318,15 @@ def relator_rows_by_letters(mats, w):
             for brow, prow in zip(blocks[idx], prefix)
         ]
     return [tuple(itertools.chain.from_iterable(b[i] for b in blocks)) for i in range(n)]
+
+
+def dihedral_product(a, b):
+    """Closed-form law of the infinite dihedral group on forms (k, t) for
+    A^k t^t: (k1, t1)(k2, t2) = (k1 + (-1)^t1 k2, t1 xor t2)."""
+    (k1, t1), (k2, t2) = a, b
+    return (k1 + (-1) ** t1 * k2, t1 ^ t2)
+
+
+def dihedral_inverse(a):
+    k, t = a
+    return (k, 1) if t else (-k, 0)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dihedral_inverse, dihedral_product
 from polyarith.errors import PreconditionError
 from polyarith.linalg import Matrix
 from polyarith.presentations import (
@@ -18,6 +19,7 @@ from polyarith.presentations import (
     make_word,
     validate_action,
 )
+from polyarith.semidirect import SemidirectGroup
 
 dihedral_words = st.lists(
     st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=8
@@ -103,14 +105,15 @@ class TestDihedralEngine:
     @settings(max_examples=200, deadline=None)
     def test_normal_form_is_homomorphism(self, w1, w2):
         nf = self.eng.normal_form
-        assert nf(w1 + w2) == self.eng.multiply(nf(w1), nf(w2))
+        assert nf(w1 + w2) == dihedral_product(nf(w1), nf(w2))
 
     @given(dihedral_words)
     @settings(max_examples=200, deadline=None)
     def test_inverse(self, w):
         g = self.eng.normal_form(w)
-        assert self.eng.multiply(g, self.eng.invert(g)) == self.eng.identity
-        assert self.eng.multiply(self.eng.invert(g), g) == self.eng.identity
+        assert self.eng.normal_form(invert_word(w)) == dihedral_inverse(g)
+        assert dihedral_product(g, dihedral_inverse(g)) == self.eng.identity
+        assert dihedral_product(dihedral_inverse(g), g) == self.eng.identity
 
     @given(dihedral_words)
     @settings(max_examples=200, deadline=None)
@@ -122,10 +125,9 @@ class TestDihedralEngine:
         a = Matrix([[2, 3], [1, 2]])
         t = Matrix([[1, 0], [0, -1]])
         action = checked_action(self.eng.presentation, (a, t), 2)
-        for g in [(0, 0), (3, 0), (-2, 1), (1, 1)]:
-            assert self.eng.action_matrix(g, action) == evaluate_word(
-                action, self.eng.to_word(g)
-            )
+        group = SemidirectGroup(self.eng.presentation, action, self.eng)
+        for k, tt in [(0, 0), (3, 0), (-2, 1), (1, 1)]:
+            assert group.form_matrix((k, tt)) == a ** k * t ** tt
 
 
 class TestFreeAbelianEngine:
@@ -142,9 +144,9 @@ class TestFreeAbelianEngine:
     def test_homomorphism(self, w1, w2):
         eng = FreeAbelianEngine(3)
         nf = eng.normal_form
-        assert nf(tuple(w1) + tuple(w2)) == eng.multiply(nf(tuple(w1)), nf(tuple(w2)))
-        g = nf(tuple(w1))
-        assert eng.multiply(g, eng.invert(g)) == eng.identity
+        g, h = nf(tuple(w1)), nf(tuple(w2))
+        assert nf(tuple(w1) + tuple(w2)) == tuple(x + y for x, y in zip(g, h))
+        assert nf(invert_word(tuple(w1))) == tuple(-x for x in g)
         assert nf(eng.to_word(g)) == g
 
     def test_action_matrix(self):
@@ -155,4 +157,5 @@ class TestFreeAbelianEngine:
         with pytest.raises(PreconditionError):
             checked_action(eng.presentation, (m1, m2), 2)
         action = checked_action(eng.presentation, (m1, m1.inverse()), 2)
-        assert eng.action_matrix((2, 1), action) == m1 ** 2 * m1.inverse()
+        group = SemidirectGroup(eng.presentation, action, eng)
+        assert group.form_matrix((2, 1)) == m1 ** 2 * m1.inverse()

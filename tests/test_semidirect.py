@@ -4,16 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dihedral_inverse, dihedral_product
 from polyarith.cohomology import (
     Derivation,
     conjugate_derivation,
+    conjugation_action,
     derivation_space,
     is_derivation,
     rewriting_table,
 )
 from polyarith.errors import InternalError, PreconditionError
 from polyarith.linalg import Matrix
-from polyarith.presentations import DihedralEngine, ModuleAction, Presentation, dihedral_presentation
+from polyarith.presentations import (
+    DihedralEngine,
+    FreeAbelianEngine,
+    ModuleAction,
+    Presentation,
+    dihedral_presentation,
+)
 from polyarith.semidirect import (
     Automorphism,
     DerivationAtom,
@@ -88,6 +96,13 @@ class TestGroupLaw:
             g.element((1, 2), (0, 0))
         with pytest.raises(PreconditionError):
             g.element((1, 2, True), (0, 0))
+        # t^2 is the identity, so (0, 2) is no normal form
+        with pytest.raises(PreconditionError, match="is not a normal form"):
+            g.element((0, 0, 0), (0, 2))
+        eng = FreeAbelianEngine(2)
+        flat = SemidirectGroup(eng.presentation, ModuleAction(1, (Matrix([[1]]),) * 2), eng)
+        with pytest.raises(PreconditionError, match="is not a normal form"):
+            flat.element((0,), (1,))
 
     def test_mismatched_engine_rejected(self):
         pres = dihedral_presentation()
@@ -140,6 +155,54 @@ class TestGroupLaw:
         monkeypatch.setattr(semidirect, "validate_action", counting)
         ge = build_gamma_epsilon(5)
         assert calls == [ge.group.action]
+
+
+class TestDerivedLaw:
+    """The group law and the matrices come from the engine's words alone."""
+
+    def test_minimal_engine_drives_the_group(self):
+        class CyclicTwoEngine:
+            # Z/2 = <s | s^2>, with only the four engine members
+            presentation = Presentation(("s",), (((0, 1), (0, 1)),))
+            identity = 0
+
+            def normal_form(self, w):
+                return len(w) % 2
+
+            def to_word(self, form):
+                return ((0, 1),) * form
+
+        eng = CyclicTwoEngine()
+        action = ModuleAction(1, (Matrix([[-1]]),))
+        g = SemidirectGroup(eng.presentation, action, eng)
+        s, m = g.element((0,), 1), g.element((1,), 0)
+        assert g.multiply(s, m) == g.element((-1,), 1)
+        assert g.invert(g.element((-1,), 1)) == g.element((-1,), 1)
+        assert g.invert(m) == g.element((-1,), 0)
+        assert g.conjugate(s, m) == g.element((-1,), 0)
+        deriv = Derivation(((1,),))
+        assert Automorphism(g, [InnerAtom(g.element((2,), 1)), DerivationAtom(deriv)]).verify().ok
+        lat = derivation_space(eng.presentation, action)
+        table = rewriting_table(eng, ((0, 1),))
+        assert conjugation_action(((0, 1),), table, lat) == Matrix([[-1]])
+
+    def test_large_exponents_match_the_closed_forms(self):
+        g = build_gamma_epsilon(2).group
+        a, t = g.action.matrices
+        forms = [(k, tt) for k in range(-30, 31) for tt in (0, 1)]
+        closed = {f: a ** f[0] * t ** f[1] for f in forms}
+        f2 = (4, -5, 6)
+        for f in forms:
+            assert g.form_matrix(f) == closed[f]
+            x = g.element((1, -2, 3), f)
+            inv = g.invert(x)
+            assert inv.form == dihedral_inverse(f)
+            assert inv.translation == tuple(-v for v in closed[f].inverse().apply(x.translation))
+            for other in [(0, 0), (1, 0), (-30, 1), (29, 1)]:
+                got = g.multiply(x, g.element(f2, other))
+                assert got.form == dihedral_product(f, other)
+                moved = closed[f].apply(f2)
+                assert got.translation == tuple(p + q for p, q in zip(x.translation, moved))
 
 
 class TestGammaEpsilonFamily:
