@@ -115,19 +115,15 @@ class FamilyReport:
 
 def non_arithmeticity_report(d: int) -> FamilyReport:
     """Build the Pell family group for d and classify conjugation by the
-    translation generator on its derivation lattice."""
+    translation generator on its derivation lattice.  One comparison
+    certifies the distinguished basis: equal Hermite forms mean equal
+    lattices, and ``derivation_space`` gives all derivations as a Hermite
+    basis, so the cached Hermite form of the basis must be that basis."""
     ge = build_gamma_epsilon(d)
     group = ge.group
-    basis = gamma_epsilon_derivation_basis(ge)
-    lattice = DerivationLattice(group.presentation, group.action, basis)
-
+    lattice = DerivationLattice(group.presentation, group.action, gamma_epsilon_derivation_basis(ge))
     full = derivation_space(group.presentation, group.action)
-    if full.rank != len(basis):
-        raise InternalError("distinguished basis has the wrong rank")
-    coords = [full.coordinates(deriv) for deriv in basis]
-    if any(c is None for c in coords):
-        raise InternalError("distinguished derivation outside the full lattice")
-    if Matrix(coords, ncols=full.rank).det() not in (1, -1):
+    if lattice._hermite[0] != full.basis_matrix():
         raise InternalError("distinguished basis does not span the full lattice")
 
     g_word = group.presentation.word([("A", 1)])

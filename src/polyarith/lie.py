@@ -138,8 +138,8 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         """Expand [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-        from the table for each basis triple, in order.  A triple none of
-        whose pairs is in the table has three zero terms and is skipped."""
+        from the table for each basis triple i < j < k holding a table pair,
+        in order; the other triples have three zero terms."""
         table = self._table
 
         def terms(a: int, b: int) -> Iterable[Tuple[int, Scalar]]:
@@ -147,9 +147,8 @@ class LieAlgebra:
                 return table.get((a, b), ())
             return [(k, -c) for k, c in table.get((b, a), ())]
 
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            if (i, j) not in table and (j, k) not in table and (i, k) not in table:
-                continue
+        triples = {tuple(sorted((*ij, k))) for ij in table for k in range(self.dim) if k not in ij}
+        for i, j, k in sorted(triples):
             total: Dict[int, Scalar] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, x in terms(a, b):
@@ -728,8 +727,9 @@ def _fixed_space(operators: Sequence[Tuple[SparseColumns, int]], dim: int) -> Li
 
 @dataclass(frozen=True)
 class InvariantCohomology:
-    """Cohomology of the invariant subcomplex, checked against the
-    invariants of the cohomology action degree by degree."""
+    """Cohomology of the invariant subcomplex, checked degree by degree
+    against the fixed cohomology classes: the invariants of the cohomology
+    action, or for a set of tori a count on the weight-1 blocks."""
 
     subspace_dims: Tuple[int, ...]
     invariant_betti: Tuple[int, ...]
@@ -746,7 +746,10 @@ def invariant_subcomplex(
     The fixed forms are preserved by the differential, so they make a
     subcomplex; its cohomology dimensions must agree with the fixed
     subspaces of the action on cohomology, and the function certifies
-    that equality before returning.
+    that equality before returning.  For a set of tori the fixed classes
+    are counted instead on the blocks of weight 1 under every torus, which
+    hold exactly the fixed forms; the certificate then checks
+    ``sparse_rank`` against ``Matrix.rank`` on the same columns.
     """
     autos = list(autos)
     n = kos.algebra.dim

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cohomology import Derivation, is_derivation, word_value
-from .errors import InternalError, PreconditionError
+from .cohomology import Derivation, word_value
+from .errors import PreconditionError
 from .linalg import Matrix, block_diag
 from .presentations import (
     DihedralEngine,
@@ -68,9 +68,12 @@ class SemidirectGroup:
             raise PreconditionError("translation length must equal the rank")
         if any(not isinstance(x, int) or isinstance(x, bool) for x in translation):
             raise PreconditionError("translation entries must be integers")
-        if self.engine.normal_form(self.engine.to_word(form)) != form:
-            raise PreconditionError(f"{form!r} is not a normal form")
-        return SemidirectElement(translation, form)
+        try:
+            if self.engine.normal_form(self.engine.to_word(form)) == form:
+                return SemidirectElement(translation, form)
+        except (TypeError, ValueError):
+            pass
+        raise PreconditionError(f"{form!r} is not a normal form")
 
     def form_matrix(self, form) -> Matrix:
         return evaluate_word(self.action, self.engine.to_word(form))
@@ -252,7 +255,8 @@ def build_gamma_epsilon(d: int) -> GammaEpsilon:
 
 
 def gamma_epsilon_derivation_basis(ge: GammaEpsilon) -> Tuple[Derivation, ...]:
-    """Distinguished basis of the derivation lattice of the family.
+    """Distinguished basis of the derivation lattice of the family, by the
+    paper's formula; ``non_arithmeticity_report`` certifies it.
 
     In order: the central shift seen on the translation generator, the
     central shift seen on the reflection, the w-shift seen on both, and
@@ -260,13 +264,9 @@ def gamma_epsilon_derivation_basis(ge: GammaEpsilon) -> Tuple[Derivation, ...]:
     translation generator alone.
     """
     a, b, d, ell = ge.a, ge.b, ge.d, ge.coupling
-    basis = (
+    return (
         Derivation(((0, 0, 1), (0, 0, 0))),
         Derivation(((0, 0, 0), (0, 0, 1))),
         Derivation(((0, 1, 0), (0, 1, 0))),
         Derivation(((b * d // ell, (a + 1) // ell, 0), (0, 0, 0))),
     )
-    for deriv in basis:
-        if not is_derivation(ge.group.presentation, ge.group.action, deriv):
-            raise InternalError("distinguished derivation fails a relator")
-    return basis

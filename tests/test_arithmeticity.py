@@ -1,19 +1,27 @@
+import hashlib
 import time
+from dataclasses import fields
+from math import isqrt
 
 import pytest
 
+from polyarith import arithmeticity, cohomology
 from polyarith.arithmeticity import (
     FAILS,
     FINITE_ORDER,
     SEMISIMPLE,
     VIRTUALLY_UNIPOTENT,
+    FamilyReport,
     classify,
     non_arithmeticity_report,
 )
-from polyarith.errors import PreconditionError
+from polyarith.cli import main
+from polyarith.cohomology import Derivation, DerivationLattice
+from polyarith.errors import InternalError, PreconditionError
 from polyarith.linalg import Matrix, block_diag, min_poly
 from polyarith.polynomials import Poly
 from polyarith.quadratic import fundamental_pell
+from polyarith.semidirect import gamma_epsilon_derivation_basis
 
 
 class TestClassify:
@@ -150,3 +158,63 @@ class TestFamilyReports:
             non_arithmeticity_report(4)
         with pytest.raises(PreconditionError):
             non_arithmeticity_report(1)
+
+    def test_reports_pinned_for_nonsquare_d_up_to_200(self):
+        # sha256 over the lines "d field repr(value)" of every FamilyReport field
+        digest = hashlib.sha256()
+        for d in range(2, 201):
+            if isqrt(d) ** 2 == d:
+                continue
+            report = non_arithmeticity_report(d)
+            for f in fields(FamilyReport):
+                digest.update(f"{d} {f.name} {getattr(report, f.name)!r}\n".encode())
+        assert digest.hexdigest() == (
+            "2ee98f6d8ebd3d69c637279f7585e219523a39e05abd5626c1de015926cb5a89"
+        )
+
+
+def _doubled_last(basis):
+    return basis[:3] + (Derivation(tuple(tuple(2 * x for x in v) for v in basis[3].values)),)
+
+
+def _non_derivation_third(basis):
+    # fails the relators of every member of the family
+    return basis[:2] + (Derivation(((1, 0, 0), (1, 0, 0))),) + basis[3:]
+
+
+def _first_repeated(basis):
+    return (basis[0], basis[0]) + basis[2:]
+
+
+class TestBasisCertificate:
+    @pytest.mark.parametrize("spoil", [_doubled_last, _non_derivation_third, _first_repeated])
+    def test_bad_basis_refused(self, monkeypatch, capsys, spoil):
+        monkeypatch.setattr(
+            arithmeticity,
+            "gamma_epsilon_derivation_basis",
+            lambda ge: spoil(gamma_epsilon_derivation_basis(ge)),
+        )
+        with pytest.raises(InternalError, match="distinguished basis does not span the full lattice"):
+            non_arithmeticity_report(3)
+        assert main(["teob", "3"]) == 3
+        assert "distinguished basis does not span the full lattice" in capsys.readouterr().err
+
+    def test_one_relator_walk_each_and_no_full_lattice_solve(self, monkeypatch):
+        walks, checks, solved, fulls = [], [], [], []
+        fox, is_derivation = cohomology._fox_matrix, cohomology.is_derivation
+        coordinates, space = DerivationLattice.coordinates, arithmeticity.derivation_space
+        monkeypatch.setattr(cohomology, "_fox_matrix", lambda *a: walks.append(1) or fox(*a))
+        monkeypatch.setattr(
+            cohomology, "is_derivation", lambda *a: checks.append(1) or is_derivation(*a)
+        )
+        monkeypatch.setattr(
+            DerivationLattice, "coordinates", lambda lat, v: solved.append(lat) or coordinates(lat, v)
+        )
+        monkeypatch.setattr(
+            arithmeticity, "derivation_space", lambda *a: fulls.append(space(*a)) or fulls[-1]
+        )
+        assert non_arithmeticity_report(7).derivation_rank == 4
+        assert len(walks) == 4
+        assert checks == []
+        # conjugation_action solves on the distinguished lattice, never on the full one
+        assert len(fulls) == 1 and solved and all(lat is not fulls[0] for lat in solved)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -366,6 +367,18 @@ class TestLieCohomology:
         code, _, err = run(capsys, "lie-cohomology", path)
         assert code == 2
         assert "Jacobi" in err or "jacobi" in err
+
+    @pytest.mark.parametrize("brackets", [[], [{"i": 1, "j": 2, "k": 3, "c": "1"}]])
+    def test_huge_dimension_refused_quickly(self, capsys, tmp_path, brackets):
+        # the Jacobi check walks the triples holding a table pair, not all
+        # C(dim, 3), so the dimension cap is reached at once
+        path = write_json(tmp_path, "huge.json", {"dim": 100000, "brackets": brackets})
+        start = time.monotonic()
+        code, out, err = run(capsys, "lie-cohomology", path)
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap" in err
 
     def test_poincare_duality_certificate(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "heis.json", HEISENBERG_DOC)

@@ -104,6 +104,11 @@ class TestGroupLaw:
         with pytest.raises(PreconditionError, match="is not a normal form"):
             flat.element((0,), (1,))
 
+    @pytest.mark.parametrize("form", [(0, 2), (0.5, 0), ("a", 0), None, (0,)])
+    def test_malformed_form_refused(self, ge3, form):
+        with pytest.raises(PreconditionError, match="is not a normal form"):
+            ge3.group.element((0, 0, 0), form)
+
     def test_mismatched_engine_rejected(self):
         pres = dihedral_presentation()
         action = ModuleAction(1, (Matrix([[1]]), Matrix([[-1]])))
