@@ -435,6 +435,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # a valid entry or result can pass Python's 4 300-digit int <-> str cap
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _run(argv: Optional[List[str]]) -> int:
     ns = _parser().parse_args(argv)
     try:
         results, files, params, pretty = globals()["cmd_" + ns.command.replace("-", "_")](ns)

@@ -69,8 +69,8 @@ class SemidirectGroup:
         if any(not isinstance(x, int) or isinstance(x, bool) for x in translation):
             raise PreconditionError("translation entries must be integers")
         try:
-            if self.engine.normal_form(self.engine.to_word(form)) == form:
-                return SemidirectElement(translation, form)
+            if (nf := self.engine.normal_form(self.engine.to_word(form))) == form:
+                return SemidirectElement(translation, nf)
         except (TypeError, ValueError):
             pass
         raise PreconditionError(f"{form!r} is not a normal form")

@@ -259,6 +259,42 @@ class TestArithCheck:
         assert "determinant" in err
 
 
+@pytest.fixture()
+def digit_cap():
+    """Python's int <-> str digit cap lowered to its floor of 640 for the
+    test, so that a unit or entry of about 700 digits passes it quickly."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
+class TestDigitCap:
+    # the fundamental unit of d = 82021 has 682 digits
+    @pytest.mark.parametrize("command", ["pell", "teob", "gamma-epsilon"])
+    def test_long_results_are_printed(self, capsys, digit_cap, command):
+        code, out, err = run(capsys, command, "82021")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+        assert len(max(out.replace('"', " ").split(), key=len)) > 640
+
+    @pytest.mark.parametrize("quote", ['"', ""])
+    def test_long_entries_are_read(self, capsys, tmp_path, digit_cap, quote):
+        n = "7" * 700
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"rows": 2, "cols": 2, "entries": [[1, {quote}{n}{quote}], [0, 1]]}}')
+        code, out, err = run(capsys, "arith-check", str(path))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640
+        assert f'"{n}"' in out
+        assert '"classification":"VirtuallyUnipotent"' in out
+
+    def test_cap_is_restored_after_a_refusal(self, capsys, digit_cap):
+        code, _, _ = run(capsys, "pell", "4")
+        assert code == 2
+        assert sys.get_int_max_str_digits() == 640
+
+
 class TestTeob:
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 8, 10])
     def test_family_classification(self, capsys, d):

@@ -103,6 +103,10 @@ class TestGroupLaw:
         flat = SemidirectGroup(eng.presentation, ModuleAction(1, (Matrix([[1]]),) * 2), eng)
         with pytest.raises(PreconditionError, match="is not a normal form"):
             flat.element((0,), (1,))
+        # (True, 0) == (1, 0) in Python; the element keeps the engine's ints
+        form = g.element((0, 0, 0), (True, 0)).form
+        assert form == (1, 0)
+        assert [type(x) for x in form] == [int, int]
 
     @pytest.mark.parametrize("form", [(0, 2), (0.5, 0), ("a", 0), None, (0,)])
     def test_malformed_form_refused(self, ge3, form):
