@@ -17,7 +17,16 @@ from typing import Optional
 
 from .cohomology import DerivationLattice, conjugation_action, derivation_space, rewriting_table
 from .errors import InternalError, PreconditionError
-from .linalg import JordanPair, Matrix, char_poly, finite_order, jordan_chevalley, min_poly
+from .linalg import (
+    JordanPair,
+    Matrix,
+    _require_integral,
+    _require_square,
+    char_poly,
+    finite_order,
+    jordan_chevalley,
+    min_poly,
+)
 from .polynomials import Poly
 from .semidirect import GammaEpsilon, build_gamma_epsilon, gamma_epsilon_derivation_basis
 
@@ -61,10 +70,8 @@ class ArithVerdict:
 
 def classify(a: Matrix) -> ArithVerdict:
     """Run the necessary-condition trichotomy on A in GL(n, Z)."""
-    if not a.is_square():
-        raise PreconditionError("classify needs a square matrix")
-    if not a.is_integral():
-        raise PreconditionError("classify needs an integer matrix")
+    _require_square(a, "classify")
+    _require_integral(a, "classify")
     if a.det() not in (1, -1):
         raise PreconditionError("classify needs determinant +-1")
     pair = jordan_chevalley(a)

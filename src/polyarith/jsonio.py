@@ -17,11 +17,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
 from .lie import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, Scalar
 from .polynomials import Poly
 from .presentations import (
     ModuleAction,
@@ -29,8 +29,6 @@ from .presentations import (
     Word,
     make_word,
 )
-
-Scalar = Union[int, Fraction]
 
 _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")

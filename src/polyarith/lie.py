@@ -31,13 +31,15 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
 from .linalg import (
     ExteriorExpansion,
     Matrix,
+    Scalar,
     SparseColumn,
+    Vector,
     _dense_columns,
     _exterior_index,
     _is_diagonal,
@@ -48,9 +50,6 @@ from .linalg import (
     rational_kernel,
     rref,
 )
-
-Scalar = Union[int, Fraction]
-Vector = Tuple[Scalar, ...]
 
 MAX_DIM_DEFAULT = 14
 MAX_DIM_ENV = "POLYARITH_MAX_DIM"
@@ -586,7 +585,7 @@ class LieAutomorphism:
         return LieAutomorphism(self.algebra, self.matrix * other.matrix)
 
     def inverse(self) -> "LieAutomorphism":
-        return LieAutomorphism(self.algebra, self.matrix.inverse())
+        return LieAutomorphism(self.algebra, self.dual.transpose())
 
     def is_semisimple(self) -> bool:
         return _is_diagonal(self.matrix.entries) or min_poly(self.matrix).is_squarefree()

@@ -209,8 +209,7 @@ class Matrix:
         return Matrix([[s * x for x in r] for r in self.entries], ncols=self.ncols)
 
     def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise PreconditionError("matrix power needs a square matrix")
+        _require_square(self, "matrix power")
         if k < 0:
             return self.inverse() ** (-k)
         result = Matrix.identity(self.nrows)
@@ -240,13 +239,11 @@ class Matrix:
         return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
 
     def trace(self) -> Scalar:
-        if not self.is_square():
-            raise PreconditionError("trace needs a square matrix")
+        _require_square(self, "trace")
         return _norm_entry(sum(self.entries[i][i] for i in range(self.nrows)) if self.nrows else 0)
 
     def det(self) -> Scalar:
-        if not self.is_square():
-            raise PreconditionError("determinant needs a square matrix")
+        _require_square(self, "determinant")
         rows, scale = _integer_rows(self.entries)
         _, pivots, d, sign = _eliminate(rows, self.ncols, forward=True)
         if len(pivots) < self.nrows:
@@ -254,8 +251,7 @@ class Matrix:
         return _quotient(sign * d, scale)
 
     def inverse(self) -> "Matrix":
-        if not self.is_square():
-            raise PreconditionError("inverse needs a square matrix")
+        _require_square(self, "inverse")
         n = self.nrows
         aug = [r + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(self.entries)]
         rows, pivots, d, _ = _eliminate(_integer_rows(aug)[0], n)
@@ -308,6 +304,11 @@ def _xgcd(a: int, b: int):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
+
+
+def _require_square(m: Matrix, what: str):
+    if not m.is_square():
+        raise PreconditionError(f"{what} needs a square matrix")
 
 
 def _require_integral(m: Matrix, what: str):
@@ -653,8 +654,7 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
 
 def char_poly(a: Matrix) -> Poly:
     """Characteristic polynomial ``det(xI - a)``, monic, by the trace recursion."""
-    if not a.is_square():
-        raise PreconditionError("char_poly needs a square matrix")
+    _require_square(a, "char_poly")
     n = a.nrows
     if n == 0:
         return Poly.of(1)
@@ -668,8 +668,7 @@ def char_poly(a: Matrix) -> Poly:
 
 def min_poly(a: Matrix) -> Poly:
     """Minimal polynomial of ``a``, monic.  Divides :func:`char_poly`."""
-    if not a.is_square():
-        raise PreconditionError("min_poly needs a square matrix")
+    _require_square(a, "min_poly")
     n = a.nrows
     powers = [Matrix.identity(n)]
     for _ in range(n):
@@ -685,8 +684,7 @@ def min_poly(a: Matrix) -> Poly:
 
 
 def poly_eval(p: Poly, a: Matrix) -> Matrix:
-    if not a.is_square():
-        raise PreconditionError("poly_eval needs a square matrix")
+    _require_square(a, "poly_eval")
     n = a.nrows
     acc = Matrix.zero(n, n)
     for c in reversed(p.coeffs):
@@ -710,8 +708,7 @@ def jordan_chevalley(a: Matrix) -> JordanPair:
     Both factors are polynomial expressions in ``a``, found by Newton
     iteration against the squarefree part of the minimal polynomial.
     """
-    if not a.is_square():
-        raise PreconditionError("jordan_chevalley needs a square matrix")
+    _require_square(a, "jordan_chevalley")
     if a.det() == 0:
         raise PreconditionError("jordan_chevalley needs an invertible matrix")
     p = min_poly(a).squarefree_part()
@@ -756,8 +753,7 @@ def finite_order(a: Matrix) -> Optional[int]:
     for every primitive root of unity among the eigenvalues, so the
     order divides lcm{m : phi(m) <= n}.
     """
-    if not a.is_square():
-        raise PreconditionError("finite_order needs a square matrix")
+    _require_square(a, "finite_order")
     n = a.nrows
     if n == 0:
         return 1
@@ -781,8 +777,7 @@ def finite_order(a: Matrix) -> Optional[int]:
 
 def nilpotency_index(a: Matrix) -> Optional[int]:
     """Smallest k >= 1 with ``a**k == 0``, or None if not nilpotent."""
-    if not a.is_square():
-        raise PreconditionError("nilpotency_index needs a square matrix")
+    _require_square(a, "nilpotency_index")
     if a.nrows == 0:
         return 1
     power = a
@@ -793,35 +788,32 @@ def nilpotency_index(a: Matrix) -> Optional[int]:
     return None
 
 
-def _nilpotent_series(nil: Matrix, start: Matrix, coeff) -> Matrix:
-    """start + sum of coeff(k) nil^k over k >= 1, up to the first zero power."""
+def _nilpotent_series(nil: Matrix, start: Matrix, coeff, kind: str) -> Matrix:
+    """start + sum of coeff(k) nil^k over k >= 1, up to the first zero power:
+    nil^n or earlier when nil is nilpotent, nil^1 when n = 0, else none."""
     acc, power = start, Matrix.identity(nil.nrows)
-    for k in range(1, nil.nrows + 1):
+    for k in range(1, nil.nrows + 2):
         power = power * nil
         if power.is_zero():
-            break
+            return acc
         acc = acc + power.scale(coeff(k))
-    return acc
+    raise PreconditionError(f"matrix is not {kind}")
 
 
 def nilpotent_log(u: Matrix) -> Matrix:
     """Logarithm of a unipotent matrix, a finite exact series."""
-    if not u.is_square():
-        raise PreconditionError("nilpotent_log needs a square matrix")
+    _require_square(u, "nilpotent_log")
     n = u.nrows
     nil = u - Matrix.identity(n)
-    if nilpotency_index(nil) is None:
-        raise PreconditionError("matrix is not unipotent")
-    return _nilpotent_series(nil, Matrix.zero(n, n), lambda k: Fraction((-1) ** (k + 1), k))
+    return _nilpotent_series(nil, Matrix.zero(n, n), lambda k: Fraction(-(-1) ** k, k), "unipotent")
 
 
 def nilpotent_exp(m: Matrix) -> Matrix:
     """Exponential of a nilpotent matrix, a finite exact series."""
-    if not m.is_square():
-        raise PreconditionError("nilpotent_exp needs a square matrix")
-    if nilpotency_index(m) is None:
-        raise PreconditionError("matrix is not nilpotent")
-    return _nilpotent_series(m, Matrix.identity(m.nrows), lambda k: Fraction(1, factorial(k)))
+    _require_square(m, "nilpotent_exp")
+    return _nilpotent_series(
+        m, Matrix.identity(m.nrows), lambda k: Fraction(1, factorial(k)), "nilpotent"
+    )
 
 
 def _dense_columns(
@@ -867,8 +859,7 @@ class ExteriorExpansion:
     """
 
     def __init__(self, m: Matrix):
-        if not m.is_square():
-            raise PreconditionError("wedge_power needs a square matrix")
+        _require_square(m, "wedge_power")
         self.scale = lcm(*(x.denominator for r in m.entries for x in r if type(x) is Fraction))
         cols = zip(*m.entries)
         self._images = [[(i, int(x * self.scale)) for i, x in enumerate(col) if x] for col in cols]

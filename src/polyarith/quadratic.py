@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Tuple
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .linalg import Matrix
 
 
@@ -119,20 +119,24 @@ class QuadOrder:
 def fundamental_pell(d: int) -> Tuple[int, int]:
     """Least positive solution (a, b) of a^2 - d b^2 = 1.
 
-    Walks the continued fraction convergents of sqrt(d); every solution
-    of the Pell equation is a convergent and numerators grow, so the
-    first convergent that satisfies the equation is the fundamental one.
+    Walks the convergents h_i/k_i of sqrt(d) from a0/1: h_i^2 - d k_i^2 is
+    (-1)^(i+1) q_(i+1), q is 1 just at the ends of periods, every solution
+    is a convergent and numerators grow, so the first odd i with q_(i+1) = 1
+    gives the least solution, which is checked once against the equation.
     """
     _check_d(d)
     a0 = isqrt(d)
-    m, q, a = 0, 1, a0
+    m, q = a0, d - a0 * a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while True:
-        if h * h - d * k * k == 1:
-            return h, k
-        m = q * a - m
-        q = (d - m * m) // q
+    sign = -1  # (-1)^(i+1) while h/k = h_i/k_i and q = q_(i+1)
+    while sign * q != 1:
         a = (a0 + m) // q
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
+        m = a * q - m
+        q = (d - m * m) // q
+        sign = -sign
+    if h * h - d * k * k != 1:
+        raise InternalError("the convergent at the end of the period is not a Pell solution")
+    return h, k

@@ -220,6 +220,23 @@ def pell_brute(d):
         y += 1
 
 
+def pell_convergents(d):
+    """The first convergent of sqrt(d) that satisfies a^2 - d b^2 = 1,
+    tested on every convergent in turn."""
+    a0 = sympy.integer_nthroot(d, 2)[0]
+    m, q, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while True:
+        if h * h - d * k * k == 1:
+            return h, k
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+
+
 def poly_div(num, den):
     """Quotient and remainder of two ascending coefficient lists by
     sympy.div over QQ, as ascending lists of Fractions with no trailing

@@ -875,3 +875,20 @@ def test_pinned_stdout_bytes(capsys, tmp_path, key, pretty):
     out = pinned_stdout(capsys, tmp_path, key, pretty)
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == PINNED[key][2 if pretty else 1]
+
+
+# d = 10^9 + 7: a unit of about 21 000 bits, past the 4 300-digit default
+# cap; the digests were recorded when fundamental_pell tested the Pell
+# equation on every convergent instead of at the end of the period
+PINNED_LARGE_D = {
+    "pell": "5c552d547d68d87d8d13df0a5fa2536ad26f8df6cd558609ad05456c03e8be6d",
+    "gamma-epsilon": "883b004d81e8fd751762852bee73bbcbf79c1499b40189d9b45ee66fc04d7f04",
+    "teob": "54885b8dac125ecf1890b2f0e60c8d996c8d1a69ec36cf762f07b0d97eef0bcc",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_LARGE_D))
+def test_pinned_stdout_bytes_at_large_d(capsys, command):
+    code, out, err = run(capsys, command, "1000000007")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_LARGE_D[command]

@@ -574,6 +574,18 @@ class TestLieAutomorphism:
         assert phi.compose(psi).matrix == phi.matrix * psi.matrix
         assert phi.compose(phi.inverse()).is_identity()
 
+    def test_inverse_reuses_the_dual(self, monkeypatch):
+        algebra = filiform(6)
+        phi = inner_automorphism(algebra, (1, 0, 2, 0, 0, 1)).compose(
+            diagonal_automorphism(algebra, (2, 3, 6, 12, 24, 48))
+        )
+        expected = phi.matrix.inverse()
+        phi.dual
+        monkeypatch.setattr(Matrix, "inverse", lambda self: pytest.fail("matrix inverted again"))
+        inv = phi.inverse()
+        assert inv.matrix == expected
+        assert inv.compose(phi).is_identity()
+
     def test_semisimplicity_detection(self):
         h = heisenberg()
         assert diagonal_automorphism(h, (2, Fraction(1, 2), 1)).is_semisimple()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyarith import lie, linalg
+from polyarith.arithmeticity import classify
 from polyarith.cohomology import Derivation, derivation_space, principal_derivations
 from polyarith.errors import PreconditionError
 from polyarith.linalg import (
@@ -409,6 +410,92 @@ class TestNilpotentExpLog:
             nilpotent_exp(Matrix([[1, 0], [0, 0]]))
         with pytest.raises(PreconditionError):
             nilpotent_log(Matrix([[0, 1], [0, 0]]))
+
+
+class TestNilpotentSeriesAlone:
+    """exp and log stop at the first zero power of their series, with no
+    separate nilpotency test; sympy's exp and log are the reference."""
+
+    CASES = [
+        Matrix.zero(0, 0),
+        Matrix.zero(1, 1),
+        Matrix.zero(3, 3),
+        Matrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]),
+        Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
+        Matrix([[0, Fraction(1, 2), 0], [0, 0, 0], [0, 3, 0]]),
+        filiform(6).ad((1, 0, 2, 0, 0, -1)),
+        heisenberg(2).ad((1, -1, 2, 3, 0)),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_nilpotency_index(self, monkeypatch):
+        monkeypatch.setattr(
+            linalg, "nilpotency_index", lambda a: pytest.fail("nilpotency_index called")
+        )
+
+    @pytest.mark.parametrize("nil", CASES, ids=range(len(CASES)))
+    def test_exp_and_log_match_sympy(self, nil):
+        n = nil.nrows
+        expected = sympy.Matrix(n, n, [sympy.Rational(x) for r in nil.entries for x in r]).exp()
+        u = nilpotent_exp(nil)
+        assert u.to_lists() == [[Fraction(str(expected[i, j])) for j in range(n)] for i in range(n)]
+        assert typed(nilpotent_log(u)) == typed(nil)
+
+    def test_empty_matrix(self):
+        assert typed(nilpotent_exp(Matrix.zero(0, 0))) == typed(Matrix.identity(0))
+        assert typed(nilpotent_log(Matrix.zero(0, 0))) == typed(Matrix.zero(0, 0))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Matrix([[1]]),
+            Matrix([[1, 0], [0, 0]]),
+            Matrix([[0, 1], [1, 0]]),
+            Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+            Matrix([[Fraction(1, 2), 1], [0, 0]]),
+        ],
+    )
+    def test_refusals(self, m):
+        identity = Matrix.identity(m.nrows)
+        with pytest.raises(PreconditionError, match="^matrix is not nilpotent$"):
+            nilpotent_exp(m)
+        with pytest.raises(PreconditionError, match="^matrix is not unipotent$"):
+            nilpotent_log(m + identity)
+
+    def test_non_square_refusals(self):
+        with pytest.raises(PreconditionError, match="^nilpotent_exp needs a square matrix$"):
+            nilpotent_exp(Matrix([[0, 1]]))
+        with pytest.raises(PreconditionError, match="^nilpotent_log needs a square matrix$"):
+            nilpotent_log(Matrix([[1, 0]]))
+
+
+class TestSquareRule:
+    """Every operation that needs a square matrix refuses a 2 x 3 one with
+    its own name in the message."""
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda m: m ** 2, "matrix power"),
+            (lambda m: m.trace(), "trace"),
+            (lambda m: m.det(), "determinant"),
+            (lambda m: m.inverse(), "inverse"),
+            (char_poly, "char_poly"),
+            (min_poly, "min_poly"),
+            (lambda m: poly_eval(Poly.of(1, 1), m), "poly_eval"),
+            (jordan_chevalley, "jordan_chevalley"),
+            (finite_order, "finite_order"),
+            (nilpotency_index, "nilpotency_index"),
+            (nilpotent_log, "nilpotent_log"),
+            (nilpotent_exp, "nilpotent_exp"),
+            (lambda m: wedge_power(m, 1), "wedge_power"),
+            (classify, "classify"),
+        ],
+    )
+    def test_message(self, call, what):
+        with pytest.raises(PreconditionError) as info:
+            call(Matrix([[1, 0, 0], [0, 1, 0]]))
+        assert str(info.value) == f"{what} needs a square matrix"
 
 
 class TestWedgePower:

@@ -1,3 +1,6 @@
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,7 @@ from polyarith.errors import PreconditionError
 from polyarith.linalg import Matrix
 from polyarith.quadratic import QuadElem, QuadOrder, fundamental_pell
 
-from oracles import pell_brute
+from oracles import pell_brute, pell_convergents
 
 # smallest positive solutions of x^2 - d y^2 = 1
 PELL_TABLE = {
@@ -37,6 +40,23 @@ def test_pell_known_values():
 @pytest.mark.parametrize("d", NONSQUARE)
 def test_pell_matches_brute_force(d):
     assert fundamental_pell(d) == pell_brute(d)
+
+
+def test_pell_period_stop_matches_the_equation_test_up_to_5000():
+    for d in range(2, 5001):
+        if isqrt(d) ** 2 != d:
+            assert fundamental_pell(d) == pell_convergents(d), d
+
+
+def test_pell_period_stop_matches_the_equation_test_on_large_d():
+    rng = random.Random(2002)
+    ds = set()
+    while len(ds) < 20:
+        d = rng.randint(10 ** 5, 10 ** 7)
+        if isqrt(d) ** 2 != d:
+            ds.add(d)
+    for d in sorted(ds):
+        assert fundamental_pell(d) == pell_convergents(d), d
 
 
 @pytest.mark.parametrize("d", [0, 1, 4, 9, -3])
