@@ -32,7 +32,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
@@ -709,9 +709,10 @@ def jordan_chevalley(a: Matrix) -> JordanPair:
     iteration against the squarefree part of the minimal polynomial.
     """
     _require_square(a, "jordan_chevalley")
-    if a.det() == 0:
+    m = min_poly(a)
+    if m.coeffs[0] == 0:
         raise PreconditionError("jordan_chevalley needs an invertible matrix")
-    p = min_poly(a).squarefree_part()
+    p = m.squarefree_part()
     s = a
     for _ in range(a.nrows + 2):
         ps = poly_eval(p, s)
@@ -745,34 +746,33 @@ def _prime_factors(n: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> Poly:
+    """Phi_m: x^m - 1 over Phi_k for each proper divisor k of m."""
+    p = Poly.of(-1, *[0] * (m - 1), 1)
+    for k in range(1, m):
+        if m % k == 0:
+            p //= _cyclotomic(k)
+    return p
+
+
 def finite_order(a: Matrix) -> Optional[int]:
     """Multiplicative order of ``a`` in GL(n, Q), or None if infinite.
 
-    Rests on two facts: a finite order rational matrix has squarefree
-    minimal polynomial, and its order is a number m with phi(m) <= n
-    for every primitive root of unity among the eigenvalues, so the
-    order divides lcm{m : phi(m) <= n}.
-    """
+    a^k = I exactly when the minimal polynomial divides x^k - 1, the
+    product of Phi_m over m | k.  So the order is the lcm of the m whose
+    Phi_m divides it, each with phi(m) <= n, when those factors exhaust it;
+    a singular matrix keeps x, and a repeated factor keeps a Phi_m."""
     _require_square(a, "finite_order")
     n = a.nrows
-    if n == 0:
-        return 1
-    if a.det() == 0:
-        return None
-    if not min_poly(a).is_squarefree():
-        return None
-    cap = 2 * n * n + 2  # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
-    big = 1
-    for m in range(1, cap + 1):
-        if _totient(m) <= n:
-            big = big * m // gcd(big, m)
-    if not (a ** big).is_identity():
-        return None
-    order = big
-    for p in _prime_factors(big):
-        while order % p == 0 and (a ** (order // p)).is_identity():
-            order //= p
-    return order
+    rest, order = min_poly(a), 1
+    # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
+    for m in range(1, 2 * n * n + 3):
+        if _totient(m) <= rest.degree:
+            quo, rem = rest.divmod(_cyclotomic(m))
+            if rem.is_zero():
+                rest, order = quo, lcm(order, m)
+    return order if rest == Poly.of(1) else None
 
 
 def nilpotency_index(a: Matrix) -> Optional[int]:

@@ -347,3 +347,35 @@ def dihedral_product(a, b):
 def dihedral_inverse(a):
     k, t = a
     return (k, 1) if t else (-k, 0)
+
+
+def finite_order_by_powers(a):
+    """The multiplicative order of a package ``Matrix`` in GL(n, Q), or None
+    if infinite, by matrix powers: an invertible matrix with squarefree
+    minimal polynomial has finite order only when A^L = I for
+    L = lcm{m : phi(m) <= n}, and the order is then L reduced prime by
+    prime while the power stays I."""
+    from math import gcd
+
+    from polyarith.linalg import _prime_factors, _require_square, _totient, min_poly
+
+    _require_square(a, "finite_order")
+    n = a.nrows
+    if n == 0:
+        return 1
+    if a.det() == 0:
+        return None
+    if not min_poly(a).is_squarefree():
+        return None
+    cap = 2 * n * n + 2  # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
+    big = 1
+    for m in range(1, cap + 1):
+        if _totient(m) <= n:
+            big = big * m // gcd(big, m)
+    if not (a ** big).is_identity():
+        return None
+    order = big
+    for p in _prime_factors(big):
+        while order % p == 0 and (a ** (order // p)).is_identity():
+            order //= p
+    return order

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyarith import lie, linalg
-from polyarith.arithmeticity import classify
+from polyarith.arithmeticity import SEMISIMPLE, classify, non_arithmeticity_report
 from polyarith.cohomology import Derivation, derivation_space, principal_derivations
 from polyarith.errors import PreconditionError
 from polyarith.linalg import (
@@ -39,7 +41,7 @@ from polyarith.lie import filiform, free_two_step, heisenberg, inner_automorphis
 from polyarith.polynomials import Poly
 from polyarith.presentations import ModuleAction, Presentation
 
-from oracles import det_exact, smith_diagonal, wedge_minors
+from oracles import det_exact, finite_order_by_powers, smith_diagonal, wedge_minors
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -383,6 +385,117 @@ class TestJordanChevalley:
         base = jordan_chevalley(m)
         assert pair.semisimple == g * base.semisimple * g.inverse()
         assert pair.unipotent == g * base.unipotent * g.inverse()
+
+
+def companion(p):
+    """Companion matrix of a monic polynomial: e_i -> e_(i+1), and the last
+    basis vector to minus the lower coefficients."""
+    d = p.degree
+    rows = [[-p.coeffs[i] if j == d - 1 else int(i == j + 1) for j in range(d)] for i in range(d)]
+    return Matrix(rows, ncols=d)
+
+
+def cyclotomic_cases():
+    """Products of 1-3 distinct Phi_m of total degree <= 6 as companion
+    matrices, some block-summed with a repeated factor (once in the
+    minimal polynomial, or squared) or with a shear, each conjugated by a
+    seeded unimodular matrix when n > 1."""
+    rng = random.Random(2311)
+    small = [m for m in range(1, 19) if sympy.totient(m) <= 6]
+    shear = Matrix([[1, 1], [0, 1]])
+    cases = []
+    while len(cases) < 160:
+        ms = rng.sample(small, rng.randint(1, 3))
+        if sum(sympy.totient(m) for m in ms) > 6:
+            continue
+        factors = [linalg._cyclotomic(m) for m in ms]
+        p = functools.reduce(operator.mul, factors)
+        phi = rng.choice(factors)
+        block = rng.choice([None, companion(phi), companion(phi * phi), shear])
+        m = companion(p) if block is None else block_diag(companion(p), block)
+        g = unimodular(rng, m.nrows) if m.nrows > 1 else Matrix.identity(1)
+        cases.append(g * m * g.inverse())
+    return cases
+
+
+def random_small_cases():
+    """Random integer matrices, n <= 6 and entries in [-2, 2], singular ones
+    included, and a few Fraction matrices: random ones, and finite-order
+    companions conjugated by a rational matrix."""
+    rng = random.Random(1023)
+    cases = [
+        Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], ncols=n)
+        for n in (rng.randint(1, 6) for _ in range(150))
+    ]
+    cases += [random_rational_matrix(rng, rng.randint(1, 3)) for _ in range(8)]
+    for m in (5, 8, 12):
+        c = companion(linalg._cyclotomic(m))
+        g = random_rational_matrix(rng, c.nrows)
+        if g.det() != 0:
+            cases.append(g * c * g.inverse())
+    return cases
+
+
+def forbid(monkeypatch, *names):
+    """Make a call of any of the named Matrix methods fail the test."""
+    for name in names:
+        monkeypatch.setattr(Matrix, name, lambda *args, name=name: pytest.fail(f"Matrix.{name} called"))
+
+
+class TestFiniteOrderByCyclotomicFactors:
+    """``finite_order`` divides the minimal polynomial by Phi_m and takes no
+    matrix power; the power-based test is the reference."""
+
+    def test_cyclotomic_matches_sympy(self):
+        x = sympy.Symbol("x")
+        for m in range(1, 61):
+            theirs = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+            assert list(linalg._cyclotomic(m).coeffs) == [int(c) for c in reversed(theirs)], m
+
+    def test_equals_powers_on_cyclotomic_products(self):
+        cases = cyclotomic_cases()
+        orders = [finite_order(m) for m in cases]
+        assert orders == [finite_order_by_powers(m) for m in cases]
+        assert any(o is None for o in orders) and any(o is not None for o in orders)
+
+    def test_equals_powers_on_random_matrices(self):
+        cases = random_small_cases() + [Matrix.zero(0, 0)]
+        assert any(type(x) is Fraction for m in cases for r in m.entries for x in r)
+        assert any(m.nrows and m.det() == 0 for m in cases)
+        assert [finite_order(m) for m in cases] == [finite_order_by_powers(m) for m in cases]
+
+    def test_no_matrix_power(self, monkeypatch):
+        forbid(monkeypatch, "__pow__", "det")
+        rot4, rot3, rot6 = (Matrix([[0, -1], [1, t]]) for t in (0, -1, 1))
+        finite = (Matrix([[1]]), Matrix([[-1]]), rot4, rot3, rot6)
+        assert [finite_order(m) for m in finite] == [1, 2, 4, 3, 6]
+        assert finite_order(block_diag(rot4, rot3)) == 12
+        for m in (
+            Matrix([[1, 1], [0, 1]]),
+            Matrix([[2, 1], [1, 1]]),
+            Matrix([[2, 0], [0, Fraction(1, 2)]]),
+        ):
+            assert finite_order(m) is None
+
+    def test_no_matrix_power_on_pell_factor(self, monkeypatch):
+        semisimple = non_arithmeticity_report(10**8 + 7).verdict.witness.semisimple
+        forbid(monkeypatch, "__pow__", "det")
+        assert finite_order(semisimple) is None
+
+    def test_jordan_chevalley_without_det(self, monkeypatch):
+        rng = random.Random(7)
+        cases = [Matrix([[2, 1], [0, 2]]), Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 3]])]
+        cases += [g for g in (random_rational_matrix(rng, 3) for _ in range(6)) if g.det() != 0]
+        pairs = [jordan_chevalley(m) for m in cases]
+        forbid(monkeypatch, "det")
+        assert [jordan_chevalley(m) for m in cases] == pairs
+        for singular in (Matrix([[0]]), Matrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])):
+            with pytest.raises(PreconditionError, match="jordan_chevalley needs an invertible"):
+                jordan_chevalley(singular)
+
+    @pytest.mark.parametrize("coeffs", [(-1, -3) + (0,) * 10 + (1,), (-1, -1) + (0,) * 12 + (1,)])
+    def test_classify_large_companion_is_semisimple(self, coeffs):
+        assert classify(companion(Poly.of(*coeffs))).classification == SEMISIMPLE
 
 
 class TestNilpotentExpLog:
