@@ -20,12 +20,11 @@ from .errors import InternalError, PreconditionError
 from .linalg import (
     JordanPair,
     Matrix,
+    _cyclotomic_order,
     _require_integral,
     _require_square,
     char_poly,
-    finite_order,
     jordan_chevalley,
-    min_poly,
 )
 from .polynomials import Poly
 from .semidirect import GammaEpsilon, build_gamma_epsilon, gamma_epsilon_derivation_basis
@@ -75,7 +74,7 @@ def classify(a: Matrix) -> ArithVerdict:
     if a.det() not in (1, -1):
         raise PreconditionError("classify needs determinant +-1")
     pair = jordan_chevalley(a)
-    s_order = finite_order(pair.semisimple)
+    s_order = _cyclotomic_order(pair.poly)
     unipotent_trivial = pair.unipotent.is_identity()
     if s_order is not None and unipotent_trivial:
         return ArithVerdict(FINITE_ORDER, s_order, pair)
@@ -143,7 +142,7 @@ def non_arithmeticity_report(d: int) -> FamilyReport:
     unip_block = verdict.witness.unipotent.submatrix((0, 1), (0, 1))
     factor = char_poly(inner.submatrix((2, 3), (2, 3)))
     reconstructed = (Poly.of(-1, 1) * factor).monic()
-    if reconstructed != min_poly(verdict.witness.semisimple):
+    if reconstructed != verdict.witness.poly:
         raise InternalError("semisimple factor polynomial mismatch")
     return FamilyReport(
         d=d,

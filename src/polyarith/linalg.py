@@ -10,9 +10,7 @@ Conventions
   unimodular, ``U * M == H``, ``H`` in row echelon form with positive
   pivots and every entry above a pivot reduced into ``[0, pivot)``.
   Rows join the reduction one at a time, as in Kannan & Bachem (1979),
-  which keeps intermediate entries small.  ``H`` is unique; ``U`` is
-  unique only when ``H`` has no zero row, so in that case alone ``hnf``
-  falls back to reducing all of ``[M | I]`` in one pass.
+  which keeps intermediate entries small.
 * ``snf(M)`` returns a :class:`SmithDecomposition` with
   ``U * M * V == D``, nonnegative diagonal, each entry dividing the next.
   It is built from Hermite reductions of the rows and of the columns, on
@@ -30,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
@@ -381,16 +379,12 @@ def hnf(m: Matrix) -> Tuple[Matrix, Matrix]:
     is in row echelon form with positive pivots, entries above each
     pivot reduced into ``[0, pivot)``, zero rows at the bottom.  ``H``
     depends only on the row lattice of ``m``, and so does ``U`` when
-    ``H`` has no zero row; otherwise ``U`` is the one a single pass of
-    the reduction over ``[m | I]`` gives.
+    ``H`` has no zero row.
     """
     _require_integral(m, "hnf")
     nr, nc = m.nrows, m.ncols
     aug = [list(r) + e for r, e in zip(m.entries, _identity_rows(nr))]
     rows = _add_rows(aug, nc)
-    if nr and not any(rows[-1][:nc]):
-        _hermite_rows(aug, nc)
-        rows = aug
     return Matrix([r[:nc] for r in rows], ncols=nc), Matrix([r[nc:] for r in rows], ncols=nr)
 
 
@@ -694,19 +688,22 @@ def poly_eval(p: Poly, a: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class JordanPair:
-    """Multiplicative Jordan decomposition ``a == semisimple * unipotent``."""
+    """Multiplicative Jordan decomposition ``a == semisimple * unipotent``.
+    ``poly`` is the minimal polynomial of ``semisimple``, which a verdict
+    reads; as a function of ``semisimple`` it is left out of repr and ==."""
 
     semisimple: Matrix
     unipotent: Matrix
+    poly: Poly = field(repr=False, compare=False)
 
 
 def jordan_chevalley(a: Matrix) -> JordanPair:
     """Multiplicative Jordan decomposition over Q.
 
-    Returns ``JordanPair(s, u)`` with ``s * u == u * s == a``, the
-    minimal polynomial of ``s`` squarefree, and ``u - I`` nilpotent.
+    Returns ``JordanPair(s, u, p)`` with ``s * u == u * s == a``, the
+    minimal polynomial p of ``s`` squarefree, and ``u - I`` nilpotent.
     Both factors are polynomial expressions in ``a``, found by Newton
-    iteration against the squarefree part of the minimal polynomial.
+    iteration against p, the squarefree part of the minimal polynomial.
     """
     _require_square(a, "jordan_chevalley")
     m = min_poly(a)
@@ -722,7 +719,7 @@ def jordan_chevalley(a: Matrix) -> JordanPair:
     else:
         raise InternalError("newton iteration for the semisimple factor did not converge")
     u = s.inverse() * a
-    return JordanPair(s, u)
+    return JordanPair(s, u, p)
 
 
 def _totient(m: int) -> int:
@@ -756,23 +753,26 @@ def _cyclotomic(m: int) -> Poly:
     return p
 
 
-def finite_order(a: Matrix) -> Optional[int]:
-    """Multiplicative order of ``a`` in GL(n, Q), or None if infinite.
-
-    a^k = I exactly when the minimal polynomial divides x^k - 1, the
-    product of Phi_m over m | k.  So the order is the lcm of the m whose
-    Phi_m divides it, each with phi(m) <= n, when those factors exhaust it;
-    a singular matrix keeps x, and a repeated factor keeps a Phi_m."""
-    _require_square(a, "finite_order")
-    n = a.nrows
-    rest, order = min_poly(a), 1
-    # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
-    for m in range(1, 2 * n * n + 3):
+def _cyclotomic_order(poly: Poly) -> Optional[int]:
+    """Order of a matrix with minimal polynomial ``poly``, or None if
+    infinite.  a^k = I exactly when ``poly`` divides x^k - 1, the product
+    of Phi_m over m | k.  So the order is the lcm of the m whose Phi_m
+    divides it, when those factors exhaust it; a singular matrix keeps x,
+    and a repeated factor keeps a Phi_m."""
+    rest, order = poly, 1
+    # phi(m) >= sqrt(m/2), so phi(m) <= deg forces m <= 2 deg^2
+    for m in range(1, 2 * poly.degree**2 + 3):
         if _totient(m) <= rest.degree:
             quo, rem = rest.divmod(_cyclotomic(m))
             if rem.is_zero():
                 rest, order = quo, lcm(order, m)
     return order if rest == Poly.of(1) else None
+
+
+def finite_order(a: Matrix) -> Optional[int]:
+    """Multiplicative order of ``a`` in GL(n, Q), or None if infinite."""
+    _require_square(a, "finite_order")
+    return _cyclotomic_order(min_poly(a))
 
 
 def nilpotency_index(a: Matrix) -> Optional[int]:

@@ -357,7 +357,7 @@ def finite_order_by_powers(a):
     prime while the power stays I."""
     from math import gcd
 
-    from polyarith.linalg import _prime_factors, _require_square, _totient, min_poly
+    from polyarith.linalg import _require_square, min_poly
 
     _require_square(a, "finite_order")
     n = a.nrows
@@ -370,12 +370,12 @@ def finite_order_by_powers(a):
     cap = 2 * n * n + 2  # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
     big = 1
     for m in range(1, cap + 1):
-        if _totient(m) <= n:
+        if sympy.totient(m) <= n:
             big = big * m // gcd(big, m)
     if not (a ** big).is_identity():
         return None
     order = big
-    for p in _prime_factors(big):
+    for p in sympy.primefactors(big):
         while order % p == 0 and (a ** (order // p)).is_identity():
             order //= p
     return order

@@ -1,11 +1,13 @@
 import hashlib
+import random
+import sys
 import time
 from dataclasses import fields
 from math import isqrt
 
 import pytest
 
-from polyarith import arithmeticity, cohomology
+from polyarith import arithmeticity, cohomology, linalg
 from polyarith.arithmeticity import (
     FAILS,
     FINITE_ORDER,
@@ -18,7 +20,7 @@ from polyarith.arithmeticity import (
 from polyarith.cli import main
 from polyarith.cohomology import Derivation, DerivationLattice
 from polyarith.errors import InternalError, PreconditionError
-from polyarith.linalg import Matrix, block_diag, min_poly
+from polyarith.linalg import Matrix, block_diag, finite_order, jordan_chevalley, min_poly
 from polyarith.polynomials import Poly
 from polyarith.quadratic import fundamental_pell
 from polyarith.semidirect import gamma_epsilon_derivation_basis
@@ -102,6 +104,81 @@ class TestClassify:
 
         with pytest.raises(PreconditionError):
             classify(Matrix([[Fraction(1, 2), 0], [0, 2]]))
+
+
+def unimodular_cases():
+    """Companions of products of distinct Phi_m, alone or block-summed with
+    a shear, a hyperbolic 2 x 2 or both, conjugated by a seeded product of
+    elementary integer matrices."""
+    rng = random.Random(2405)
+    small = [m for m in range(1, 13) if linalg._totient(m) <= 4]
+    extras = [None, Matrix([[1, 1], [0, 1]]), Matrix([[2, 1], [1, 1]])]
+    extras.append(block_diag(extras[1], extras[2]))
+    cases = []
+    while len(cases) < 60:
+        ms = rng.sample(small, rng.randint(1, 3))
+        p = Poly.of(1)
+        for m in ms:
+            p = p * linalg._cyclotomic(m)
+        if p.degree > 5:
+            continue
+        n = p.degree
+        a = Matrix([[-p.coeffs[i] if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)])
+        extra = rng.choice(extras)
+        a = a if extra is None else block_diag(a, extra)
+        g = Matrix.identity(a.nrows).to_lists()
+        for _ in range(3 * a.nrows if a.nrows > 1 else 0):
+            (i, j), c = rng.sample(range(a.nrows), 2), rng.choice((-1, 1))
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        g = Matrix(g)
+        cases.append(g * a * g.inverse())
+    return cases
+
+
+def count_min_poly(monkeypatch):
+    """Calls of min_poly, under every polyarith name bound to it."""
+    real, calls = linalg.min_poly, []
+
+    def counting(a):
+        calls.append(a.nrows)
+        return real(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyarith") and getattr(module, "min_poly", None) is real:
+            monkeypatch.setattr(module, "min_poly", counting)
+    return calls
+
+
+class TestOneMinimalPolynomial:
+    def test_classify_runs_min_poly_once(self, monkeypatch):
+        cases = unimodular_cases()
+        calls = count_min_poly(monkeypatch)
+        for a in cases:
+            calls.clear()
+            classify(a)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 13, 10**8 + 7])
+    def test_report_runs_min_poly_once(self, monkeypatch, d):
+        calls = count_min_poly(monkeypatch)
+        non_arithmeticity_report(d)
+        assert calls == [4]
+
+    def test_order_is_the_order_of_the_semisimple_factor(self):
+        verdicts = [(a, classify(a)) for a in unimodular_cases()]
+        assert {v.classification for _, v in verdicts} == {
+            FINITE_ORDER,
+            VIRTUALLY_UNIPOTENT,
+            SEMISIMPLE,
+            FAILS,
+        }
+        for a, verdict in verdicts:
+            assert verdict.order == finite_order(jordan_chevalley(a).semisimple)
+
+    def test_pair_holds_min_poly_of_semisimple_factor(self):
+        for a in unimodular_cases():
+            pair = jordan_chevalley(a)
+            assert pair.poly == min_poly(pair.semisimple)
 
 
 class TestFamilyReports:

@@ -1268,8 +1268,16 @@ def smith_cases():
 
 class TestNormalFormCore:
     def test_hnf_matches_reference(self):
+        # H is unique, and so is U when H has no zero row; otherwise U need
+        # only be unimodular with U * M == H
         for m in hermite_cases():
-            assert typed(hnf(m)) == typed(reference_hnf(m))
+            (h, u), (ref_h, ref_u) = hnf(m), reference_hnf(m)
+            assert typed(h) == typed(ref_h)
+            if m.nrows and not any(h.row(m.nrows - 1)):
+                assert abs(u.det()) == 1
+                assert u * m == h
+            else:
+                assert typed(u) == typed(ref_u)
 
     def test_snf_matches_reference_diagonal(self):
         for m in smith_cases():
@@ -1344,8 +1352,8 @@ class TestRowsOneAtATime:
         assert peak
 
     def one_pass_calls(self, monkeypatch):
-        """Calls of the one-pass reduction that hnf falls back to: the calls
-        of _hermite_rows made by hnf itself rather than by _add_rows."""
+        """Calls of a one-pass reduction of all of [M | I]: the calls of
+        _hermite_rows made by hnf itself rather than by _add_rows."""
         real = linalg._hermite_rows
         hnf_code = linalg.hnf.__code__
         calls = []
@@ -1370,15 +1378,19 @@ class TestRowsOneAtATime:
                 assert lattice.coordinates(Derivation.unflatten(r, action.rank)) is not None
         assert calls == []
 
-    def test_hnf_falls_back_on_rank_deficient_input(self, monkeypatch):
+    def test_hnf_never_falls_back(self, monkeypatch):
         calls = self.one_pass_calls(monkeypatch)
-        hnf(Matrix([[1, 2], [3, 4]]))
-        hnf(Matrix([[2, 4, 1]]))
+        for m in (Matrix([[1, 2], [2, 4], [3, 7]]), rank_deficient_product()):
+            h, u = hnf(m)
+            assert u * m == h
+            assert not any(h.row(m.nrows - 1))
         assert calls == []
-        h, u = hnf(Matrix([[1, 2], [2, 4], [3, 7]]))
-        assert calls == [3]
-        assert u * Matrix([[1, 2], [2, 4], [3, 7]]) == h
-        assert not any(h.row(2))
+
+    def test_hnf_witness_growth(self):
+        m = rank_deficient_product()
+        h, u = hnf(m)
+        assert u * m == h
+        assert max(abs(x).bit_length() for row in u.entries for x in row) < 500
 
 
 # ---------------------------------------------------------------------------
