@@ -1,7 +1,7 @@
 """Time the Betti numbers, the cohomology action and the torus invariants
 on larger algebras.
 
-Three kinds of row, each on a freshly built complex:
+Four kinds of row, each on a freshly built complex:
 
 - ``betti``: ``LieAlgebra`` construction (with its Jacobi check),
   ``build_koszul`` (with its d o d = 0 check), ``betti()`` and
@@ -9,7 +9,17 @@ Three kinds of row, each on a freshly built complex:
   families, each stage timed on its own under ``stages``;
 - ``action``: ``action_on_cohomology`` in every degree for the inner
   automorphism exp(ad x) of filiform(n), with x = e_1 + e_n in the
-  1-based numbering of the basis, that is coordinates (1, 0, ..., 0, 1);
+  1-based numbering of the basis, that is coordinates (1, 0, ..., 0, 1).
+  An inner automorphism takes the inner path: Cartan's formula certified
+  in every degree, and identity matrices;
+- ``outer``: ``action_on_cohomology`` in every degree for the first torus
+  of ``perfbench/workloads.py``'s ``torus_matrices`` on filiform(n),
+  conjugated by exp(ad y), y = e_2 + e_n.  (That torus fixes e_1 and
+  e_n is central, so exp(ad(e_1 + e_n)) commutes with it.)  The
+  conjugate is neither unipotent nor diagonal, so it takes the general
+  path: form actions, the chain-map check and the class map.  Inner
+  automorphisms act trivially on cohomology, so its digest is the digest
+  of the torus's own action;
 - ``torus``: ``invariant_subcomplex`` under the two diagonal
   automorphisms of ``perfbench/workloads.py``'s ``torus_matrices``, with
   the identity relabelling.
@@ -24,6 +34,7 @@ the package on PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/koszul_timings.py --action 9 10 --torus filiform:9 heisenberg:4
     PYTHONPATH=src python3 scripts/koszul_timings.py --betti filiform:12 abelian:14 --action --torus
+    PYTHONPATH=src python3 scripts/koszul_timings.py --action 14 --outer 14 --torus
 """
 
 import argparse
@@ -91,15 +102,31 @@ def betti_row(spec: str) -> dict:
             "stages": {k: round(v, 4) for k, v in stages.items()}, "sha256": digest(betti)}
 
 
-def action_row(n: int) -> dict:
-    algebra = filiform(n)
-    phi = inner_automorphism(algebra, (1,) + (0,) * (n - 2) + (1,))
-    kos = build_koszul(algebra)
+def outer_automorphism(n: int) -> LieAutomorphism:
+    """The first workload torus of filiform(n) conjugated by exp(ad y), y = e_2 + e_n."""
+    base = workloads.filiform(n)
+    algebra = LieAlgebra(*base)
+    torus = LieAutomorphism(algebra, Matrix(workloads.torus_matrices(base, list(range(n)))[0]))
+    u = inner_automorphism(algebra, (0, 1) + (0,) * (n - 3) + (1,))
+    return u.compose(torus).compose(u.inverse())
+
+
+def timed_action(kind: str, phi: LieAutomorphism) -> dict:
+    n = phi.algebra.dim
+    kos = build_koszul(phi.algebra)
     start = time.perf_counter()
     mats = [action_on_cohomology(phi, p, kos) for p in range(n + 1)]
     seconds = time.perf_counter() - start
-    return {"kind": "action", "algebra": f"filiform:{n}", "seconds": round(seconds, 3),
+    return {"kind": kind, "algebra": f"filiform:{n}", "seconds": round(seconds, 3),
             "sha256": digest(mats)}
+
+
+def action_row(n: int) -> dict:
+    return timed_action("action", inner_automorphism(filiform(n), (1,) + (0,) * (n - 2) + (1,)))
+
+
+def outer_row(n: int) -> dict:
+    return timed_action("outer", outer_automorphism(n))
 
 
 def torus_row(spec: str) -> dict:
@@ -137,17 +164,22 @@ def main(argv=None):
                         help="algebras for the betti rows (default: none)")
     parser.add_argument("--action", type=int, nargs="*", default=[9, 10], metavar="N",
                         help="filiform dimensions for the action rows (default: 9 10)")
+    parser.add_argument("--outer", type=int, nargs="*", default=[], metavar="N",
+                        help="filiform dimensions for the outer rows (default: none)")
     parser.add_argument("--torus", type=family_spec, nargs="*",
                         default=["filiform:9", "heisenberg:4"], metavar="FAMILY:N",
                         help="algebras for the torus rows (default: filiform:9 heisenberg:4)")
     parser.add_argument("--json", action="store_true", help="emit one JSON object per row")
     args = parser.parse_args(argv)
-    if any(n < 3 for n in args.action):
+    if any(n < 3 for n in args.action + args.outer):
         parser.error("filiform algebras start at dimension 3")
 
     # rows are printed as they finish, since the larger ones take minutes
     rows = itertools.chain(
-        map(betti_row, args.betti), map(action_row, args.action), map(torus_row, args.torus)
+        map(betti_row, args.betti),
+        map(action_row, args.action),
+        map(outer_row, args.outer),
+        map(torus_row, args.torus),
     )
     for row in rows:
         row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)

@@ -21,7 +21,10 @@ popcounts.
 Automorphisms act on forms through the wedge powers of the inverse
 transpose; maps on cohomology use the column convention (column i is
 the image of class basis vector i), so composition of automorphisms
-multiplies the matrices in the same order.
+multiplies the matrices in the same order.  An inner automorphism
+exp(ad x) acts as the identity on cohomology: ad x acts on forms by
+L_x = d i_x + i_x d (Cartan's formula), which is certified instead of
+expanding the wedge powers.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
@@ -47,8 +51,10 @@ from .linalg import (
     _quotient,
     min_poly,
     nilpotent_exp,
+    nilpotent_log,
     rational_kernel,
     rref,
+    solve,
 )
 
 MAX_DIM_DEFAULT = 14
@@ -163,12 +169,32 @@ class LieAlgebra:
         return sorted(self._table.items())
 
     def ad(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of [x, -] on columns."""
-        cols = []
-        for j in range(self.dim):
-            ej = tuple(1 if t == j else 0 for t in range(self.dim))
-            cols.append(self.bracket(x, ej))
-        return Matrix.from_cols(cols, nrows=self.dim)
+        """Matrix of [x, -] on columns, read off the table: the pair (i, j)
+        adds x_i times its terms to [x, e_j] and -x_j times them to [x, e_i]."""
+        n = self.dim
+        if len(x) != n:
+            raise PreconditionError(f"vector length mismatch: ad needs a vector of length {n}")
+        rows: List[List[Scalar]] = [[0] * n for _ in range(n)]
+        for (i, j), terms in self._table.items():
+            for k, c in terms:
+                rows[k][j] += x[i] * c
+                rows[k][i] -= x[j] * c
+        return Matrix(rows, ncols=n)
+
+    def ad_preimage(self, d: Matrix) -> Optional[Vector]:
+        """One x with ad x = d, or None: the n^2 equations
+        sum_i x_i c_ij^k = d[k, j], read off the table, where an entry of d
+        that no table term reaches must be 0."""
+        n = self.dim
+        rows: Dict[Tuple[int, int], List[Scalar]] = {}
+        for (i, j), terms in self._table.items():
+            for k, c in terms:
+                rows.setdefault((k, j), [0] * n)[i] += c
+                rows.setdefault((k, i), [0] * n)[j] -= c
+        if any(d[k, j] for k in range(n) for j in range(n) if (k, j) not in rows):
+            return None
+        keys = sorted(rows)
+        return solve(Matrix([rows[key] for key in keys], ncols=n), [d[key] for key in keys])
 
     def lower_central_series(self) -> List[Matrix]:
         """Bases of g = g^0 >= g^1 >= ..., where g^{i+1} = [g, g^i], in
@@ -448,6 +474,11 @@ class KoszulComplex:
     def _cohomology_bases(self) -> Dict[int, Tuple[SparseColumns, ...]]:
         return {}
 
+    @cached_property
+    def _homotopies(self) -> set:
+        """The x whose Cartan formula ``_certify_homotopy`` has certified here."""
+        return set()
+
     def cohomology_basis(self, p: int) -> Tuple[SparseColumns, ...]:
         """``(cocycles, coboundaries, reps, classes)`` of degree p as sparse
         rows, cached per degree.  They equal the dense eliminations:
@@ -603,6 +634,24 @@ class LieAutomorphism:
         """Exterior powers of c times ``dual``: level p is c^p times the degree-p form action."""
         return ExteriorExpansion(self.dual)
 
+    @cached_property
+    def inner_generator(self) -> Optional[Vector]:
+        """An x with matrix = exp(ad x), or None when the matrix is not
+        unipotent (its trace is not n, or log's series does not stop) or
+        its log is no ad x.  Raises InternalError when exp(ad x) is not
+        the matrix again."""
+        n = self.algebra.dim
+        if self.matrix.trace() != n:
+            return None
+        try:
+            log = nilpotent_log(self.matrix)
+        except PreconditionError:
+            return None
+        x = self.algebra.ad_preimage(log)
+        if x is not None and nilpotent_exp(self.algebra.ad(x)) != self.matrix:
+            raise InternalError("exp(ad x) differs from the automorphism it is the log of")
+        return x
+
 
 def inner_automorphism(algebra: LieAlgebra, x: Sequence[Scalar]) -> LieAutomorphism:
     """exp(ad x); defined here only for nilpotent ad x."""
@@ -646,9 +695,12 @@ def action_on_cohomology(
     """Induced map on degree-p cohomology, columns as images.
 
     Functorial: the matrix of a composition is the product of the
-    matrices.  Raises InternalError if the form action fails to commute
-    with the differential, which cannot happen for a bracket-preserving
-    matrix.
+    matrices.  An automorphism exp(ad x) (``inner_generator``) gives the
+    identity, once exp(ad x) and Cartan's formula in every degree are
+    certified (``_certify_homotopy``); any other takes the class map.
+    Raises InternalError if a certificate fails, or if the form action
+    fails to commute with the differential, neither of which can happen
+    for a bracket-preserving matrix.
     """
     if kos is None:
         kos = build_koszul(phi.algebra)
@@ -656,8 +708,73 @@ def action_on_cohomology(
         raise PreconditionError("complex and automorphism algebras differ")
     if not 0 <= p <= kos.algebra.dim:
         raise PreconditionError("degree out of range")
+    x = phi.inner_generator
+    if x is not None:
+        _certify_homotopy(kos, x)
+        return Matrix.identity(kos.betti()[p])
     cols, den = _class_map(phi, p, kos)
     return _dense_columns([[(i, _quotient(x, den)) for i, x in col] for col in cols], len(cols))
+
+
+def _contraction(x: Sequence[int], kos: KoszulComplex, p: int) -> List[SparseColumn]:
+    """i_x from degree p to p - 1 as sparse columns: the form xi^K goes to
+    the sum over positions t of (-1)^t x_(k_t) xi^(K - k_t)."""
+    masks, row_of = _exterior_index(kos.algebra.dim)
+    return [
+        tuple((row_of[mask ^ 1 << k], -x[k] if t & 1 else x[k]) for t, k in enumerate(key) if x[k])
+        for key, mask in zip(kos.bases[p], masks[p])
+    ]
+
+
+def _check_cartan(
+    kos: KoszulComplex,
+    p: int,
+    lie_rows: Sequence[Sequence[Tuple[int, Scalar]]],
+    iota: Sequence[SparseColumn],
+    iota_up: Sequence[SparseColumn],
+) -> None:
+    """Certify L_x = d^(p-1) i_x + i_x d^p on the forms of degree p, column
+    by column.  L_x is the derivation extending L xi^k = sum of v xi^j over
+    the (j, v) of ``lie_rows[k]``; ``iota`` and ``iota_up`` are i_x from
+    degrees p and p + 1 (``_contraction``)."""
+    masks, row_of = _exterior_index(kos.algebra.dim)
+    lower = kos.columns[p - 1] if p else ()
+    # d^(p-1) i_x and i_x d^p as one combination of the columns of both maps
+    both, shift = tuple(lower) + tuple(iota_up), len(lower)
+    for key, mask, d_col, i_col in zip(kos.bases[p], masks[p], kos.columns[p], iota):
+        lhs: Dict[int, Scalar] = {}
+        for k in key:
+            rest = mask ^ 1 << k
+            for j, v in lie_rows[k]:
+                if rest >> j & 1:
+                    continue
+                # xi^j in the place of xi^k passes the forms strictly between them
+                r = row_of[rest | 1 << j]
+                lhs[r] = lhs.get(r, 0) + (-v if (rest & abs((1 << j) - (1 << k))).bit_count() & 1 else v)
+        rhs = _combine(both, itertools.chain(i_col, ((shift + r, v) for r, v in d_col)))
+        if {r: v for r, v in lhs.items() if v} != rhs:
+            raise InternalError(f"Cartan's formula fails in degree {p}")
+
+
+def _certify_homotopy(kos: KoszulComplex, x: Vector) -> None:
+    """Certify that L_x, the action of ad x on forms, is d i_x + i_x d in
+    every degree, once per complex and x.  L_x is the derivation extension
+    of -(ad x)^T, so exp(L_x) is the form action of exp(ad x); being
+    null-homotopic, L_x sends cocycles to coboundaries and commutes with d,
+    and exp(L_x) acts as the identity on cohomology.  x is scaled to
+    integers first: the formula is linear in x."""
+    if x in kos._homotopies:
+        return
+    n = kos.algebra.dim
+    s = lcm(*(v.denominator for v in x if type(v) is Fraction))
+    xs = [int(v * s) for v in x]
+    lie_rows = [[(j, -v) for j, v in enumerate(row) if v] for row in kos.algebra.ad(xs).entries]
+    iota = _contraction(xs, kos, 0)
+    for p in range(n + 1):
+        iota_up = _contraction(xs, kos, p + 1) if p < n else ()
+        _check_cartan(kos, p, lie_rows, iota, iota_up)
+        iota = iota_up
+    kos._homotopies.add(x)
 
 
 def _class_map(phi: LieAutomorphism, p: int, kos: KoszulComplex) -> Tuple[SparseColumns, int]:

@@ -788,32 +788,61 @@ def nilpotency_index(a: Matrix) -> Optional[int]:
     return None
 
 
-def _nilpotent_series(nil: Matrix, start: Matrix, coeff, kind: str) -> Matrix:
-    """start + sum of coeff(k) nil^k over k >= 1, up to the first zero power:
-    nil^n or earlier when nil is nilpotent, nil^1 when n = 0, else none."""
-    acc, power = start, Matrix.identity(nil.nrows)
-    for k in range(1, nil.nrows + 2):
-        power = power * nil
-        if power.is_zero():
-            return acc
-        acc = acc + power.scale(coeff(k))
-    raise PreconditionError(f"matrix is not {kind}")
+def _nilpotent_series(nil: Matrix, start: int, coeff, kind: str) -> Matrix:
+    """start I + sum of coeff(k) nil^k over k >= 1, up to the first zero
+    power: nil^n or earlier when nil is nilpotent, nil^1 when n = 0, else
+    none.  The powers run in ``int`` on c nil, c the lcm of the
+    denominators of nil; with s the lcm of the denominators of
+    coeff(k) / c^k, the series is s start I + sum of s coeff(k) / c^k
+    (c nil)^k, all in ``int``, divided by s once at the end."""
+    n = nil.nrows
+    c = lcm(*(x.denominator for r in nil.entries for x in r if type(x) is Fraction))
+    scaled = [[int(x * c) for x in r] for r in nil.entries]
+    terms, power = [], scaled
+    for k in range(1, n + 2):
+        if not any(map(any, power)):
+            break
+        terms.append((coeff(k) / c**k, power))
+        power = _int_product(power, scaled)
+    else:
+        raise PreconditionError(f"matrix is not {kind}")
+    s = lcm(*(a.denominator for a, _ in terms))
+    total = [[start * s if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, power in terms:
+        f = int(a * s)
+        for row, p_row in zip(total, power):
+            for j, v in enumerate(p_row):
+                if v:
+                    row[j] += f * v
+    return Matrix([[_quotient(v, s) for v in row] for row in total], ncols=n)
+
+
+def _int_product(a: list, b: list) -> list:
+    """The product of two square ``int`` matrices given as lists of rows,
+    over the nonzero entries only."""
+    out = []
+    for row in a:
+        acc = [0] * len(row)
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def nilpotent_log(u: Matrix) -> Matrix:
     """Logarithm of a unipotent matrix, a finite exact series."""
     _require_square(u, "nilpotent_log")
-    n = u.nrows
-    nil = u - Matrix.identity(n)
-    return _nilpotent_series(nil, Matrix.zero(n, n), lambda k: Fraction(-(-1) ** k, k), "unipotent")
+    nil = u - Matrix.identity(u.nrows)
+    return _nilpotent_series(nil, 0, lambda k: Fraction(-(-1) ** k, k), "unipotent")
 
 
 def nilpotent_exp(m: Matrix) -> Matrix:
     """Exponential of a nilpotent matrix, a finite exact series."""
     _require_square(m, "nilpotent_exp")
-    return _nilpotent_series(
-        m, Matrix.identity(m.nrows), lambda k: Fraction(1, factorial(k)), "nilpotent"
-    )
+    return _nilpotent_series(m, 1, lambda k: Fraction(1, factorial(k)), "nilpotent")
 
 
 def _dense_columns(

@@ -357,7 +357,7 @@ def finite_order_by_powers(a):
     prime while the power stays I."""
     from math import gcd
 
-    from polyarith.linalg import _require_square, min_poly
+    from polyarith.linalg import _require_square
 
     _require_square(a, "finite_order")
     n = a.nrows
@@ -365,7 +365,15 @@ def finite_order_by_powers(a):
         return 1
     if a.det() == 0:
         return None
-    if not min_poly(a).is_squarefree():
+    # the minimal polynomial is squarefree (a is diagonalizable over C)
+    # exactly when the squarefree part of the characteristic polynomial,
+    # the product of its distinct irreducible factors, vanishes at a
+    sym = sympy.Matrix(n, n, [sympy.Rational(x) for r in a.entries for x in r])
+    t = sympy.Symbol("t")
+    at_a = sympy.zeros(n, n)
+    for c in sympy.Poly(sympy.sqf_part(sym.charpoly(t).as_expr()), t).all_coeffs():
+        at_a = at_a * sym + c * sympy.eye(n)
+    if not at_a.is_zero_matrix:
         return None
     cap = 2 * n * n + 2  # phi(m) >= sqrt(m/2), so phi(m) <= n forces m <= 2 n^2
     big = 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import polyarith.lie as lie
 from polyarith.errors import InternalError, PreconditionError
-from polyarith.jsonio import parse_lie_algebra, parse_matrices_list
+from polyarith.jsonio import matrix_to_json, parse_lie_algebra, parse_matrices_list
 from polyarith.lie import (
     KoszulComplex,
     LieAlgebra,
@@ -38,7 +38,15 @@ from polyarith.lie import (
     strictly_upper,
 )
 from polyarith import linalg
-from polyarith.linalg import Matrix, _dense_columns, rational_kernel, rref, solve, wedge_power
+from polyarith.linalg import (
+    Matrix,
+    _dense_columns,
+    _quotient,
+    rational_kernel,
+    rref,
+    solve,
+    wedge_power,
+)
 
 # Betti tables for the catalog, degree 0 upward
 KNOWN_BETTI = {
@@ -841,11 +849,11 @@ class TestCachedActionPath:
         for phi in (graded_heisenberg_auto(h, random.Random(1)), inner_automorphism(h, (1, 0, 2, 0, 0))):
             built.clear()
             # degrees 2 and 3 are read: levels 1 to 3 are built, none above
-            action_on_cohomology(phi, 2, kos)
+            lie._class_map(phi, 2, kos)
             assert built == [1, 2, 3]
             assert len(phi.exterior.levels) == 4
             # the degrees below reuse them
-            action_on_cohomology(phi, 1, kos)
+            lie._class_map(phi, 1, kos)
             form_action(phi, 3)
             assert built == [1, 2, 3]
 
@@ -965,7 +973,7 @@ class TestActionCertificates:
             with pytest.raises(
                 InternalError, match="^form action does not commute with the differential$"
             ):
-                action_on_cohomology(phi, 1, kos)
+                lie._class_map(phi, 1, kos)
 
     def test_chain_map_check_sees_one_wrong_entry(self):
         # a torus acts by diagonal columns, an inner automorphism by
@@ -1006,7 +1014,182 @@ class TestActionCertificates:
         monkeypatch.setattr(lie, "check_chain_map", lambda *args: None)
         for kos, phi in certificate_cases():
             with pytest.raises(InternalError, match="^image of a cocycle left the cocycle space$"):
-                action_on_cohomology(phi, 1, kos)
+                lie._class_map(phi, 1, kos)
+
+
+def class_map_action(phi, p, kos):
+    """The induced map on degree-p cohomology by the general class-map path."""
+    cols, den = lie._class_map(phi, p, kos)
+    return _dense_columns([[(i, _quotient(x, den)) for i, x in col] for col in cols], len(cols))
+
+
+def json_bytes(mats):
+    return json.dumps([matrix_to_json(m) for m in mats]).encode()
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to count its calls; the returned list grows by one
+    entry (the positional arguments) per call."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestInnerPath:
+    """exp(ad x) acts as the identity on cohomology, certified by Cartan's
+    formula L_x = d i_x + i_x d in every degree; every other automorphism
+    takes the class-map path."""
+
+    def test_matches_the_class_map_on_the_catalog(self):
+        # x with coordinates -1 or 1, as perfbench's inner_matrix draws them
+        rng = random.Random(25)
+        for name, algebra in nilpotent_catalog().items():
+            assert algebra.dim <= 9
+            for _ in range(2):
+                x = tuple(rng.choice((-1, 1)) for _ in range(algebra.dim))
+                phi, kos = inner_automorphism(algebra, x), build_koszul(algebra)
+                degrees = range(algebra.dim + 1)
+                got = [action_on_cohomology(phi, p, kos) for p in degrees]
+                assert algebra.ad(phi.inner_generator) == algebra.ad(x), name
+                assert json_bytes(got) == json_bytes([class_map_action(phi, p, kos) for p in degrees]), name
+
+    def test_generator_gives_the_same_ad(self):
+        # x is found modulo the centre, and exp(ad x) is certified
+        for algebra in (filiform(6), heisenberg(2), free_two_step(3), sl2()):
+            x = tuple(range(1, algebra.dim + 1)) if algebra.is_nilpotent() else (0, 1, 0)
+            phi = inner_automorphism(algebra, x)
+            assert algebra.ad(phi.inner_generator) == algebra.ad(x)
+        assert LieAutomorphism(abelian(3), Matrix.identity(3)).inner_generator == (0, 0, 0)
+
+    def test_non_nilpotent_algebra(self):
+        # Cartan's formula holds on any Lie algebra: exp(ad e) on sl_2
+        algebra = sl2()
+        phi, kos = inner_automorphism(algebra, (0, 1, 0)), build_koszul(algebra)
+        got = [action_on_cohomology(phi, p, kos) for p in range(4)]
+        assert got == [class_map_action(phi, p, kos) for p in range(4)]
+        assert [m.nrows for m in got] == [1, 0, 0, 1]
+
+    def test_builds_no_form_action_and_no_cohomology_basis(self, monkeypatch):
+        extend = count_calls(monkeypatch, linalg.ExteriorExpansion, "_extend")
+        bases = count_calls(monkeypatch, KoszulComplex, "cohomology_basis")
+        algebra = filiform(7)
+        kos = build_koszul(algebra)
+        phi = inner_automorphism(algebra, (1, -1, 1, -1, 1, -1, 1))
+        got = [action_on_cohomology(phi, p, kos) for p in range(8)]
+        assert got == [Matrix.identity(b) for b in kos.betti()]
+        assert extend == [] and bases == []
+
+    def test_homotopy_checked_in_every_degree_once_per_complex(self, monkeypatch):
+        algebra = heisenberg(2)
+        phi = inner_automorphism(algebra, (1, 1, -1, 1, 1))
+        checked = count_calls(monkeypatch, lie, "_check_cartan")
+        kos = build_koszul(algebra)
+        for p in range(6):
+            action_on_cohomology(phi, p, kos)
+        assert [args[1] for args in checked] == list(range(6))
+        # another automorphism with the same x reuses the certificate
+        action_on_cohomology(inner_automorphism(algebra, (1, 1, -1, 1, 1)), 3, kos)
+        assert len(checked) == 6
+        # a new complex runs it again
+        action_on_cohomology(phi, 0, build_koszul(algebra))
+        assert [args[1] for args in checked] == list(range(6)) * 2
+
+    def test_sign_flip_in_the_contraction_is_refused(self, monkeypatch):
+        original = lie._contraction
+
+        def flipped(x, kos, p):
+            return [tuple((r, -v) for r, v in col) for col in original(x, kos, p)]
+
+        monkeypatch.setattr(lie, "_contraction", flipped)
+        for algebra in (heisenberg(1), filiform(5), free_two_step(3)):
+            phi = inner_automorphism(algebra, (1,) * algebra.dim)
+            with pytest.raises(InternalError, match="^Cartan's formula fails in degree 1$"):
+                action_on_cohomology(phi, 2, build_koszul(algebra))
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_each_degree_is_checked(self, monkeypatch, q):
+        # the contraction flipped in the check of degree q alone is seen
+        # there: no degree with a nonzero L_x goes unchecked
+        original = lie._check_cartan
+
+        def flipped_at_q(kos, p, lie_rows, iota, iota_up):
+            if p == q:
+                iota = [tuple((r, -v) for r, v in col) for col in iota]
+                iota_up = [tuple((r, -v) for r, v in col) for col in iota_up]
+            return original(kos, p, lie_rows, iota, iota_up)
+
+        monkeypatch.setattr(lie, "_check_cartan", flipped_at_q)
+        algebra = filiform(6)
+        phi = inner_automorphism(algebra, (1, 1, 0, 0, 0, 1))
+        with pytest.raises(InternalError, match=f"^Cartan's formula fails in degree {q}$"):
+            action_on_cohomology(phi, 0, build_koszul(algebra))
+
+    def test_log_perturbed_inside_the_inner_derivations_is_refused(self, monkeypatch):
+        # log + ad e_1 is still some ad x', but exp(ad x') is another matrix
+        algebra = filiform(5)
+        original = lie.nilpotent_log
+        monkeypatch.setattr(lie, "nilpotent_log", lambda u: original(u) + algebra.ad((0, 1, 0, 0, 0)))
+        phi = inner_automorphism(algebra, (1, -1, 1, 0, 0))
+        with pytest.raises(
+            InternalError, match="^exp\\(ad x\\) differs from the automorphism it is the log of$"
+        ):
+            action_on_cohomology(phi, 1, build_koszul(algebra))
+
+    def test_log_perturbed_outside_the_inner_derivations_takes_the_class_map(self, monkeypatch):
+        algebra = filiform(5)
+        phi = inner_automorphism(algebra, (1, -1, 1, 0, 0))
+        kos = build_koszul(algebra)
+        expected = [class_map_action(phi, p, kos) for p in range(6)]
+        original = lie.nilpotent_log
+        bump = Matrix([[int(i == 0 and j == 1) for j in range(5)] for i in range(5)])
+        monkeypatch.setattr(lie, "nilpotent_log", lambda u: original(u) + bump)
+        fresh = LieAutomorphism(algebra, phi.matrix)
+        bases = count_calls(monkeypatch, KoszulComplex, "cohomology_basis")
+        assert [action_on_cohomology(fresh, p, kos) for p in range(6)] == expected
+        assert fresh.inner_generator is None and len(bases) == 6
+
+    def outer_cases(self):
+        """(name, automorphism, whether a log is taken): a nilpotent outer
+        map on abelian(4), a symplectic transvection e_1 -> e_1 + e_0 on
+        heisenberg(2), a torus conjugated by exp(ad x), and diag(2, 2, -1)
+        on abelian(3), of trace 3 but not unipotent."""
+        shear = Matrix.identity(4).to_lists()
+        shear[0][2] = 1
+        transvection = Matrix.identity(5).to_lists()
+        transvection[0][1] = 1
+        f = filiform(5)
+        u = inner_automorphism(f, (1, 1, -1, 0, 1))
+        torus = diagonal_automorphism(f, (2, 3, 6, 12, 24))
+        return [
+            ("abelian", LieAutomorphism(abelian(4), Matrix(shear)), True),
+            ("heisenberg", LieAutomorphism(heisenberg(2), Matrix(transvection)), True),
+            ("conjugated torus", u.compose(torus).compose(u.inverse()), False),
+            ("trace n", diagonal_automorphism(abelian(3), (2, 2, -1)), True),
+        ]
+
+    def test_other_automorphisms_take_the_class_map(self, monkeypatch):
+        for name, phi, logged in self.outer_cases():
+            algebra = phi.algebra
+            kos = build_koszul(algebra)
+            degrees = range(algebra.dim + 1)
+            expected = [class_map_action(phi, p, kos) for p in degrees]
+            fresh, kos = LieAutomorphism(algebra, phi.matrix), build_koszul(algebra)
+            with monkeypatch.context() as m:
+                extend = count_calls(m, linalg.ExteriorExpansion, "_extend")
+                bases = count_calls(m, KoszulComplex, "cohomology_basis")
+                logs = count_calls(m, lie, "nilpotent_log")
+                cartan = count_calls(m, lie, "_certify_homotopy")
+                got = [action_on_cohomology(fresh, p, kos) for p in degrees]
+            assert fresh.inner_generator is None, name
+            assert json_bytes(got) == json_bytes(expected), name
+            assert len(extend) == algebra.dim and len(bases) == len(degrees), name
+            assert (len(logs), cartan) == (int(logged), []), name
+            assert not got[1].is_identity(), name
 
 
 class TestRigidity:

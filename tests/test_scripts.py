@@ -1,11 +1,15 @@
 """The scripts README documents, run as a user runs them: one process
 each, with the package on PYTHONPATH."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from polyarith.lie import LieAutomorphism, action_on_cohomology, build_koszul
+from polyarith.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,6 +110,32 @@ def test_koszul_timings_torus_rows_at_the_cap():
     assert [row["sha256"] for row in rows] == [
         "bc6f4498212e0c0f7c9a909cc65f00a82349a44f2ece2ab07b09820c0be87230"
     ] * 2
+
+
+def test_koszul_timings_outer_rows_give_the_torus_action():
+    # the conjugate of a torus by an inner automorphism acts on cohomology
+    # as the torus does, here through the general class-map path
+    done = run_script("koszul_timings.py", "--action", "--outer", "5", "9", "--torus", "--json")
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["kind"], row["algebra"]) for row in rows] == [
+        ("outer", "filiform:5"),
+        ("outer", "filiform:9"),
+    ]
+    spec = importlib.util.spec_from_file_location("koszul_timings", ROOT / "scripts" / "koszul_timings.py")
+    timings = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timings)
+    workloads = timings.workloads
+    for row, n in zip(rows, (5, 9)):
+        phi = timings.outer_automorphism(n)
+        # neither inner nor diagonal: the general path
+        assert phi.inner_generator is None
+        assert any(phi.matrix[i, j] for i in range(n) for j in range(n) if i != j)
+        first = workloads.torus_matrices(workloads.filiform(n), list(range(n)))[0]
+        torus = LieAutomorphism(phi.algebra, Matrix(first))
+        kos = build_koszul(phi.algebra)
+        own = [action_on_cohomology(torus, p, kos) for p in range(n + 1)]
+        assert row["sha256"] == timings.digest(own)
 
 
 def write_run(directory, workload, seed, values, trace=0, failed_share=0.0):
