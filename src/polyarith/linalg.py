@@ -678,12 +678,24 @@ def min_poly(a: Matrix) -> Poly:
 
 
 def poly_eval(p: Poly, a: Matrix) -> Matrix:
+    """``p(a)`` by Horner's rule over Z.  With ``a = A / e`` and D the lcm
+    of the denominators of ``p``, it accumulates ``D e**k p(A / e)``, k the
+    degree, adding each scaled coefficient on the diagonal in place, and
+    divides by ``D e**k`` once."""
     _require_square(a, "poly_eval")
     n = a.nrows
-    acc = Matrix.zero(n, n)
+    e = lcm(*(x.denominator for r in a.entries for x in r if type(x) is Fraction))
+    cols = list(zip(*([int(x * e) for x in r] for r in a.entries)))
+    scale = lcm(*(c.denominator for c in p.coeffs if type(c) is Fraction))
+    divisor = scale * e ** max(p.degree, 0)
+    acc = [[0] * n for _ in range(n)]
     for c in reversed(p.coeffs):
-        acc = acc * a + Matrix.identity(n).scale(c)
-    return acc
+        acc = [[sum(map(operator.mul, r, col)) for col in cols] for r in acc]
+        shift = int(c * scale)
+        for i in range(n):
+            acc[i][i] += shift
+        scale *= e
+    return Matrix([[_quotient(x, divisor) for x in r] for r in acc], ncols=n)
 
 
 @dataclass(frozen=True)
@@ -697,28 +709,46 @@ class JordanPair:
     poly: Poly = field(repr=False, compare=False)
 
 
+def _compose(p: Poly, t: Poly, m: Poly) -> Poly:
+    """``p(t)`` modulo ``m``, by Horner's rule."""
+    acc = Poly()
+    for c in reversed(p.coeffs):
+        acc = (acc * t + Poly.of(c)) % m
+    return acc
+
+
 def jordan_chevalley(a: Matrix) -> JordanPair:
     """Multiplicative Jordan decomposition over Q.
 
     Returns ``JordanPair(s, u, p)`` with ``s * u == u * s == a``, the
     minimal polynomial p of ``s`` squarefree, and ``u - I`` nilpotent.
-    Both factors are polynomial expressions in ``a``, found by Newton
-    iteration against p, the squarefree part of the minimal polynomial.
+    The semisimple factor is a polynomial t(a) (Chevalley), found by
+    Newton's iteration in Q[x]/(m), m the minimal polynomial of ``a``:
+    with g = gcd(m, m') and p = m / g, start from t = x and step
+    t <- t - p(t) w mod m, w the inverse of p'(t) modulo g.  Every t is
+    x modulo p, so p divides p(t) and p(t) w mod m depends on w only
+    modulo m / p = g.  Each step doubles the multiplicity cleared, and
+    no factor of m has multiplicity above deg g + 1.  Then s = t(a) by
+    one matrix evaluation, u = s^-1 a, and p(s) = 0 and u s = a are
+    checked exactly on the matrices.
     """
     _require_square(a, "jordan_chevalley")
     m = min_poly(a)
     if m.coeffs[0] == 0:
         raise PreconditionError("jordan_chevalley needs an invertible matrix")
-    p = m.squarefree_part()
-    s = a
-    for _ in range(a.nrows + 2):
-        ps = poly_eval(p, s)
-        if ps.is_zero():
-            break
-        s = s - ps * poly_eval(p.derivative(), s).inverse()
-    else:
-        raise InternalError("newton iteration for the semisimple factor did not converge")
+    g = m.gcd(m.derivative())
+    p = m // g
+    dp = p.derivative()
+    t, cleared = Poly.of(0, 1), 1
+    while cleared <= g.degree:
+        t = t - (_compose(p, t, m) * _compose(dp, t, g).inverse_mod(g)) % m
+        cleared *= 2
+    s = poly_eval(t, a)
+    if not poly_eval(p, s).is_zero():
+        raise InternalError(f"jordan_chevalley, n = {a.nrows}: the semisimple factor is not a root of p")
     u = s.inverse() * a
+    if u * s != a:
+        raise InternalError(f"jordan_chevalley, n = {a.nrows}: the factors do not commute, u s != a")
     return JordanPair(s, u, p)
 
 

@@ -1,25 +1,64 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 Coefficients are stored in ascending degree order with no trailing
-zeros, so the zero polynomial is the empty tuple.  Only the operations
-needed by the matrix decompositions are provided: euclidean division,
-gcd, derivative, squarefree part, evaluation.
+zeros, so the zero polynomial is the empty tuple.  An integral
+coefficient is a plain ``int``, and integer polynomials stay in ``int``
+through products, division by a monic divisor and evaluation at an
+``int``.  Only the operations needed by the matrix decompositions are
+provided: euclidean division, gcd, inverse modulo a polynomial,
+derivative, squarefree part, evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
+def _scalar(c) -> Scalar:
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    f = Fraction(c)
+    return f.numerator if f.denominator == 1 else f
+
+
 def _normalize(coeffs: Iterable[Scalar]) -> tuple:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
+    out = list(map(_scalar, coeffs))
+    while out and not out[-1]:
         out.pop()
-    return tuple(int(c) if c.denominator == 1 else c for c in out)
+    return tuple(out)
+
+
+def _primitive(coeffs: Sequence[Scalar]) -> list:
+    """The integer polynomial with content 1 that is a positive rational
+    multiple of ``coeffs``; the zero polynomial stays empty."""
+    den = lcm(*(c.denominator for c in coeffs if type(c) is Fraction))
+    ints = [int(c * den) for c in coeffs]
+    content = gcd(*ints) or 1
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A remainder of ``lead(b)**k * a`` by ``b`` over Z, for integer
+    coefficient lists with ``b`` nonzero: each step scales by the leading
+    coefficient of ``b`` instead of dividing by it."""
+    r = list(a)
+    d, lead = len(b) - 1, b[-1]
+    while len(r) > d:
+        top = r.pop()
+        shift = len(r) - d
+        if lead != 1:
+            r = [x * lead for x in r]
+        for i in range(d):
+            r[shift + i] -= top * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 @dataclass(frozen=True)
@@ -58,7 +97,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(_normalize(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -69,12 +108,12 @@ class Poly:
     def divmod(self, other: "Poly") -> tuple:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         d = other.degree
-        lead = Fraction(other.coeffs[-1])
-        quo = [Fraction(0)] * max(len(rem) - d, 0)
+        lead = other.coeffs[-1]
+        quo = [0] * max(len(rem) - d, 0)
         for k in reversed(range(len(quo))):
-            q = quo[k] = rem[k + d] / lead
+            q = quo[k] = rem[k + d] if lead == 1 else Fraction(rem[k + d]) / lead
             if q:
                 for i, c in enumerate(other.coeffs):
                     rem[k + i] -= q * c
@@ -87,7 +126,7 @@ class Poly:
         return self.divmod(other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
         lead = Fraction(self.coeffs[-1])
         return Poly(_normalize(c / lead for c in self.coeffs))
@@ -96,11 +135,28 @@ class Poly:
         return Poly(_normalize(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd by the euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd, zero when both are zero.  Denominators are cleared
+        and the euclidean algorithm runs on primitive integer polynomials:
+        each pseudo-remainder has its content divided out, which keeps
+        the coefficients as small as the gcd allows."""
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return Poly(tuple(a)).monic()
+
+    def inverse_mod(self, modulus: "Poly") -> "Poly":
+        """The v of degree below ``modulus``'s with ``v * self == 1`` modulo
+        ``modulus``, by the extended euclidean algorithm.  Raises
+        ZeroDivisionError unless ``self`` is a unit modulo ``modulus`` and
+        ``modulus`` has degree at least 1."""
+        r0, r1 = modulus, self % modulus
+        v0, v1 = Poly(), Poly.of(1)
+        while r1.degree > 0:
+            q, r = r0.divmod(r1)
+            r0, r1, v0, v1 = r1, r, v1, v0 - q * v1
+        if r1.is_zero():
+            raise ZeroDivisionError("polynomial is not a unit modulo the modulus")
+        return v1 * (1 / Fraction(r1.coeffs[0]))
 
     def squarefree_part(self) -> "Poly":
         """Monic product of the distinct irreducible factors."""
@@ -113,10 +169,10 @@ class Poly:
         return self.gcd(self.derivative()).degree == 0
 
     def __call__(self, x: Scalar) -> Scalar:
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return int(acc) if acc.denominator == 1 else acc
+        return _scalar(acc)
 
     def __str__(self) -> str:
         if self.is_zero():

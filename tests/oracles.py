@@ -387,3 +387,34 @@ def finite_order_by_powers(a):
         while order % p == 0 and (a ** (order // p)).is_identity():
             order //= p
     return order
+
+
+def jordan_by_matrix_newton(a):
+    """The multiplicative Jordan decomposition ``(s, u, p)`` of an invertible
+    package ``Matrix``, by Newton's iteration on matrices,
+    s <- s - p(s) p'(s)^-1 from s = a, then u = s^-1 a.  p is the monic
+    squarefree part of the characteristic polynomial by sympy (it has the
+    roots of the minimal polynomial, each once), and p(s) is Horner's rule
+    on matrices with the identity scaled by each coefficient."""
+    from polyarith.linalg import Matrix
+    from polyarith.polynomials import Poly
+
+    n = a.nrows
+    sym = sympy.Matrix(n, n, [sympy.Rational(x) for r in a.entries for x in r])
+    t = sympy.Symbol("t")
+    sqf = sympy.Poly(sympy.sqf_part(sym.charpoly(t).as_expr()), t).monic()
+    p = Poly.of(*(Fraction(int(c.p), int(c.q)) for c in reversed(sqf.all_coeffs())))
+
+    def at(q, s):
+        acc = Matrix.zero(n, n)
+        for c in reversed(q.coeffs):
+            acc = acc * s + Matrix.identity(n).scale(c)
+        return acc
+
+    s = a
+    for _ in range(n + 2):
+        ps = at(p, s)
+        if ps.is_zero():
+            return s, s.inverse() * a, p
+        s = s - ps * at(p.derivative(), s).inverse()
+    raise AssertionError("newton iteration on matrices did not converge")

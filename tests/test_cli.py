@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -892,3 +893,19 @@ def test_pinned_stdout_bytes_at_large_d(capsys, command):
     code, out, err = run(capsys, command, "1000000007")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_LARGE_D[command]
+
+
+# sha256 of the teob stdout of every nonsquare d from 2 to 399, in order,
+# concatenated; recorded when jordan_chevalley ran Newton's iteration on
+# matrices, before it moved to polynomials modulo the minimal polynomial
+TEOB_SWEEP_BELOW_400 = "53b89d4e8c5be849bbfae549774d1d81384d46b63ca0b316c7d2d7a82b49999e"
+
+
+def test_pinned_teob_sweep_below_400(capsys):
+    digest = hashlib.sha256()
+    for d in range(2, 400):
+        if math.isqrt(d) ** 2 != d:
+            code, out, err = run(capsys, "teob", str(d))
+            assert (code, err) == (0, ""), d
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == TEOB_SWEEP_BELOW_400

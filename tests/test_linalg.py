@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from polyarith import lie, linalg
 from polyarith.arithmeticity import SEMISIMPLE, classify, non_arithmeticity_report
 from polyarith.cohomology import Derivation, derivation_space, principal_derivations
-from polyarith.errors import PreconditionError
+from polyarith.errors import InternalError, PreconditionError
 from polyarith.linalg import (
     Matrix,
     block_diag,
@@ -41,7 +42,13 @@ from polyarith.lie import filiform, free_two_step, heisenberg, inner_automorphis
 from polyarith.polynomials import Poly
 from polyarith.presentations import ModuleAction, Presentation
 
-from oracles import det_exact, finite_order_by_powers, smith_diagonal, wedge_minors
+from oracles import (
+    det_exact,
+    finite_order_by_powers,
+    jordan_by_matrix_newton,
+    smith_diagonal,
+    wedge_minors,
+)
 
 ints = st.integers(min_value=-30, max_value=30)
 
@@ -496,6 +503,118 @@ class TestFiniteOrderByCyclotomicFactors:
     @pytest.mark.parametrize("coeffs", [(-1, -3) + (0,) * 10 + (1,), (-1, -1) + (0,) * 12 + (1,)])
     def test_classify_large_companion_is_semisimple(self, coeffs):
         assert classify(companion(Poly.of(*coeffs))).classification == SEMISIMPLE
+
+
+def jordan_block_cases():
+    """Seeded unimodular conjugates of Jordan blocks of multiplicity 2-6 at
+    the eigenvalues 1, -1, 2 and 1/2, of companion matrices of powers of
+    x^2 - 3x + 1 and Phi_5, and of block sums with several eigenvalues of
+    different multiplicities."""
+    rng = random.Random(2626)
+
+    def jordan(lam, k):
+        return Matrix([[lam if i == j else int(j == i + 1) for j in range(k)] for i in range(k)], ncols=k)
+
+    def power(q, k):
+        return functools.reduce(operator.mul, [q] * k)
+
+    quad, phi5 = Poly.of(1, -3, 1), linalg._cyclotomic(5)
+    blocks = [jordan(lam, k) for lam in (1, -1, 2, Fraction(1, 2)) for k in range(2, 7)]
+    blocks += [companion(power(quad, k)) for k in (2, 3)] + [companion(power(phi5, 2))]
+    blocks += [
+        block_diag(jordan(2, 3), jordan(-1, 2), companion(quad)),
+        block_diag(companion(power(quad, 2)), jordan(1, 4)),
+        block_diag(jordan(1, 6), jordan(-1, 2), jordan(3, 1)),
+        block_diag(jordan(Fraction(1, 2), 2), jordan(2, 5), companion(phi5)),
+    ]
+    return [g * b * g.inverse() for b in blocks for g in [unimodular(rng, b.nrows)]]
+
+
+def typed(x):
+    """Entries of a Matrix or coefficients of a Poly with their types, so
+    that 2 and Fraction(2) differ."""
+    values = itertools.chain(*x.entries) if isinstance(x, Matrix) else x.coeffs
+    return [(type(v), v) for v in values]
+
+
+class TestJordanChevalleyInQuotientRing:
+    """Newton's iteration in Q[x]/(m) gives the pair that Newton's iteration
+    on matrices (the reference) gives, entry types included, with one
+    matrix evaluation, one inverse and exact certificates."""
+
+    def assert_matches_matrix_newton(self, cases):
+        for a in cases:
+            pair = jordan_chevalley(a)
+            s, u, p = jordan_by_matrix_newton(a)
+            assert typed(pair.semisimple) == typed(s), a
+            assert typed(pair.unipotent) == typed(u), a
+            assert typed(pair.poly) == typed(p), a
+
+    def test_random_rational_matrices(self):
+        rng = random.Random(99)
+        cases = [random_rational_matrix(rng, rng.randint(1, 4), denom) for denom in (1, 3, 5) for _ in range(30)]
+        self.assert_matches_matrix_newton([m for m in cases if m.det() != 0])
+
+    def test_cyclotomic_cases(self):
+        self.assert_matches_matrix_newton(cyclotomic_cases())
+
+    def test_conjugated_jordan_blocks(self):
+        cases = jordan_block_cases()
+        # Newton steps while the multiplicity cleared, 1, 2, 4, .., is at
+        # most deg gcd(m, m'), so deg >= 4 takes three steps
+        assert max(min_poly(a).gcd(min_poly(a).derivative()).degree for a in cases) >= 4
+        self.assert_matches_matrix_newton(cases)
+
+    def test_teob_inner_actions(self):
+        cases = [non_arithmeticity_report(d).inner_action for d in range(2, 400) if math.isqrt(d) ** 2 != d]
+        self.assert_matches_matrix_newton(cases)
+
+    def test_one_inverse_one_min_poly_two_evaluations(self, monkeypatch):
+        cases = jordan_block_cases() + [non_arithmeticity_report(d).inner_action for d in (3, 661)]
+        pairs = [jordan_chevalley(a) for a in cases]
+        forbid(monkeypatch, "det", "__pow__")
+        counts = collections.Counter()
+
+        def counted(name, call):
+            def wrapper(*args):
+                counts[name] += 1
+                return call(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+        monkeypatch.setattr(linalg, "min_poly", counted("min_poly", linalg.min_poly))
+        monkeypatch.setattr(linalg, "poly_eval", counted("poly_eval", linalg.poly_eval))
+        for a, pair in zip(cases, pairs):
+            counts.clear()
+            assert jordan_chevalley(a) == pair
+            assert counts == {"inverse": 1, "min_poly": 1, "poly_eval": 2}
+
+    def test_root_certificate_catches_a_perturbed_polynomial(self, monkeypatch):
+        a = non_arithmeticity_report(3).inner_action
+        evaluate = linalg.poly_eval
+
+        def perturbed(p, m):
+            # t(a) with the coefficient of x in t moved by 1/5; p(s) as it is
+            return evaluate(p + Poly.of(0, Fraction(1, 5)) if m is a else p, m)
+
+        monkeypatch.setattr(linalg, "poly_eval", perturbed)
+        with pytest.raises(InternalError, match=r"^jordan_chevalley, n = 4: the semisimple factor is not a root of p$"):
+            jordan_chevalley(a)
+
+    def test_commutation_certificate_catches_a_wrong_product(self, monkeypatch):
+        a = non_arithmeticity_report(3).inner_action
+        s = jordan_chevalley(a).semisimple
+        multiply = Matrix.__mul__
+
+        def last_product_off(x, y):
+            # only u * s has s on the right
+            out = multiply(x, y)
+            return out + Matrix.diagonal([1, 0, 0, 0]) if isinstance(y, Matrix) and y == s else out
+
+        monkeypatch.setattr(Matrix, "__mul__", last_product_off)
+        with pytest.raises(InternalError, match=r"^jordan_chevalley, n = 4: the factors do not commute, u s != a$"):
+            jordan_chevalley(a)
 
 
 class TestNilpotentExpLog:
