@@ -26,8 +26,8 @@ from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
     _hermite_coordinates,
-    _require_integral,
-    hnf,
+    _hermite_pair,
+    _identity_rows,
     kernel_lattice,
     row_hermite_basis,
     snf,
@@ -68,16 +68,17 @@ def _fox_matrix(action: ModuleAction, w: Word) -> Tuple[Matrix, Matrix]:
     x_i = x_j^-1 it loses x1 ... x_i; the last prefix is M_w."""
     n = action.rank
     rows = [[0] * (n * len(action.matrices)) for _ in range(n)]
-    prefix = Matrix.identity(n)
+    prefix = None  # the identity, until the first letter is multiplied in
     for idx, exp in w:
+        letter = action.letter_matrix(idx, exp)
         if exp == -1:
-            prefix = prefix * action.letter_matrix(idx, -1)
+            prefix = letter if prefix is None else prefix * letter
         block = slice(idx * n, idx * n + n)
-        for row, p in zip(rows, prefix.entries):
+        for row, p in zip(rows, _identity_rows(n) if prefix is None else prefix.entries):
             row[block] = [a + exp * b for a, b in zip(row[block], p)]
         if exp == 1:
-            prefix = prefix * action.letter_matrix(idx, 1)
-    return Matrix(rows, ncols=n * len(action.matrices)), prefix
+            prefix = letter if prefix is None else prefix * letter
+    return Matrix(rows, ncols=n * len(action.matrices)), Matrix.identity(n) if prefix is None else prefix
 
 
 def _flat_values(action: ModuleAction, deriv: Derivation) -> Vector:
@@ -117,10 +118,12 @@ class DerivationLattice:
         return Matrix([d.flatten() for d in self.basis], ncols=ncols)
 
     @cached_property
-    def _hermite(self) -> Tuple[Matrix, Matrix]:
-        """``hnf`` of the basis matrix, shared by every ``coordinates`` call."""
-        _require_integral(self._basis_matrix, "lattice_coordinates")
-        return hnf(self._basis_matrix)
+    def _hermite(self) -> Tuple[Matrix, Optional[Matrix]]:
+        """``(H, U)`` with U * basis = H, shared by every ``coordinates``
+        call.  A Hermite basis, as ``derivation_space`` returns, is its own
+        H and U = I, stored as None, so ``coordinates`` is back-substitution
+        alone; any other basis pays for one ``hnf``."""
+        return _hermite_pair(self._basis_matrix)
 
     def coordinates(self, deriv: Derivation) -> Optional[Tuple[int, ...]]:
         """Same as ``lattice_coordinates(self.basis_matrix(), deriv.flatten())``."""
@@ -169,9 +172,14 @@ def principal_derivation(action: ModuleAction, f: Sequence[int]) -> Derivation:
 
 
 def principal_derivations(action: ModuleAction) -> Matrix:
-    """Hermite basis (rows, flattened) of the principal sublattice."""
+    """Hermite basis (rows, flattened) of the principal sublattice.  The
+    derivation of the unit vector e_i takes g to g . e_i - e_i, column i of
+    M_g - I."""
     n = action.rank
-    gens = [principal_derivation(action, f).flatten() for f in Matrix.identity(n).entries]
+    gens = [
+        [x - (r == i) for m in action.matrices for r, x in enumerate(m.col(i))]
+        for i in range(n)
+    ]
     return row_hermite_basis(Matrix(gens, ncols=n * len(action.matrices)))
 
 

@@ -484,13 +484,38 @@ def lattice_coordinates(basis: Matrix, v: Sequence[int]) -> Optional[Tuple[int, 
 
     ``basis`` rows need not be in Hermite form but must be independent.
     """
+    return _hermite_coordinates(*_hermite_pair(basis), v)
+
+
+def _is_hermite_basis(m: Matrix) -> bool:
+    """True when ``m`` is its own Hermite form with no zero row: pivots rise
+    and are positive, and every entry above a pivot lies in [0, pivot).
+    Then ``hnf(m) == (m, I)``, H being unique and m of full row rank.  One
+    pass over the entries, no elimination."""
+    last = -1
+    for i, row in enumerate(m.entries):
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None or p <= last or row[p] < 0:
+            return False
+        if any(not 0 <= above[p] < row[p] for above in m.entries[:i]):
+            return False
+        last = p
+    return True
+
+
+def _hermite_pair(basis: Matrix) -> Tuple[Matrix, Optional[Matrix]]:
+    """``hnf(basis)`` for :func:`_hermite_coordinates`, or ``(basis, None)``,
+    None standing for U = I, when the basis is already a Hermite basis."""
     _require_integral(basis, "lattice_coordinates")
-    return _hermite_coordinates(*hnf(basis), v)
+    return (basis, None) if _is_hermite_basis(basis) else hnf(basis)
 
 
-def _hermite_coordinates(h: Matrix, u: Matrix, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
+def _hermite_coordinates(
+    h: Matrix, u: Optional[Matrix], v: Sequence[int]
+) -> Optional[Tuple[int, ...]]:
     """Back-substitution behind :func:`lattice_coordinates`, given
-    ``(H, U) = hnf(basis)``."""
+    ``(H, U) = hnf(basis)``; U = None is the identity, so the coordinates
+    in H are the answer."""
     if len(v) != h.ncols:
         raise PreconditionError("vector length mismatch")
     if any(not isinstance(x, int) for x in v):
@@ -509,7 +534,7 @@ def _hermite_coordinates(h: Matrix, u: Matrix, v: Sequence[int]) -> Optional[Tup
             rem = [x - q * hx for x, hx in zip(rem, h.entries[i])]
     if any(rem):
         return None
-    return u.apply_left(y)
+    return tuple(y) if u is None else u.apply_left(y)
 
 
 # ---------------------------------------------------------------------------
@@ -664,17 +689,21 @@ def min_poly(a: Matrix) -> Poly:
     """Minimal polynomial of ``a``, monic.  Divides :func:`char_poly`."""
     _require_square(a, "min_poly")
     n = a.nrows
-    powers = [Matrix.identity(n)]
+    # a = A / e with A in int, e the lcm of the denominators of a
+    e = lcm(*(x.denominator for r in a.entries for x in r if type(x) is Fraction))
+    scaled = [[int(x * e) for x in r] for r in a.entries]
+    powers = [_identity_rows(n)]
     for _ in range(n):
-        powers.append(powers[-1] * a)
-    # columns vec(a^0), .., vec(a^n); once a^k depends on the lower powers
+        powers.append(_int_product(powers[-1], scaled))
+    # columns vec(A^0), .., vec(A^n); once A^k depends on the lower powers
     # so do all higher ones, so the pivots are 0..k-1 and column k holds
-    # the coordinates of a^k in the lower powers
-    reduced, pivots = _rref(list(zip(*(vec(m) for m in powers))), n + 1)
+    # the coordinates r_i of A^k in the lower powers: a^k is the sum of
+    # r_i e^(i - k) a^i
+    reduced, pivots = _rref(list(zip(*(itertools.chain(*p) for p in powers))), n + 1)
     k = len(pivots)
     if k > n or pivots != list(range(k)):
         raise InternalError("no annihilating polynomial of degree <= n found")
-    return Poly.of(*(-reduced[i][k] for i in range(k)), 1)
+    return Poly.of(*(-reduced[i][k] * Fraction(e**i, e**k) for i in range(k)), 1)
 
 
 def poly_eval(p: Poly, a: Matrix) -> Matrix:

@@ -18,7 +18,8 @@ concatenated words, and a form acts by ``evaluate_word`` of its word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
@@ -119,11 +120,10 @@ class ModuleAction:
 
 
 def evaluate_word(action: ModuleAction, w: Word) -> Matrix:
-    """Ordered product of the letters' matrices (left action on columns)."""
-    out = Matrix.identity(action.rank)
-    for idx, exp in w:
-        out = out * action.letter_matrix(idx, exp)
-    return out
+    """Ordered product of the letters' matrices (left action on columns),
+    the identity for the empty word."""
+    letters = [action.letter_matrix(idx, exp) for idx, exp in w]
+    return reduce(mul, letters) if letters else Matrix.identity(action.rank)
 
 
 def validate_action(pres: Presentation, action: ModuleAction) -> Optional[Word]:

@@ -418,3 +418,78 @@ def jordan_by_matrix_newton(a):
             return s, s.inverse() * a, p
         s = s - ps * at(p.derivative(), s).inverse()
     raise AssertionError("newton iteration on matrices did not converge")
+
+
+# ---------------------------------------------------------------------------
+# word products and principal derivations the long way round
+
+
+def evaluate_word_from_identity(action, w):
+    """The ordered product of a word's letter matrices, started from the
+    identity matrix and multiplied letter by letter."""
+    from polyarith.linalg import Matrix
+
+    out = Matrix.identity(action.rank)
+    for idx, exp in w:
+        out = out * action.letter_matrix(idx, exp)
+    return out
+
+
+def fox_matrix_from_identity(action, w):
+    """``(F_w, M_w)`` with the running prefix started from the identity: at
+    x_j block j gains the prefix before the letter, at x_j^-1 it loses the
+    prefix through the letter."""
+    from polyarith.linalg import Matrix
+
+    n = action.rank
+    rows = [[0] * (n * len(action.matrices)) for _ in range(n)]
+    prefix = Matrix.identity(n)
+    for idx, exp in w:
+        if exp == -1:
+            prefix = prefix * action.letter_matrix(idx, -1)
+        for row, p in zip(rows, prefix.entries):
+            for j, x in enumerate(p):
+                row[idx * n + j] += exp * x
+        if exp == 1:
+            prefix = prefix * action.letter_matrix(idx, 1)
+    return Matrix(rows, ncols=n * len(action.matrices)), prefix
+
+
+def principal_rows_by_apply(action):
+    """Row i: the values g . e_i - e_i on the generators, flattened, with
+    each M_g applied to the unit vector e_i."""
+    n = action.rank
+    rows = []
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        rows.append([x - y for m in action.matrices for x, y in zip(m.apply(e), e)])
+    return rows
+
+
+def min_poly_by_factors(rows):
+    """Coefficients, ascending, of the monic minimal polynomial of a square
+    matrix of rationals: sympy factors the characteristic polynomial, and
+    each factor's exponent is lowered while the product still annihilates
+    the matrix."""
+    n = len(rows)
+    a = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for r in rows for x in map(Fraction, r)])
+    t = sympy.Symbol("t")
+    _, factors = sympy.factor_list(a.charpoly(t).as_expr(), t)
+    exps = dict(factors)
+
+    def product(exps):
+        prod = sympy.Poly(1, t)
+        for f, k in exps.items():
+            prod *= sympy.Poly(f, t) ** k
+        return prod
+
+    def annihilates(exps):
+        acc = sympy.zeros(n, n)
+        for c in product(exps).all_coeffs():
+            acc = acc * a + c * sympy.eye(n)
+        return acc.is_zero_matrix
+
+    for f in list(exps):
+        while exps[f] > 0 and annihilates({**exps, f: exps[f] - 1}):
+            exps[f] -= 1
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(product(exps).monic().all_coeffs())]

@@ -14,9 +14,11 @@ import polyarith
 from polyarith import __version__
 from polyarith.cli import main
 from polyarith.errors import InternalError
-from polyarith.jsonio import parse_group_document
+from polyarith.jsonio import action_to_json, parse_group_document, presentation_to_json
 from polyarith.lie import KoszulComplex, LieAlgebra
 from polyarith.linalg import Matrix
+
+from test_linalg import lattice_h1_actions
 
 
 def run(capsys, *args):
@@ -909,3 +911,28 @@ def test_pinned_teob_sweep_below_400(capsys):
             assert (code, err) == (0, ""), d
             digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == TEOB_SWEEP_BELOW_400
+
+
+# sha256 of the h1 and der-action --element g1 stdout, JSON then --pretty,
+# over one seeded group document per size of lattice_h1_actions(), in
+# order; recorded when DerivationLattice ran hnf on every basis and the
+# word products started from the identity matrix
+LATTICE_H1_DIGEST = "671267dbbd42c4a6150fa6c16b7cae592cb08137ac86bc0151f7916caa82ae50"
+
+
+def test_pinned_lattice_h1_documents(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for t, (pres, action) in enumerate(lattice_h1_actions()):
+        doc = {
+            "presentation": presentation_to_json(pres),
+            "action": action_to_json(action, pres),
+            "engine": "free_abelian",
+        }
+        spec = tmp_path / f"lattice{t}.json"
+        spec.write_text(json.dumps(doc))
+        for args in (("h1", str(spec)), ("der-action", str(spec), "--element", "g1")):
+            for extra in ((), ("--pretty",)):
+                code, out, err = run(capsys, *args, *extra)
+                assert (code, err) == (0, ""), (t, args)
+                digest.update(out.replace(str(tmp_path) + os.sep, "").encode("utf-8"))
+    assert digest.hexdigest() == LATTICE_H1_DIGEST

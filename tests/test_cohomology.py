@@ -33,7 +33,15 @@ from polyarith.presentations import (
 )
 from polyarith.semidirect import build_gamma_epsilon
 
-from oracles import finite_group_h1, relator_rows_by_letters, word_value_by_letters
+from oracles import (
+    evaluate_word_from_identity,
+    finite_group_h1,
+    fox_matrix_from_identity,
+    principal_rows_by_apply,
+    relator_rows_by_letters,
+    word_value_by_letters,
+)
+from test_linalg import lattice_h1_actions
 
 # ---------------------------------------------------------------------------
 # finite test groups: presentation, faithful permutations, actions
@@ -188,26 +196,39 @@ class TestDerivationLattice:
         assert self.lat.coordinates(d) is not None
 
     def test_hermite_form_computed_once(self, monkeypatch):
-        import polyarith.cohomology as cohomology_module
+        # derivation_space returns a Hermite basis, its own Hermite form, so
+        # coordinates run no hnf; the distinguished basis of the same lattice
+        # is not one and runs hnf once, on the first coordinates call
+        import polyarith.linalg as linalg_module
+        from polyarith.semidirect import gamma_epsilon_derivation_basis
 
         calls = []
-        real_hnf = cohomology_module.hnf
+        real_hnf = linalg_module.hnf
 
         def counting_hnf(m):
             calls.append(m)
             return real_hnf(m)
 
-        monkeypatch.setattr(cohomology_module, "hnf", counting_hnf)
-        lat = derivation_space(self.group.presentation, self.group.action)
+        monkeypatch.setattr(linalg_module, "hnf", counting_hnf)
+        pres, action = self.group.presentation, self.group.action
+        distinguished = gamma_epsilon_derivation_basis(build_gamma_epsilon(3))
         rng = random.Random(9)
-        for _ in range(5):
-            coords = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
-            d = lat.combination(coords)
-            assert lat.coordinates(d) == coords
-            assert lat.coordinates(d) == lattice_coordinates(lat.basis_matrix(), d.flatten())
-        assert lat.coordinates(Derivation(((1, 0, 0), (0, 0, 0)))) is None
-        assert len(calls) == 1
-        assert lat.basis_matrix() is lat.basis_matrix()
+        for lat, expected_calls in (
+            (derivation_space(pres, action), 0),
+            (DerivationLattice(pres, action, distinguished), 1),
+        ):
+            calls.clear()
+            samples = []
+            for _ in range(5):
+                coords = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
+                d = lat.combination(coords)
+                assert lat.coordinates(d) == coords
+                samples.append(d)
+            assert lat.coordinates(Derivation(((1, 0, 0), (0, 0, 0)))) is None
+            assert len(calls) == expected_calls
+            for d in samples:
+                assert lat.coordinates(d) == lattice_coordinates(lat.basis_matrix(), d.flatten())
+            assert lat.basis_matrix() is lat.basis_matrix()
 
     def test_coordinates_keep_their_errors(self):
         with pytest.raises(PreconditionError, match="^vector length mismatch$"):
@@ -524,6 +545,58 @@ class TestFoxMatrix:
                 mg.apply(word_value_by_letters(mats, values, w)) for w in conjugates
             )
             assert conjugate_derivation(action, Derivation(values), table).values == expected
+
+
+# ---------------------------------------------------------------------------
+# word products from the first letter and principal rows from columns,
+# against the identity-start and apply-based constructions they replaced
+
+
+def _identity_start_cases():
+    for pres, action in lattice_h1_actions():
+        yield f"lattice_h1 n={action.rank} k={len(action.matrices)}", (pres, action)
+    for d in (2, 3, 5, 6, 7, 13, 94):
+        g = build_gamma_epsilon(d).group
+        yield f"Pell d={d}", (g.presentation, g.action)
+
+
+IDENTITY_START_CASES = list(_identity_start_cases())
+
+
+def _oracle_words(pres, rng):
+    """The empty word, each one-letter word, words that start with an
+    inverse letter, the relators and seeded random words."""
+    ngens = len(pres.generators)
+    words = [()] + [((i, e),) for i in range(ngens) for e in (1, -1)]
+    words += [((i, -1),) + _random_word(rng, ngens, length) for i in range(ngens) for length in (1, 3, 6)]
+    words += [((i, -1), (i, 1)) for i in range(ngens)]
+    words += list(pres.relators) + [_random_word(rng, ngens, length) for length in (2, 4, 7, 9)]
+    return words
+
+
+@pytest.mark.parametrize("label,case", IDENTITY_START_CASES, ids=[c[0] for c in IDENTITY_START_CASES])
+class TestAgainstIdentityStart:
+    def test_evaluate_word(self, label, case):
+        pres, action = case
+        for w in _oracle_words(pres, random.Random(label)):
+            assert evaluate_word(action, w) == evaluate_word_from_identity(action, w)
+        assert evaluate_word(action, ()) == Matrix.identity(action.rank)
+
+    def test_fox_matrix(self, label, case):
+        pres, action = case
+        for w in _oracle_words(pres, random.Random(label)):
+            assert _fox_matrix(action, w) == fox_matrix_from_identity(action, w)
+        assert _fox_matrix(action, ())[1] == Matrix.identity(action.rank)
+
+    def test_principal_rows(self, label, case, monkeypatch):
+        _, action = case
+        rows = []
+        real = cohomology.row_hermite_basis
+        monkeypatch.setattr(cohomology, "row_hermite_basis", lambda m: rows.append(m) or real(m))
+        got = principal_derivations(action)
+        want = principal_rows_by_apply(action)
+        assert rows == [Matrix(want, ncols=action.rank * len(action.matrices))]
+        assert got == real(rows[0])
 
 
 def test_derivation_must_fit_the_action():

@@ -46,6 +46,7 @@ from oracles import (
     det_exact,
     finite_order_by_powers,
     jordan_by_matrix_newton,
+    min_poly_by_factors,
     smith_diagonal,
     wedge_minors,
 )
@@ -615,6 +616,35 @@ class TestJordanChevalleyInQuotientRing:
         monkeypatch.setattr(Matrix, "__mul__", last_product_off)
         with pytest.raises(InternalError, match=r"^jordan_chevalley, n = 4: the factors do not commute, u s != a$"):
             jordan_chevalley(a)
+
+
+
+class TestMinPolyOnIntegerPowers:
+    """min_poly takes the powers of the cleared integer matrix A = e a as
+    int row lists and rescales the coordinates of A^k by e^(i - k); the
+    Poly, entry types included, is the one that sympy's factorisation of
+    the characteristic polynomial gives."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(2727)
+        cases = [Matrix([], ncols=0), Matrix.zero(3, 3), Matrix.identity(4), Matrix([[Fraction(2, 3)]])]
+        for denom in (1, 3, 6):
+            cases += [random_rational_matrix(rng, rng.randint(1, 5), denom) for _ in range(20)]
+        cases += cyclotomic_cases()[:40] + jordan_block_cases()
+        cases += [non_arithmeticity_report(d).inner_action for d in (2, 3, 7, 661)]
+        return cases
+
+    def test_matches_sympy_factors(self):
+        for a in self.cases():
+            want = min_poly_by_factors(a.to_lists())
+            assert typed(min_poly(a)) == [(int if c.denominator == 1 else Fraction, c) for c in want]
+
+    def test_builds_no_matrix_products(self, monkeypatch):
+        cases = [random_rational_matrix(random.Random(4), 4), jordan_block_cases()[0]]
+        monkeypatch.setattr(Matrix, "__mul__", lambda *args: pytest.fail("Matrix.__mul__"))
+        for a in cases:
+            assert min_poly(a).degree >= 1
 
 
 class TestNilpotentExpLog:
@@ -1510,6 +1540,110 @@ class TestRowsOneAtATime:
         h, u = hnf(m)
         assert u * m == h
         assert max(abs(x).bit_length() for row in u.entries for x in row) < 500
+
+
+# ---------------------------------------------------------------------------
+# a basis already in Hermite form answers coordinates without hnf
+
+
+def own_hermite_form(m):
+    """hnf(m) == (m, I): m is its own Hermite form, with U = I."""
+    h, u = hnf(m)
+    return h == m and u == Matrix.identity(m.nrows)
+
+
+def near_misses(basis, rng):
+    """Copies of a Hermite basis that each break one condition, by name."""
+    rows = basis.to_lists()
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    i = rng.randrange(len(rows))
+
+    def negate_pivot(c):
+        c[i] = [-x for x in c[i]]
+
+    def add_zero_row(c):
+        c.insert(rng.randint(0, len(c)), [0] * basis.ncols)
+
+    edits = {"negative pivot": negate_pivot, "zero row": add_zero_row}
+    if len(rows) > 1:
+        j = rng.randrange(1, len(rows))
+        k = rng.randrange(j)
+
+        def above_equal(c):
+            c[k][pivots[j]] = c[j][pivots[j]]
+
+        def above_negative(c):
+            c[k][pivots[j]] = -1
+
+        def swap(c):
+            c[k], c[j] = c[j], c[k]
+
+        edits.update({
+            "entry above a pivot equal to it": above_equal,
+            "negative entry above a pivot": above_negative,
+            "two rows swapped": swap,
+        })
+    out = []
+    for name, edit in edits.items():
+        copy = [list(r) for r in rows]
+        edit(copy)
+        out.append((name, Matrix(copy, ncols=basis.ncols)))
+    return out
+
+
+class TestHermiteBasisCheck:
+    """_is_hermite_basis(m) holds exactly when hnf(m) == (m, I) and m has
+    no zero row; then coordinates need no hnf."""
+
+    def check(self, m):
+        verdict = linalg._is_hermite_basis(m)
+        assert verdict == (own_hermite_form(m) and all(map(any, m.entries)))
+        return verdict
+
+    def test_hermite_cases(self):
+        for m in hermite_cases():
+            self.check(m)
+            assert self.check(row_hermite_basis(m))
+            assert self.check(kernel_lattice(m))
+
+    def test_random_bases_and_near_misses(self):
+        rng = random.Random(27)
+        misses = collections.Counter()
+        for _ in range(300):
+            r, c = rng.randint(1, 8), rng.randint(1, 12)
+            basis = row_hermite_basis(seeded_matrix(rng, r, c, rng.choice([1, 3, 50])))
+            if not basis.nrows:
+                continue
+            assert self.check(basis)
+            for name, m in near_misses(basis, rng):
+                assert not self.check(m), name
+                misses[name] += 1
+        assert len(misses) == 5 and min(misses.values()) >= 50
+
+    def test_coordinates_agree_with_hnf_path(self, monkeypatch):
+        rng = random.Random(2727)
+        cases = []
+        for _ in range(100):
+            r, c = rng.randint(1, 8), rng.randint(1, 12)
+            basis = row_hermite_basis(seeded_matrix(rng, r, c, rng.choice([1, 3, 50])))
+            inside = basis.apply_left([rng.randint(-9, 9) for _ in range(basis.nrows)])
+            outside = tuple(rng.randint(-9, 9) for _ in range(c))
+            for v in (inside, outside):
+                cases.append((basis, v, linalg._hermite_coordinates(*hnf(basis), v)))
+        assert any(want is None for _, _, want in cases)
+        monkeypatch.setattr(linalg, "hnf", lambda m: pytest.fail("hnf"))
+        for basis, v, want in cases:
+            got = lattice_coordinates(basis, v)
+            assert got == want
+            assert want is None or typed(got) == typed(want)
+
+    def test_fraction_basis_keeps_its_error(self):
+        # pivots rise and are positive, but an entry is not an integer
+        basis = Matrix([[Fraction(1, 2), 0], [0, 1]])
+        with pytest.raises(PreconditionError, match="^lattice_coordinates needs an integer matrix$"):
+            lattice_coordinates(basis, (1, 0))
+        with pytest.raises(PreconditionError, match="^lattice_coordinates needs an integer matrix$"):
+            linalg._hermite_pair(basis)
 
 
 # ---------------------------------------------------------------------------
