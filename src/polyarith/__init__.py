@@ -67,6 +67,7 @@ from .linalg import (
     char_poly,
     finite_order,
     hnf,
+    invariant_factors,
     jordan_chevalley,
     kernel_lattice,
     lattice_coordinates,

@@ -179,7 +179,7 @@ def cmd_der_action(ns) -> Handler:
     lattice = derivation_space(document.presentation, document.action)
     table = rewriting_table(engine, word)
     matrix = conjugation_action(word, table, lattice)
-    det = matrix.det()
+    det = matrix.det()  # kept from conjugation_action's unimodularity check
     results = {
         "element": ns.element,
         "rank": lattice.rank,

@@ -10,9 +10,12 @@ exactly when every relator evaluates to zero.  On a word w,
 where column block j of the integer matrix F_w is the Fox derivative
 dw/dx_j (Fox 1953) evaluated through the action.
 
-The lattice of derivations plays the role of the cocycle group Z^1, the
-shifts f |-> (g . f - f) of module vectors are the principal
-derivations B^1, and h1 computes the quotient by Smith reduction.
+The lattice of derivations plays the role of the cocycle group Z^1 =
+ker C, C stacking the Fox matrices of the relators, and the shifts
+f |-> (g . f - f) of module vectors are the principal derivations
+B^1 = im D, D stacking the blocks M_g - I.  Since ker C is saturated,
+h1 reads the quotient off rank C and the invariant factors of D, after
+certifying C D = 0; it builds no lattice basis.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
@@ -28,9 +32,9 @@ from .linalg import (
     _hermite_coordinates,
     _hermite_pair,
     _identity_rows,
+    invariant_factors,
     kernel_lattice,
     row_hermite_basis,
-    snf,
 )
 from .presentations import (
     ModuleAction, Presentation, Word, _refuse_relator, concat_words, evaluate_word, invert_word
@@ -134,6 +138,21 @@ class DerivationLattice:
         return Derivation.unflatten(flat, self.action.rank)
 
 
+def _constraint_rows(pres: Presentation, action: ModuleAction) -> List[Vector]:
+    """The rows of C, the Fox matrices of the relators stacked; an action
+    under which a relator does not act trivially is refused."""
+    if len(action.matrices) != len(pres.generators):
+        raise PreconditionError("one matrix per generator required")
+    rows: List[Vector] = []
+    for w in pres.relators:
+        fox, mw = _fox_matrix(action, w)
+        _refuse_relator(None if mw.is_identity() else w)
+        if not fox.is_integral():
+            raise InternalError("relator coefficients must be integral")
+        rows.extend(fox.entries)
+    return rows
+
+
 def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLattice:
     """Saturated lattice of all derivations, as a Hermite basis.
 
@@ -142,22 +161,10 @@ def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLatt
     combination of the returned basis.  An action under which a relator
     does not act trivially is refused.
     """
-    if len(action.matrices) != len(pres.generators):
-        raise PreconditionError("one matrix per generator required")
-    ngens = len(pres.generators)
-    n = action.rank
-    if ngens == 0:
-        return DerivationLattice(pres, action, ())
-    rows: List[Vector] = []
-    for w in pres.relators:
-        fox, mw = _fox_matrix(action, w)
-        _refuse_relator(None if mw.is_identity() else w)
-        if not fox.is_integral():
-            raise InternalError("relator coefficients must be integral")
-        rows.extend(fox.entries)
-    constraint = Matrix(rows, ncols=n * ngens)
-    kernel = kernel_lattice(constraint) if rows else Matrix.identity(n * ngens)
-    basis = tuple(Derivation.unflatten(r, n) for r in kernel.entries)
+    rows = _constraint_rows(pres, action)
+    ncols = action.rank * len(action.matrices)
+    kernel = kernel_lattice(Matrix(rows, ncols=ncols)) if rows else Matrix.identity(ncols)
+    basis = tuple(Derivation.unflatten(r, action.rank) for r in kernel.entries)
     return DerivationLattice(pres, action, basis)
 
 
@@ -171,16 +178,20 @@ def principal_derivation(action: ModuleAction, f: Sequence[int]) -> Derivation:
     )
 
 
-def principal_derivations(action: ModuleAction) -> Matrix:
-    """Hermite basis (rows, flattened) of the principal sublattice.  The
-    derivation of the unit vector e_i takes g to g . e_i - e_i, column i of
-    M_g - I."""
-    n = action.rank
-    gens = [
+def _principal_rows(action: ModuleAction) -> List[List[int]]:
+    """The rows of D^T, D stacking the blocks M_g - I: row i is the
+    derivation of the unit vector e_i, which takes g to g . e_i - e_i,
+    column i of M_g - I."""
+    return [
         [x - (r == i) for m in action.matrices for r, x in enumerate(m.col(i))]
-        for i in range(n)
+        for i in range(action.rank)
     ]
-    return row_hermite_basis(Matrix(gens, ncols=n * len(action.matrices)))
+
+
+def principal_derivations(action: ModuleAction) -> Matrix:
+    """Hermite basis (rows, flattened) of the principal sublattice."""
+    ncols = action.rank * len(action.matrices)
+    return row_hermite_basis(Matrix(_principal_rows(action), ncols=ncols))
 
 
 @dataclass(frozen=True)
@@ -221,20 +232,21 @@ class CohomologyGroup:
 
 
 def h1(pres: Presentation, action: ModuleAction) -> CohomologyGroup:
-    """First cohomology of the action: derivations modulo principal ones."""
-    lattice = derivation_space(pres, action)
-    principal = principal_derivations(action)
-    coords = []
-    for r in principal.entries:
-        c = lattice.coordinates(Derivation.unflatten(r, action.rank))
-        if c is None:
-            raise InternalError("principal derivation outside the derivation lattice")
-        coords.append(c)
-    if not coords:
-        return CohomologyGroup(lattice.rank, ())
-    factors = snf(Matrix(coords, ncols=lattice.rank)).invariant_factors
+    """First cohomology of the action: derivations modulo principal ones.
+
+    Z^1 = ker C is saturated in Z^N and holds B^1 = im D, so
+    H^1 = Z^1 / B^1 is Z^(N - rank C - rank D) plus the torsion of
+    Z^N / im D, the invariant factors of D greater than 1: an x in Z^N
+    with m x in B^1 has C x = 0.  The certificate is C D = 0."""
+    rows = _constraint_rows(pres, action)
+    principal = _principal_rows(action)
+    if any(sum(map(mul, c, p)) for c in rows for p in principal):
+        raise InternalError("principal derivation outside the derivation lattice")
+    ncols = action.rank * len(action.matrices)
+    rank_c = Matrix(rows, ncols=ncols).rank()
+    factors = invariant_factors(Matrix(principal, ncols=ncols))
     return CohomologyGroup(
-        lattice.rank - len(factors),
+        ncols - rank_c - len(factors),
         tuple(t for t in factors if t > 1),
     )
 

@@ -47,7 +47,27 @@ def scalar_to_json(x: Scalar):
     return f.numerator if f.denominator == 1 else render_scalar(f)
 
 
+def _canonical_int(obj) -> Optional[int]:
+    """A JSON integer as it is, and a string that is the canonical form of
+    an integer as that integer: the fast path of :func:`parse_scalar`,
+    which needs neither the pattern nor a pointer.  None for anything
+    else."""
+    if type(obj) is int:
+        return obj
+    if type(obj) is str:
+        try:
+            value = int(obj)
+        except ValueError:
+            return None
+        if str(value) == obj:
+            return value
+    return None
+
+
 def parse_scalar(obj, path: str) -> Scalar:
+    value = _canonical_int(obj)
+    if value is not None:
+        return value
     if isinstance(obj, bool):
         raise SchemaError(path, "expected a rational, got a boolean")
     if isinstance(obj, int):
@@ -118,7 +138,10 @@ def parse_matrix(obj, path: str) -> Matrix:
         row = _require_list(row, f"{path}/entries/{i}")
         if len(row) != ncols:
             raise SchemaError(f"{path}/entries/{i}", f"expected {ncols} entries, got {len(row)}")
-        rows.append([parse_scalar(x, f"{path}/entries/{i}/{j}") for j, x in enumerate(row)])
+        rows.append([
+            v if (v := _canonical_int(x)) is not None else parse_scalar(x, f"{path}/entries/{i}/{j}")
+            for j, x in enumerate(row)
+        ])
     return Matrix(rows, ncols=ncols)
 
 

@@ -14,7 +14,8 @@ Conventions
 * ``snf(M)`` returns a :class:`SmithDecomposition` with
   ``U * M * V == D``, nonnegative diagonal, each entry dividing the next.
   It is built from Hermite reductions of the rows and of the columns, on
-  the same row kernel as ``hnf``.
+  the same row kernel as ``hnf``.  ``invariant_factors(M)`` runs the same
+  reductions without witnesses and returns the nonzero diagonal.
 * ``kernel_lattice(M)`` returns a basis (matrix rows, in Hermite form)
   of the saturated lattice of integer vectors ``x`` with ``M x = 0``.
   Saturated means every integer vector of the rational kernel is an
@@ -71,7 +72,7 @@ def _norm_entry(x: Scalar):
 class Matrix:
     """Immutable dense matrix with exact entries."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "entries", "_det")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None):
         ent = tuple(map(_norm_row, rows))
@@ -241,12 +242,16 @@ class Matrix:
         return _norm_entry(sum(self.entries[i][i] for i in range(self.nrows)) if self.nrows else 0)
 
     def det(self) -> Scalar:
+        """The determinant, computed once per matrix and then kept."""
+        try:
+            return self._det
+        except AttributeError:
+            pass
         _require_square(self, "determinant")
         rows, scale = _integer_rows(self.entries)
         _, pivots, d, sign = _eliminate(rows, self.ncols, forward=True)
-        if len(pivots) < self.nrows:
-            return 0
-        return _quotient(sign * d, scale)
+        self._det = 0 if len(pivots) < self.nrows else _quotient(sign * d, scale)
+        return self._det
 
     def inverse(self) -> "Matrix":
         _require_square(self, "inverse")
@@ -419,29 +424,11 @@ def _is_diagonal(a: list) -> bool:
     return all(x == 0 or i == j for i, row in enumerate(a) for j, x in enumerate(row))
 
 
-def snf(m: Matrix) -> SmithDecomposition:
-    """Smith normal form with unimodular witnesses.
-
-    Diagonal entries are nonnegative and each divides the next.  As in
-    Kannan & Bachem (1979), the rows of ``[A | U]`` and of ``[A^T | V^T]``
-    are Hermite-reduced in turn until ``A`` is diagonal, always starting
-    with the rows so that the diagonal is nonnegative.  Then each diagonal
-    pair ``x, y`` with ``x`` not dividing ``y`` becomes ``gcd, lcm`` by a
-    2 x 2 unimodular transform on each side.
-    """
-    _require_integral(m, "snf")
-    nr, nc = m.nrows, m.ncols
-    a, u = m.to_lists(), _identity_rows(nr)
-    vt = _identity_rows(nc)  # the columns of V
-    while True:
-        a, u = _smith_pass(a, u, nc)
-        if _is_diagonal(a):
-            break
-        at, vt = _smith_pass([list(c) for c in zip(*a)], vt, nr)
-        a = [list(r) for r in zip(*at)]
-        if _is_diagonal(a):
-            break
-    limit = min(nr, nc)
+def _gcd_lcm(a: list, u: list, vt: list) -> None:
+    """Turns each diagonal pair ``x, y`` of the diagonal ``a`` with ``x``
+    not dividing ``y`` into ``gcd, lcm`` in place, by a 2 x 2 unimodular
+    transform on the rows ``u`` and on the columns ``vt``."""
+    limit = min(len(a), len(vt))
     for i in range(limit):
         for j in range(i + 1, limit):
             x, y = a[i][i], a[j][j]
@@ -460,14 +447,58 @@ def snf(m: Matrix) -> SmithDecomposition:
                 [e + f for e, f in zip(vt[i], vt[j])],
                 [-t * q * e + s * p * f for e, f in zip(vt[i], vt[j])],
             )
-    d = Matrix(a, ncols=nc)
-    for i in range(limit - 1):
-        di, dj = d[i, i], d[i + 1, i + 1]
+
+
+def _smith(a: list, u: list, vt: list) -> Tuple[list, list, list]:
+    """The Smith reduction behind :func:`snf` and :func:`invariant_factors`.
+
+    ``a`` holds the integer rows, ``u`` one witness row per row of ``a``
+    and ``vt`` one per column; every row operation also acts on ``u`` and
+    every column operation on ``vt``.  Identity rows give the witnesses
+    ``U`` and ``V^T``; zero-width rows give none and cost nothing.  Returns
+    the diagonal and both witnesses, after checking the divisibility
+    chain."""
+    nr, nc = len(a), len(vt)
+    while True:
+        a, u = _smith_pass(a, u, nc)
+        if _is_diagonal(a):
+            break
+        at, vt = _smith_pass([list(c) for c in zip(*a)], vt, nr)
+        a = [list(r) for r in zip(*at)]
+        if _is_diagonal(a):
+            break
+    _gcd_lcm(a, u, vt)
+    for i in range(min(nr, nc) - 1):
+        di, dj = a[i][i], a[i + 1][i + 1]
         if di == 0 and dj != 0:
             raise InternalError("smith diagonal out of order")
         if di != 0 and dj % di != 0:
             raise InternalError("smith divisibility chain broken")
-    return SmithDecomposition(d, Matrix(u, ncols=nr), Matrix.from_cols(vt, nrows=nc))
+    return a, u, vt
+
+
+def snf(m: Matrix) -> SmithDecomposition:
+    """Smith normal form with unimodular witnesses.
+
+    Diagonal entries are nonnegative and each divides the next.  As in
+    Kannan & Bachem (1979), the rows of ``[A | U]`` and of ``[A^T | V^T]``
+    are Hermite-reduced in turn until ``A`` is diagonal, always starting
+    with the rows so that the diagonal is nonnegative.  Then each diagonal
+    pair ``x, y`` with ``x`` not dividing ``y`` becomes ``gcd, lcm`` by a
+    2 x 2 unimodular transform on each side.
+    """
+    _require_integral(m, "snf")
+    nr, nc = m.nrows, m.ncols
+    a, u, vt = _smith(m.to_lists(), _identity_rows(nr), _identity_rows(nc))
+    return SmithDecomposition(Matrix(a, ncols=nc), Matrix(u, ncols=nr), Matrix.from_cols(vt, nrows=nc))
+
+
+def invariant_factors(m: Matrix) -> Tuple[int, ...]:
+    """The nonzero invariant factors of ``m``, smallest first: the same
+    as ``snf(m).invariant_factors``, by the same passes with no witness."""
+    _require_integral(m, "invariant_factors")
+    a, _, _ = _smith(m.to_lists(), [[]] * m.nrows, [[]] * m.ncols)
+    return tuple(a[i][i] for i in range(min(m.nrows, m.ncols)) if a[i][i])
 
 
 def kernel_lattice(m: Matrix) -> Matrix:
@@ -672,17 +703,22 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
 
 
 def char_poly(a: Matrix) -> Poly:
-    """Characteristic polynomial ``det(xI - a)``, monic, by the trace recursion."""
+    """Characteristic polynomial ``det(xI - a)``, monic, by the trace
+    recursion over Z.  With ``a = A / e``, e the lcm of the denominators,
+    it runs the recursion on ``A``, whose coefficients are integers, and
+    divides the coefficient of ``x^(n - k)`` by ``e^k`` once."""
     _require_square(a, "char_poly")
     n = a.nrows
-    if n == 0:
-        return Poly.of(1)
-    mk = a
-    desc = [Fraction(1), -Fraction(mk.trace())]
-    for k in range(2, n + 1):
-        mk = a * (mk + Matrix.identity(n).scale(desc[-1]))
-        desc.append(-Fraction(mk.trace()) / k)
-    return Poly.of(*reversed(desc))
+    e = lcm(*(x.denominator for r in a.entries for x in r if type(x) is Fraction))
+    scaled = [[int(x * e) for x in r] for r in a.entries]
+    desc = [1]
+    mk = scaled
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = [row[:i] + [row[i] + desc[-1]] + row[i + 1 :] for i, row in enumerate(mk)]
+            mk = _int_product(scaled, mk)
+        desc.append(-sum(mk[i][i] for i in range(n)) // k)
+    return Poly.of(*reversed([Fraction(c, e**k) for k, c in enumerate(desc)]))
 
 
 def min_poly(a: Matrix) -> Poly:

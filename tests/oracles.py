@@ -493,3 +493,27 @@ def min_poly_by_factors(rows):
         while exps[f] > 0 and annihilates({**exps, f: exps[f] - 1}):
             exps[f] -= 1
     return [Fraction(int(c.p), int(c.q)) for c in reversed(product(exps).monic().all_coeffs())]
+
+
+# ---------------------------------------------------------------------------
+# first cohomology through the derivation lattice
+
+
+def h1_by_derivation_lattice(pres, action):
+    """(free_rank, torsion) of H^1 as the Smith quotient of the derivation
+    lattice by the principal one: the coordinates of the principal Hermite
+    basis in the Hermite basis of ker C, reduced by ``snf``."""
+    from polyarith.cohomology import Derivation, derivation_space, principal_derivations
+    from polyarith.linalg import Matrix, snf
+
+    lattice = derivation_space(pres, action)
+    coords = []
+    for r in principal_derivations(action).entries:
+        c = lattice.coordinates(Derivation.unflatten(r, action.rank))
+        if c is None:
+            raise ValueError("principal derivation outside the derivation lattice")
+        coords.append(c)
+    if not coords:
+        return lattice.rank, ()
+    factors = snf(Matrix(coords, ncols=lattice.rank)).invariant_factors
+    return lattice.rank - len(factors), tuple(t for t in factors if t > 1)

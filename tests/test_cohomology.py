@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from polyarith import cohomology
+from polyarith import cohomology, linalg
 from polyarith.cohomology import (
     CohomologyGroup,
     Derivation,
@@ -22,7 +23,7 @@ from polyarith.cohomology import (
     rewriting_table,
     word_value,
 )
-from polyarith.errors import PreconditionError
+from polyarith.errors import InternalError, PreconditionError
 from polyarith.linalg import Matrix, kernel_lattice, lattice_coordinates
 from polyarith.presentations import (
     FreeAbelianEngine,
@@ -37,7 +38,9 @@ from oracles import (
     evaluate_word_from_identity,
     finite_group_h1,
     fox_matrix_from_identity,
+    h1_by_derivation_lattice,
     principal_rows_by_apply,
+    quotient_structure,
     relator_rows_by_letters,
     word_value_by_letters,
 )
@@ -643,3 +646,128 @@ def test_conjugation_action_builds_each_fox_matrix_once(monkeypatch):
     assert evaluated == [g]
     assert 0 < len(inversions) <= len(action.matrices)
     assert all(any(m is x for x in action.matrices) for m in inversions)
+
+
+# ---------------------------------------------------------------------------
+# h1 from rank C and the invariant factors of D, against the Smith quotient
+# of the derivation lattice it replaced and against sympy
+
+
+def _conjugated(p, m):
+    return p * m * p.inverse()
+
+
+def _seeded_h1_cases():
+    """Z acting by one matrix and Z^2 by two commuting ones, seeded: unimodular
+    products (M, M^2), sign changes P diag(+-1) P^-1, and unipotent blocks
+    [[1, a], [0, 1]] whose M - I carries the torsion Z/a, with a sign."""
+    rng = random.Random(1953)
+    z1 = Presentation(("g1",), ())
+    z2 = Presentation(("g1", "g2"), (((0, 1), (1, 1), (0, -1), (1, -1)),))
+    for signs in ((-1, -1), (1, -1), (-1, 1)):
+        mats = tuple(Matrix([[s]]) for s in signs)
+        yield f"Z sign n=1 {signs}", z1, ModuleAction(1, mats[:1])
+        yield f"Z^2 sign n=1 {signs}", z2, ModuleAction(1, mats)
+    for n in range(2, 7):
+        for t in range(4):
+            p = _elementary_product(n, rng)
+            m = _elementary_product(n, rng)
+            signs = [Matrix.diagonal([rng.choice((1, -1)) for _ in range(n)]) for _ in range(2)]
+            blocks = []
+            for _ in range(2):
+                rows = Matrix.identity(n).to_lists()
+                for i in range(0, n - 1, 2):
+                    rows[i][i + 1] = rng.choice((2, 3, 4, 6, 12))
+                blocks.append(Matrix(rows).scale(rng.choice((1, -1))))
+            kinds = {
+                "unimodular": (m, m * m),
+                "sign": tuple(_conjugated(p, s) for s in signs),
+                "torsion": (_conjugated(p, blocks[0]), _conjugated(p, blocks[0] * blocks[0])),
+                "diagonal torsion": (blocks[0], -Matrix.identity(n)),
+            }
+            for kind, mats in kinds.items():
+                yield f"Z {kind} n={n} #{t}", z1, ModuleAction(n, mats[:1])
+                yield f"Z^2 {kind} n={n} #{t}", z2, ModuleAction(n, mats)
+
+
+def _pell_h1_cases():
+    for d in range(2, 300):
+        if math.isqrt(d) ** 2 != d:
+            g = build_gamma_epsilon(d).group
+            yield f"Pell d={d}", g.presentation, g.action
+
+
+def _finite_h1_cases():
+    for case in FINITE_CASES:
+        yield (case[0],) + case_action(case)
+
+
+H1_CASES = list(_seeded_h1_cases()) + list(_finite_h1_cases()) + list(_pell_h1_cases())
+
+
+class TestH1FromRanks:
+    def test_cases_cover_torsion_and_free_parts(self):
+        groups = [h1(pres, action) for _, pres, action in H1_CASES]
+        assert any(g.free_rank for g in groups)
+        assert any(len(g.torsion) >= 2 for g in groups)
+        assert {t for g in groups for t in g.torsion} >= {2, 3, 4, 6, 12}
+
+    def test_matches_derivation_lattice_quotient(self):
+        for label, pres, action in H1_CASES:
+            got = h1(pres, action)
+            assert (got.free_rank, got.torsion) == h1_by_derivation_lattice(pres, action), label
+
+    def test_matches_sympy_quotient(self):
+        for label, pres, action in H1_CASES:
+            got = h1(pres, action)
+            basis = [d.flatten() for d in derivation_space(pres, action).basis]
+            ncols = action.rank * len(action.matrices)
+            want = quotient_structure(basis, principal_rows_by_apply(action), ncols)
+            assert (got.free_rank, got.torsion) == want, label
+
+    def test_builds_no_lattice_basis(self, monkeypatch):
+        calls = []
+        for name in ("kernel_lattice", "row_hermite_basis", "hnf", "snf"):
+            for module in (linalg, cohomology):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+                    )
+        for _, pres, action in H1_CASES[::7]:
+            h1(pres, action)
+        assert calls == []
+        derivation_space(*H1_CASES[-1][1:])
+        assert "kernel_lattice" in calls
+
+    def test_perturbed_principal_row_fails_the_certificate(self, monkeypatch):
+        pres, action = _free_abelian_case(7, 2, 5)
+        constraint = _fox_matrix(action, pres.relators[0])[0]
+        j = next(j for j in range(constraint.ncols) if any(constraint.col(j)))
+        real = cohomology._principal_rows
+
+        def perturbed(a):
+            rows = real(a)
+            rows[0][j] += 1
+            return rows
+
+        monkeypatch.setattr(cohomology, "_principal_rows", perturbed)
+        with pytest.raises(InternalError, match="principal derivation outside the derivation lattice"):
+            h1(pres, action)
+
+    def test_certificate_raises_after_the_relator_checks(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "_principal_rows", lambda a: pytest.fail("principal rows built"))
+        pres = Presentation(("t",), (((0, 1), (0, 1)),))
+        with pytest.raises(PreconditionError, match="does not act trivially"):
+            h1(pres, ModuleAction(2, (Matrix([[1, 1], [0, 1]]),)))
+
+    def test_broken_divisor_chain_raises(self, monkeypatch):
+        # a free group on two generators: D^T reduces to diag(2, 3), which
+        # only the gcd/lcm step turns into (1, 6)
+        pres = Presentation(("a", "b"), ())
+        action = ModuleAction(2, (Matrix([[1, 2], [0, 1]]), Matrix([[1, 0], [3, 1]])))
+        group = h1(pres, action)
+        assert (group.free_rank, group.torsion) == (2, (6,))
+        monkeypatch.setattr(linalg, "_gcd_lcm", lambda a, u, vt: None)
+        with pytest.raises(InternalError, match="smith divisibility chain broken"):
+            h1(pres, action)

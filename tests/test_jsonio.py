@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyarith import jsonio
 from polyarith.errors import SchemaError
 from polyarith.jsonio import (
     GroupDocument,
@@ -72,6 +73,46 @@ class TestScalars:
             parse_scalar(True, "/x")
         with pytest.raises(SchemaError):
             parse_scalar(1.5, "/x")
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("-0", "rational '-0' is not in canonical form"),
+            ("+3", "malformed rational string '+3'"),
+            ("03", "rational '03' is not in canonical form"),
+            ("1_000", "malformed rational string '1_000'"),
+            (" 3", "malformed rational string ' 3'"),
+            ("3 ", "malformed rational string '3 '"),
+            ("3/1", "rational '3/1' is not in canonical form"),
+            ("\u0663", "rational '\u0663' is not in canonical form"),
+            (True, "expected a rational, got a boolean"),
+            (False, "expected a rational, got a boolean"),
+            (1.5, "floating point numbers are not accepted"),
+            (2.0, "floating point numbers are not accepted"),
+            (None, "expected a rational, got NoneType"),
+        ],
+    )
+    def test_integer_fast_path_keeps_messages(self, bad, message):
+        # int() accepts all of the strings above, or fails on them, so they
+        # must leave the fast path and meet the same checks as before
+        with pytest.raises(SchemaError) as info:
+            parse_scalar(bad, "/x")
+        assert str(info.value) == f"/x: {message}"
+        doc = {"rows": 1, "cols": 2, "entries": [["1", bad]]}
+        with pytest.raises(SchemaError) as info:
+            parse_matrix(doc, "/m")
+        assert str(info.value) == f"/m/entries/0/1: {message}"
+
+    def test_integer_fast_path_values(self):
+        doc = {"rows": 2, "cols": 3, "entries": [["0", "-12", 5], ["1/2", str(10**40), "-7/3"]]}
+        m = parse_matrix(doc, "/m")
+        assert m.entries == ((0, -12, 5), (Fraction(1, 2), 10**40, Fraction(-7, 3)))
+        assert [type(x) for x in m.entries[0]] == [int, int, int]
+
+    def test_canonical_integers_build_no_pointer(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "parse_scalar", lambda obj, path: pytest.fail(path))
+        doc = {"rows": 1, "cols": 3, "entries": [["0", "-12", 5]]}
+        assert parse_matrix(doc, "/m").entries == ((0, -12, 5),)
 
     def test_error_carries_path(self):
         with pytest.raises(SchemaError) as info:

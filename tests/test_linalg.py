@@ -22,6 +22,7 @@ from polyarith.linalg import (
     char_poly,
     finite_order,
     hnf,
+    invariant_factors,
     jordan_chevalley,
     kernel_lattice,
     lattice_coordinates,
@@ -311,6 +312,30 @@ class TestPolynomialsOfMatrices:
             theirs = sympy.Matrix(m.to_lists()).charpoly()
             coeffs = list(reversed([sympy.Rational(c) for c in ours.coeffs]))
             assert [sympy.nsimplify(c) for c in theirs.all_coeffs()] == coeffs
+
+    def test_char_poly_matches_sympy_on_larger_rationals(self):
+        rng = random.Random(1956)
+        cases = [random_rational_matrix(rng, n, denom=rng.choice((1, 4, 12))) for n in range(1, 9) for _ in range(3)]
+        cases.append(Matrix([[Fraction(1, 10**12), 1], [0, Fraction(-7, 3)]]))
+        for m in cases:
+            theirs = sympy.Matrix(m.to_lists()).charpoly().all_coeffs()
+            assert list(char_poly(m).coeffs) == [Fraction(int(c.p), int(c.q)) for c in reversed(theirs)]
+
+    def test_char_poly_on_teob_blocks(self):
+        for d in (2, 3, 7, 94, 10**8 + 7):
+            inner = non_arithmeticity_report(d).inner_action
+            for m in (inner, inner.submatrix((2, 3), (2, 3))):
+                theirs = sympy.Matrix(m.to_lists()).charpoly().all_coeffs()
+                got = char_poly(m)
+                assert list(got.coeffs) == [int(c) for c in reversed(theirs)]
+                assert all(type(c) is int for c in got.coeffs)
+
+    def test_char_poly_takes_no_matrix_product(self, monkeypatch):
+        forbid(monkeypatch, "__mul__", "__add__", "scale", "identity", "trace")
+        assert char_poly(Matrix([[2, 1], [1, 1]])) == Poly.of(1, -3, 1)
+        assert char_poly(Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])) == Poly.of(
+            Fraction(1, 6), Fraction(-5, 6), 1
+        )
 
     def test_min_poly_of_projection(self):
         p = Matrix([[1, 0], [0, 0]])
@@ -1435,6 +1460,21 @@ class TestNormalFormCore:
             assert dec.u * m * dec.v == dec.d
             assert abs(dec.u.det()) == 1
             assert abs(dec.v.det()) == 1
+
+    def test_invariant_factors_match_snf(self):
+        cases = hermite_cases() + smith_cases() + [rank_deficient_product()]
+        for m in cases:
+            assert invariant_factors(m) == snf(m).invariant_factors
+        assert len(invariant_factors(rank_deficient_product())) == 15
+
+    def test_invariant_factors_keep_the_smith_checks(self, monkeypatch):
+        assert invariant_factors(Matrix.diagonal([2, 3])) == (1, 6)
+        monkeypatch.setattr(linalg, "_gcd_lcm", lambda a, u, vt: None)
+        for reduce in (invariant_factors, snf):
+            with pytest.raises(InternalError, match="smith divisibility chain broken"):
+                reduce(Matrix.diagonal([2, 3]))
+        with pytest.raises(PreconditionError, match="invariant_factors needs an integer matrix"):
+            invariant_factors(Matrix([[Fraction(1, 2)]]))
 
     def test_snf_witness_growth(self):
         rng = random.Random(3035)
