@@ -122,11 +122,11 @@ class DerivationLattice:
         return Matrix([d.flatten() for d in self.basis], ncols=ncols)
 
     @cached_property
-    def _hermite(self) -> Tuple[Matrix, Optional[Matrix]]:
-        """``(H, U)`` with U * basis = H, shared by every ``coordinates``
-        call.  A Hermite basis, as ``derivation_space`` returns, is its own
-        H and U = I, stored as None, so ``coordinates`` is back-substitution
-        alone; any other basis pays for one ``hnf``."""
+    def _hermite(self) -> Tuple[Matrix, Optional[Matrix], Tuple[int, ...]]:
+        """``(H, U)`` with U * basis = H, and H's pivots, shared by every
+        ``coordinates`` call.  A Hermite basis, as ``derivation_space``
+        returns, is its own H and U = I, stored as None, so ``coordinates``
+        is back-substitution alone; any other basis pays for one ``hnf``."""
         return _hermite_pair(self._basis_matrix)
 
     def coordinates(self, deriv: Derivation) -> Optional[Tuple[int, ...]]:

@@ -534,29 +534,28 @@ def _is_hermite_basis(m: Matrix) -> bool:
     return True
 
 
-def _hermite_pair(basis: Matrix) -> Tuple[Matrix, Optional[Matrix]]:
+def _hermite_pair(basis: Matrix) -> Tuple[Matrix, Optional[Matrix], Tuple[int, ...]]:
     """``hnf(basis)`` for :func:`_hermite_coordinates`, or ``(basis, None)``,
-    None standing for U = I, when the basis is already a Hermite basis."""
+    None standing for U = I, when the basis is already a Hermite basis;
+    then the pivot column of each nonzero row of H."""
     _require_integral(basis, "lattice_coordinates")
-    return (basis, None) if _is_hermite_basis(basis) else hnf(basis)
+    h, u = (basis, None) if _is_hermite_basis(basis) else hnf(basis)
+    return h, u, tuple(next(j for j, x in enumerate(row) if x) for row in h.entries if any(row))
 
 
 def _hermite_coordinates(
-    h: Matrix, u: Optional[Matrix], v: Sequence[int]
+    h: Matrix, u: Optional[Matrix], pivots: Sequence[int], v: Sequence[int]
 ) -> Optional[Tuple[int, ...]]:
     """Back-substitution behind :func:`lattice_coordinates`, given
-    ``(H, U) = hnf(basis)``; U = None is the identity, so the coordinates
-    in H are the answer."""
+    ``(H, U) = hnf(basis)`` and the pivots of H's nonzero rows; U = None
+    is the identity, so the coordinates in H are the answer."""
     if len(v) != h.ncols:
         raise PreconditionError("vector length mismatch")
     if any(not isinstance(x, int) for x in v):
         raise PreconditionError("lattice_coordinates needs an integer vector")
     rem = list(v)
     y = [0] * h.nrows
-    for i in range(h.nrows):
-        p = next((j for j, x in enumerate(h.entries[i]) if x != 0), None)
-        if p is None:
-            break
+    for i, p in enumerate(pivots):
         q, r = divmod(rem[p], h.entries[i][p])
         if r != 0:
             return None

@@ -753,10 +753,28 @@ INNER5_DOC = {
         TORUS5,
     ]
 }
+# TORUS5 conjugated by the exp(ad e1) of INNER5_DOC: semisimple, not diagonal
+CONJUGATED5 = {
+    "rows": 5,
+    "cols": 5,
+    "entries": [
+        ["2", "0", "0", "0", "0"],
+        ["0", "3", "0", "0", "0"],
+        ["0", "-3", "6", "0", "0"],
+        ["0", "3/2", "-6", "12", "0"],
+        ["0", "-1/2", "3", "-12", "24"],
+    ],
+}
+# (A, det A) on heisenberg(1) for the rotation A = [[0, -1], [1, 0]]: its
+# minimal polynomial (x - 1)(x^2 + 1) does not split over Q
+ROTATION3 = {"rows": 3, "cols": 3, "entries": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]}
 PINNED_FILES = {
     "fil5": FILIFORM5_DOC,
     "inner5": INNER5_DOC,
     "torus5": {"matrices": [TORUS5]},
+    "conjugated5": {"matrices": [CONJUGATED5]},
+    "heis3": HEISENBERG_DOC,
+    "rotation3": {"matrices": [ROTATION3]},
     "shear": {"rows": 3, "cols": 3, "entries": [["2", "1", "0"], ["0", "2", "0"], ["1/2", "0", "3"]]},
     "rotshear": {"rows": 3, "cols": 3, "entries": [["-1", "1", "0"], ["0", "-1", "0"], ["0", "0", "1"]]},
     # Z acting on Z^2 by -I: H^1 = (Z/2)^2, so the Smith form has torsion
@@ -849,6 +867,18 @@ PINNED = {
         ("lie-cohomology", "{fil5}", "--invariants", "{torus5}"),
         "83e92ba84409e4f1eaee4850aa383c47b9ac7eb63d3d2a1d20f818f967e00adc",
         "9bd22c04d432676dbf8050f1862f0d08102b4c5adff64bebb23ea52cc48a46cf",
+    ),
+    # the two rows below were recorded while non-diagonal sets still had
+    # their fixed classes read off the class maps
+    "koszul-invariants-conjugated-torus": (
+        ("koszul-invariants", "{fil5}", "{conjugated5}"),
+        "98ca603c71027c2bb5f5aa64e804313746388bcdc9f7cc13310d074e66696608",
+        "b2136860f277ee7f45446d3dd80580e1a1918f74e7cd9e11f06bc22cf27bf3a8",
+    ),
+    "koszul-invariants-rotation": (
+        ("koszul-invariants", "{heis3}", "{rotation3}"),
+        "7f8cafbb32e6f2b4d8158da99ec818b92a26645490cb628bfb55b08cb751c0c4",
+        "e19b0543b7b006a14e62e4c55da80f6313c970ab4b8e6e016fd73c061c13500d",
     ),
 }
 

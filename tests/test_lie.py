@@ -1434,12 +1434,64 @@ def automorphism_sets(algebra, rng):
     return [[], tori[:1], conj[:1], tori[:2], conj, tori]
 
 
+def plane_automorphism(a):
+    """(A, det A) on heisenberg(1), the 2 x 2 integer matrix A on e_0, e_1."""
+    (p, q), (r, s) = a
+    return LieAutomorphism(heisenberg(), Matrix([[p, q, 0], [r, s, 0], [0, 0, p * s - q * r]]))
+
+
+def block_diagonal(*blocks):
+    """The square matrix with the given square blocks down its diagonal."""
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (n - at - len(b)) for row in b]
+        at += len(b)
+    return Matrix(rows)
+
+
+ROTATION = ((0, -1), (1, 0))
+
+
+def non_split_sets():
+    """(name, algebra, automorphisms): commuting semisimple sets, all but
+    -I with a minimal polynomial that does not split over Q, some also
+    with their square."""
+    sets = []
+    for a in (ROTATION, ((2, 1), (1, 1)), ((1, -1), (1, 0)), ((-1, 0), (0, -1))):
+        phi = plane_automorphism(a)
+        sets.append((f"heisenberg_3 {a}", heisenberg(), [phi]))
+        sets.append((f"heisenberg_3 {a} squared", heisenberg(), [phi, phi.compose(phi)]))
+    # the companion matrix of x^3 - x - 1
+    phi = LieAutomorphism(abelian(3), Matrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]]))
+    sets.append(("abelian_3 x^3 - x - 1", abelian(3), [phi]))
+    sets.append(("abelian_3 x^3 - x - 1 squared", abelian(3), [phi, phi.compose(phi)]))
+    rotations = block_diagonal(ROTATION, ROTATION)
+    sets.append(("abelian_4 rotation", abelian(4), [LieAutomorphism(abelian(4), rotations)]))
+    pair = direct_sum(heisenberg(), heisenberg())
+    both = block_diagonal(ROTATION, ((1,),), ROTATION, ((1,),))
+    sets.append(("heisenberg_3 + heisenberg_3 rotation", pair, [LieAutomorphism(pair, both)]))
+    return sets
+
+
+def conjugated_heisenberg_torus():
+    """diag(2, 3, 1, 6, 6) on heisenberg(2) conjugated by exp(ad(e_0 + e_2))."""
+    h = heisenberg(2)
+    u = inner_automorphism(h, (1, 0, 1, 0, 0))
+    phi = u.compose(diagonal_automorphism(h, (2, 3, 1, 6, 6))).compose(u.inverse())
+    assert not linalg._is_diagonal(phi.matrix.entries)
+    return h, phi
+
+
 class TestInvariantKernels:
     def test_matches_per_automorphism_and_per_form_oracle(self):
         rng = random.Random(31)
-        for name, algebra in nilpotent_catalog().items():
+        catalog = nilpotent_catalog().items()
+        cases = [(name, algebra, automorphism_sets(algebra, rng)) for name, algebra in catalog]
+        cases += [(name, algebra, [autos]) for name, algebra, autos in non_split_sets()]
+        for name, algebra, sets in cases:
             kos = build_koszul(algebra)
-            for autos in automorphism_sets(algebra, rng):
+            for autos in sets:
                 inv = invariant_subcomplex(kos, autos)
                 dims, betti, fixed, bases, restricted = reference_invariants(kos, autos)
                 where = (name, len(autos))
@@ -1460,6 +1512,8 @@ class TestInvariantKernels:
                         image = kos.differentials[p].apply(basis.row(i))
                         assert up.apply_left(d.col(i)) == image, where
                 assert inv.restricted_differentials[algebra.dim] == Matrix([], ncols=0)
+        # the last set: the rotation on both summands of heisenberg_3 + heisenberg_3
+        assert inv.invariant_betti == (1, 0, 2, 6, 2, 0, 1)
 
     def test_fixed_space_of_no_operators_is_everything(self):
         assert dense_rows(lie._fixed_space([], 4), 4) == Matrix.identity(4)
@@ -1484,26 +1538,33 @@ class TestInvariantKernels:
         ):
             invariant_subcomplex(kos, [phi])
 
-    def test_fixed_classes_off_the_class_map_disagreeing_are_refused(self, monkeypatch):
-        # the torus conjugated by exp(ad e_0) is not diagonal, so its fixed
-        # classes are read off the class map
-        h = heisenberg()
+    def test_every_set_is_certified_by_the_chain_map_without_class_maps(self, monkeypatch):
+        h, phi = conjugated_heisenberg_torus()
+        rotation = plane_automorphism(ROTATION)
+        for algebra, autos in [(h, [phi]), (heisenberg(), [rotation, rotation.compose(rotation)])]:
+            kos = build_koszul(algebra)
+            with monkeypatch.context() as m:
+                m.setattr(lie, "_class_map", lambda *args: pytest.fail("_class_map"))
+                bases = count_calls(m, KoszulComplex, "cohomology_basis")
+                checked = count_calls(m, lie, "check_chain_map")
+                invariant_subcomplex(kos, autos)
+            assert bases == []
+            assert len(checked) == algebra.dim * len(autos)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_a_non_diagonal_action_off_the_chain_map_is_refused(self, monkeypatch, q):
+        h, phi = conjugated_heisenberg_torus()
         kos = build_koszul(h)
-        u = inner_automorphism(h, (1, 0, 0))
-        phi = u.compose(diagonal_automorphism(h, (2, Fraction(1, 2), 1))).compose(u.inverse())
-        assert not linalg._is_diagonal(phi.matrix.entries)
-        original = lie._class_map
+        original = lie._scaled_action
 
-        def fixing(psi, p, kos):
-            # claim that phi fixes both classes of degree 1, which it scales
-            # by 1/2 and 2
-            cols, den = original(psi, p, kos)
-            return (((0, den),), ((1, den),)) if p == 1 else cols, den
+        def doubled(psi, p):
+            cols, s = original(psi, p)
+            if p == q:
+                cols = tuple(tuple((r, 2 * x) for r, x in col) for col in cols)
+            return cols, s
 
-        monkeypatch.setattr(lie, "_class_map", fixing)
-        with pytest.raises(
-            InternalError, match="^invariant subcomplex cohomology disagrees with cohomology invariants$"
-        ):
+        monkeypatch.setattr(lie, "_scaled_action", doubled)
+        with pytest.raises(InternalError, match="^form action does not commute with the differential$"):
             invariant_subcomplex(kos, [phi])
 
     def test_a_block_of_two_weights_is_refused(self, monkeypatch):
@@ -1898,9 +1959,9 @@ class TestTorusShortcut:
 
     # the action on cohomology factors through the outer class, so conjugating
     # by an inner automorphism keeps the fixed classes; the conjugates are not
-    # diagonal and take the class map.  filiform(9) takes x = e_2 + e_n, which
-    # moves both tori: with a random x the stacked kernels of _fixed_space
-    # take about 24 s there
+    # diagonal, so _fixed_space takes the stacked kernel on forms.
+    # filiform(9) takes x = e_2 + e_n, which moves both tori: with a random x
+    # those kernels take about 20 s there
     @pytest.mark.parametrize(
         "family, n, x",
         [
