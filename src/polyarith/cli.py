@@ -21,19 +21,9 @@ import argparse
 import functools
 import json
 import sys
-import traceback
-from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import __version__
-from .arithmeticity import classify, non_arithmeticity_report
-from .cohomology import (
-    conjugation_action,
-    derivation_space,
-    equivariant_units,
-    h1,
-    rewriting_table,
-)
 from .errors import InternalError, PreconditionError, SchemaError
 from .jsonio import (
     GroupDocument,
@@ -50,11 +40,8 @@ from .jsonio import (
     render_scalar,
     vector_to_json,
 )
-from .lie import LieAutomorphism, action_on_cohomology, build_koszul, invariant_subcomplex
-from .linalg import Matrix, jordan_chevalley
+from .linalg import Matrix
 from .presentations import DihedralEngine, FreeAbelianEngine, _check_engine
-from .quadratic import QuadOrder
-from .semidirect import build_gamma_epsilon
 
 # the last item lists the --pretty lines; a (matrix, label) pair stands for its _matrix_lines
 Handler = Tuple[dict, Dict[str, dict], dict, List[Union[str, Tuple[Matrix, str]]]]
@@ -105,10 +92,13 @@ def _engine_for(document: GroupDocument):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each imports the module it runs when it runs, so that
+# importing this module loads only the parse layer
 
 
 def cmd_pell(ns) -> Handler:
+    from .quadratic import QuadOrder
+
     unit = QuadOrder(ns.d).fundamental_unit()
     results = {"d": ns.d, "a": unit.x, "b": unit.y}
     pretty = [
@@ -120,6 +110,8 @@ def cmd_pell(ns) -> Handler:
 
 
 def cmd_gamma_epsilon(ns) -> Handler:
+    from .semidirect import build_gamma_epsilon
+
     ge = build_gamma_epsilon(ns.d)
     doc = GroupDocument(
         ge.group.presentation,
@@ -135,6 +127,8 @@ def cmd_gamma_epsilon(ns) -> Handler:
 
 
 def cmd_derivations(ns) -> Handler:
+    from .cohomology import derivation_space
+
     document, spec = _load(ns.spec, parse_group_document)
     lattice = derivation_space(document.presentation, document.action)
     names = document.presentation.generators
@@ -154,6 +148,8 @@ def cmd_derivations(ns) -> Handler:
 
 
 def cmd_h1(ns) -> Handler:
+    from .cohomology import h1
+
     document, spec = _load(ns.spec, parse_group_document)
     group = h1(document.presentation, document.action)
     order = group.order()
@@ -173,6 +169,8 @@ def cmd_h1(ns) -> Handler:
 
 
 def cmd_der_action(ns) -> Handler:
+    from .cohomology import conjugation_action, derivation_space, rewriting_table
+
     document, spec = _load(ns.spec, parse_group_document)
     engine = _engine_for(document)
     word = parse_element_text(ns.element, document.presentation, "/element")
@@ -193,6 +191,8 @@ def cmd_der_action(ns) -> Handler:
 
 
 def cmd_equivariant_units(ns) -> Handler:
+    from .cohomology import equivariant_units
+
     document, spec = _load(ns.spec, parse_group_document)
     units = equivariant_units(document.action, ns.bound)
     results = {
@@ -207,6 +207,8 @@ def cmd_equivariant_units(ns) -> Handler:
 
 
 def cmd_jordan(ns) -> Handler:
+    from .linalg import jordan_chevalley
+
     matrix, entry = _load(ns.matrix, parse_matrix)
     pair = jordan_chevalley(matrix)
     results = {
@@ -218,6 +220,8 @@ def cmd_jordan(ns) -> Handler:
 
 
 def cmd_arith_check(ns) -> Handler:
+    from .arithmeticity import classify
+
     matrix, entry = _load(ns.matrix, parse_matrix)
     verdict = classify(matrix)
     results = _verdict_json(verdict)
@@ -231,6 +235,8 @@ def cmd_arith_check(ns) -> Handler:
 
 
 def cmd_teob(ns) -> Handler:
+    from .arithmeticity import non_arithmeticity_report
+
     report = non_arithmeticity_report(ns.d)
     verdict = report.verdict
     results = {
@@ -258,6 +264,8 @@ def cmd_teob(ns) -> Handler:
 
 
 def cmd_lie_cohomology(ns) -> Handler:
+    from .lie import LieAutomorphism, action_on_cohomology, build_koszul, invariant_subcomplex
+
     algebra, entry = _load(ns.algebra, parse_lie_algebra)
     kos = build_koszul(algebra)
     betti = kos.betti()
@@ -315,6 +323,8 @@ def cmd_lie_cohomology(ns) -> Handler:
 
 
 def cmd_koszul_invariants(ns) -> Handler:
+    from .lie import LieAutomorphism, build_koszul, invariant_subcomplex
+
     algebra, entry = _load(ns.algebra, parse_lie_algebra)
     kos = build_koszul(algebra)
     mats, matrices = _load(ns.matrices, parse_matrices_list)
@@ -460,6 +470,8 @@ def _run(argv: Optional[List[str]]) -> int:
     except Exception as e:
         # any other exception is a bug too; keep its traceback for the report
         print(f"error (internal consistency): {type(e).__name__}: {e}", file=sys.stderr)
+        import traceback
+
         traceback.print_exc()
         return 3
 
@@ -470,6 +482,8 @@ def _run(argv: Optional[List[str]]) -> int:
         "version": __version__,
     }
     if ns.timestamps:
+        from datetime import datetime, timezone
+
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     if ns.pretty:
         parts = (_matrix_lines(*x) if isinstance(x, tuple) else [x] for x in pretty)

@@ -12,15 +12,13 @@ library types the parsed documents are fed into.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
-from .lie import LieAlgebra
 from .linalg import Matrix, Scalar
 from .polynomials import Poly
 from .presentations import (
@@ -29,6 +27,10 @@ from .presentations import (
     Word,
     make_word,
 )
+
+# parse_lie_algebra imports LieAlgebra when it runs, so only the Lie commands load lie
+if TYPE_CHECKING:
+    from .lie import LieAlgebra
 
 _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -288,6 +290,8 @@ def lie_algebra_to_json(algebra: LieAlgebra) -> dict:
 
 
 def parse_lie_algebra(obj, path: str = "") -> LieAlgebra:
+    from .lie import LieAlgebra
+
     _require_keys(obj, path, ("dim", "brackets"))
     dim = parse_int(obj["dim"], f"{path}/dim", minimum=0)
     items = _require_list(obj["brackets"], f"{path}/brackets")
@@ -354,6 +358,8 @@ def loads_document(text: str):
 
 def load_document(filename: str) -> Tuple[object, str]:
     """Parse a JSON file and return (document, sha256 hex of the bytes)."""
+    import hashlib
+
     try:
         with open(filename, "rb") as fh:
             raw = fh.read()

@@ -530,12 +530,13 @@ class TestErrorPaths:
         assert code == 1
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
-        import polyarith.cli as cli_module
+        import polyarith.arithmeticity as arithmeticity
 
         def boom(d):
             raise InternalError("forced for the exit-code test")
 
-        monkeypatch.setattr(cli_module, "non_arithmeticity_report", boom)
+        # cmd_teob imports the report from its module when it runs
+        monkeypatch.setattr(arithmeticity, "non_arithmeticity_report", boom)
         code, out, err = run(capsys, "teob", "3")
         assert code == 3
         assert out == ""
@@ -555,6 +556,7 @@ class TestErrorPaths:
         assert err.startswith(
             "error (internal consistency): ValueError: forced for the exit-code test\n"
         )
+        assert "Traceback (most recent call last)" in err
 
     def test_shape_mismatch_is_precondition_exit_code(self, capsys, monkeypatch):
         import polyarith.cli as cli_module
@@ -653,16 +655,20 @@ class TestErrorPaths:
             main(["pell", "3"])
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(polyarith.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, COLUMNS="80", PYTHONPATH=path)
+
+
 class TestSharedParser:
     """main builds its parser once per process; each call must still behave
     as a fresh process would."""
 
     def fresh_process(self, args):
-        src = os.path.dirname(os.path.dirname(polyarith.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, COLUMNS="80", PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-m", "polyarith.cli", *args], capture_output=True, env=env, timeout=60
+            [sys.executable, "-m", "polyarith.cli", *args], capture_output=True, env=fresh_env(), timeout=60
         )
         return proc.returncode, proc.stdout, proc.stderr
 
@@ -706,6 +712,60 @@ class TestSharedParser:
         assert len(sub.choices) == 11
         for name in sub.choices:
             assert callable(getattr(cli_module, "cmd_" + name.replace("-", "_"), None)), name
+
+
+# imports polyarith.cli, runs at most one subcommand, and prints its exit code,
+# the polyarith modules loaded and which of three standard modules are
+LOAD_PROBE = """
+import json, sys
+import polyarith.cli as cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("polyarith.")),
+                  [m for m in ("traceback", "datetime", "hashlib") if m in sys.modules]]))
+"""
+PARSE_LAYER = {"cli", "errors", "jsonio", "linalg", "polynomials", "presentations"}
+
+
+class TestModuleLoads:
+    """Importing the CLI loads the parse layer only; each subcommand then
+    loads the module it runs and nothing the others need."""
+
+    def loads(self, *args):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE, *args], capture_output=True, text=True,
+            env=fresh_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules, stdlib = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        return {m.split(".", 1)[1] for m in modules}, stdlib
+
+    def test_bare_import_loads_the_parse_layer_only(self):
+        modules, stdlib = self.loads()
+        assert modules == PARSE_LAYER
+        assert stdlib == []
+
+    def test_teob_loads_no_lie(self):
+        modules, _ = self.loads("teob", "3")
+        assert "arithmeticity" in modules
+        assert "lie" not in modules
+
+    @pytest.mark.parametrize(
+        "command, options", [("h1", []), ("der-action", ["--element", "t"])], ids=["h1", "der-action"]
+    )
+    def test_group_commands_load_cohomology_only(self, gamma_spec, command, options):
+        modules, _ = self.loads(command, gamma_spec, *options)
+        assert "cohomology" in modules
+        assert modules.isdisjoint({"lie", "arithmeticity", "semidirect"})
+
+    @pytest.mark.parametrize("command", ["lie-cohomology", "koszul-invariants"])
+    def test_lie_commands_load_lie_only(self, tmp_path, command):
+        args = [write_json(tmp_path, "heis.json", HEISENBERG_DOC)]
+        if command == "koszul-invariants":
+            args.append(write_json(tmp_path, "torus.json", TORUS_DOC))
+        modules, _ = self.loads(command, *args)
+        assert "lie" in modules
+        assert modules.isdisjoint({"cohomology", "arithmeticity", "semidirect", "quadratic"})
 
 
 class TestConsoleScript:

@@ -155,6 +155,30 @@ def run_values(jobs, latency, rss=24.0, setup=0.09):
     return {"jobs_per_s": jobs, "latency_p50_ms": latency, "peak_rss_mb": rss, "setup_s": setup}
 
 
+def test_startup_timings_json():
+    done = run_script("startup_timings.py", "--repeats", "2", "--json")
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["command"] for row in rows] == [
+        "pell", "teob", "h1", "der-action", "lie-cohomology", "koszul-invariants",
+    ]
+    for row in rows:
+        assert set(row) == {"command", "runs", "median_ms", "q1_ms", "q3_ms", "sha256",
+                            "bytecode_writing_off"}
+        assert row["runs"] == 2
+        assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+        assert row["bytecode_writing_off"] == bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    # stdout of each command, which names its inputs by relative path only
+    assert {row["command"]: row["sha256"][:16] for row in rows} == {
+        "pell": "c8c8bfc9b5f34d25",
+        "teob": "8f002952801b857a",
+        "h1": "df4dd669aee8ba31",
+        "der-action": "be6b0254a6dff750",
+        "lie-cohomology": "b8208a03f9cf210e",
+        "koszul-invariants": "48599f458b4c43e2",
+    }
+
+
 def test_bench_fold(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     # jobs/s: change wins seeds 1 and 2 and ties seed 3; latency: it wins 1, loses 2, ties 3
