@@ -13,10 +13,11 @@ holds, and the identity is also checked directly at construction.
 
 Every structure-constant computation reads the sparse table of nonzero
 c_{ij}^k rather than looping over basis vectors: the Jacobi check
-expands only the basis triples with a bracket among their pairs, a
-bracket visits only the pairs in the table, and the differential finds
-the target form of each term by a bitmask lookup and its sign by
-popcounts.
+expands only the basis triples with a bracket among their pairs, and a
+bracket visits only the pairs in the table.  The differential d, the
+contraction i_x and the Lie derivative L_x are (anti)derivations built
+by one graded Leibniz rule (``_leibniz``), which finds the target form
+of each term by a bitmask lookup and its sign by one popcount.
 
 Automorphisms act on forms through the wedge powers of the inverse
 transpose; maps on cohomology use the column convention (column i is
@@ -56,6 +57,7 @@ from .linalg import (
     rref,
     solve,
 )
+from .polynomials import _scalar
 
 MAX_DIM_DEFAULT = 14
 MAX_DIM_ENV = "POLYARITH_MAX_DIM"
@@ -93,10 +95,9 @@ class LieAlgebra:
             for k in sorted(comps):
                 if not 0 <= k < dim:
                     raise PreconditionError(f"bracket target {k} out of range")
-                c = comps[k]
-                f = Fraction(c)
-                if f != 0:
-                    terms.append((k, int(f) if f.denominator == 1 else f))
+                c = _scalar(comps[k])
+                if c:
+                    terms.append((k, c))
             if terms:
                 table[(i, j)] = tuple(terms)
         self._table = table
@@ -143,8 +144,9 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         """Expand [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-        from the table for each basis triple i < j < k holding a table pair,
-        in order; the other triples have three zero terms."""
+        from the table for each basis triple i < j < k holding a table pair
+        whose third index also lies in a table pair, in order; the other
+        triples have three zero terms, so the cost does not grow with dim."""
         table = self._table
 
         def terms(a: int, b: int) -> Iterable[Tuple[int, Scalar]]:
@@ -152,7 +154,8 @@ class LieAlgebra:
                 return table.get((a, b), ())
             return [(k, -c) for k, c in table.get((b, a), ())]
 
-        triples = {tuple(sorted((*ij, k))) for ij in table for k in range(self.dim) if k not in ij}
+        used = {i for ij in table for i in ij}
+        triples = {tuple(sorted((*ij, k))) for ij in table for k in used if k not in ij}
         for i, j, k in sorted(triples):
             total: Dict[int, Scalar] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -541,6 +544,35 @@ class KoszulComplex:
         return cache[p]
 
 
+def _leibniz(
+    bases: Sequence[Sequence[Tuple[int, ...]]],
+    p: int,
+    images: Sequence[Sequence[Tuple[int, int, Scalar]]],
+) -> Iterable[Dict[int, Scalar]]:
+    """D on the forms of degree p, one row -> entry dict per form (zero
+    entries kept), where D is the (anti)derivation of degree |M| - 1 that
+    sends xi^k to the sum of c xi^M over the (mask of M, S, c) in
+    ``images[k]``, with S = below(k) ^ below(b) over the b in M and
+    below(i) = (1 << i) - 1.  The term of k in D xi^K is zero when M meets
+    K - k; otherwise moving D past the forms before k and sorting xi^M into
+    the rest gives the sign (-1)^popcount((K - k) & S)."""
+    masks, row_of = _exterior_index(len(images))
+    # only the k with a nonzero image give terms
+    active = sum(1 << k for k, terms in enumerate(images) if terms)
+    for key, mask in zip(bases[p], masks[p]):
+        col: Dict[int, Scalar] = {}
+        for k in key if mask & active else ():
+            if not images[k]:
+                continue
+            rest = mask ^ 1 << k
+            for m, s, c in images[k]:
+                if rest & m:
+                    continue
+                r = row_of[rest | m]
+                col[r] = col.get(r, 0) + (-c if (rest & s).bit_count() & 1 else c)
+        yield col
+
+
 def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
     """Construct all exterior degrees and differentials, then certify
     that consecutive differentials compose to zero."""
@@ -551,38 +583,18 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
             f"dimension {n} exceeds the cap {cap}; set {MAX_DIM_ENV} to raise it"
         )
     bases = tuple(tuple(itertools.combinations(range(n), p)) for p in range(n + 1))
-    # d xi^k = -sum c_{ij}^k xi^i ^ xi^j: one (mask of {i, j}, mask of
-    # i .. j - 1, c) per term
-    terms: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(n)]
+    # d xi^k = -sum c_{ij}^k xi^i ^ xi^j
+    images: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(n)]
     for (i, j), comps in algebra.bracket_table():
         for k, c in comps:
-            terms[k].append((1 << i | 1 << j, (1 << j) - (1 << i), c))
-    diffs: List[SparseColumns] = [((),) * len(keys) for keys in bases]
-    if any(terms):
-        masks, row_of = _exterior_index(n)
-        # a form of degree 0 has no position to expand, one of degree n no room
-        for p in range(1, n):
-            cols: List[SparseColumn] = []
-            for key, mask in zip(bases[p], masks[p]):
-                col: Dict[int, Scalar] = {}
-                for t, k in enumerate(key):
-                    if not terms[k]:
-                        continue
-                    rest = mask ^ 1 << k
-                    for pair, between, c in terms[k]:
-                        if rest & pair:
-                            continue
-                        # xi^i ^ xi^j is even, so it moves past the forms before
-                        # position t freely; sorting it into the rest passes the
-                        # forms strictly between i and j
-                        odd = (t + (rest & between).bit_count()) & 1
-                        r = row_of[rest | pair]
-                        col[r] = col.get(r, 0) + (c if odd else -c)
-                cols.append(tuple(sorted((r, v) for r, v in col.items() if v)) if col else ())
-            diffs[p] = tuple(cols)
+            images[k].append((1 << i | 1 << j, (1 << k) - 1 ^ (1 << i) - 1 ^ (1 << j) - 1, -c))
+    diffs = tuple(
+        tuple(tuple(sorted((r, v) for r, v in col.items() if v)) if col else () for col in cols)
+        for cols in (_leibniz(bases, p, images) for p in range(n + 1))
+    )
     for p in range(n):
         check_square_zero(diffs[p], diffs[p + 1], p)
-    return KoszulComplex(algebra, bases, tuple(diffs))
+    return KoszulComplex(algebra, bases, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -717,40 +729,28 @@ def action_on_cohomology(
 
 
 def _contraction(x: Sequence[int], kos: KoszulComplex, p: int) -> List[SparseColumn]:
-    """i_x from degree p to p - 1 as sparse columns: the form xi^K goes to
-    the sum over positions t of (-1)^t x_(k_t) xi^(K - k_t)."""
-    masks, row_of = _exterior_index(kos.algebra.dim)
-    return [
-        tuple((row_of[mask ^ 1 << k], -x[k] if t & 1 else x[k]) for t, k in enumerate(key) if x[k])
-        for key, mask in zip(kos.bases[p], masks[p])
-    ]
+    """i_x from degree p to p - 1 as sparse columns: the antiderivation
+    sending xi^k to x_k, so xi^K goes to the sum over positions t of
+    (-1)^t x_(k_t) xi^(K - k_t)."""
+    images = [[(0, (1 << k) - 1, v)] if v else [] for k, v in enumerate(x)]
+    return [tuple(col.items()) for col in _leibniz(kos.bases, p, images)]
 
 
 def _check_cartan(
     kos: KoszulComplex,
     p: int,
-    lie_rows: Sequence[Sequence[Tuple[int, Scalar]]],
+    lie_rows: Sequence[Sequence[Tuple[int, int, Scalar]]],
     iota: Sequence[SparseColumn],
     iota_up: Sequence[SparseColumn],
 ) -> None:
     """Certify L_x = d^(p-1) i_x + i_x d^p on the forms of degree p, column
-    by column.  L_x is the derivation extending L xi^k = sum of v xi^j over
-    the (j, v) of ``lie_rows[k]``; ``iota`` and ``iota_up`` are i_x from
-    degrees p and p + 1 (``_contraction``)."""
-    masks, row_of = _exterior_index(kos.algebra.dim)
+    by column.  L_x is the derivation whose ``_leibniz`` images are
+    ``lie_rows``; ``iota`` and ``iota_up`` are i_x from degrees p and
+    p + 1 (``_contraction``)."""
     lower = kos.columns[p - 1] if p else ()
     # d^(p-1) i_x and i_x d^p as one combination of the columns of both maps
     both, shift = tuple(lower) + tuple(iota_up), len(lower)
-    for key, mask, d_col, i_col in zip(kos.bases[p], masks[p], kos.columns[p], iota):
-        lhs: Dict[int, Scalar] = {}
-        for k in key:
-            rest = mask ^ 1 << k
-            for j, v in lie_rows[k]:
-                if rest >> j & 1:
-                    continue
-                # xi^j in the place of xi^k passes the forms strictly between them
-                r = row_of[rest | 1 << j]
-                lhs[r] = lhs.get(r, 0) + (-v if (rest & abs((1 << j) - (1 << k))).bit_count() & 1 else v)
+    for lhs, d_col, i_col in zip(_leibniz(kos.bases, p, lie_rows), kos.columns[p], iota):
         rhs = _combine(both, itertools.chain(i_col, ((shift + r, v) for r, v in d_col)))
         if {r: v for r, v in lhs.items() if v} != rhs:
             raise InternalError(f"Cartan's formula fails in degree {p}")
@@ -768,7 +768,11 @@ def _certify_homotopy(kos: KoszulComplex, x: Vector) -> None:
     n = kos.algebra.dim
     s = lcm(*(v.denominator for v in x if type(v) is Fraction))
     xs = [int(v * s) for v in x]
-    lie_rows = [[(j, -v) for j, v in enumerate(row) if v] for row in kos.algebra.ad(xs).entries]
+    # L_x xi^k = -sum (ad x)_kj xi^j
+    lie_rows = [
+        [(1 << j, (1 << k) - 1 ^ (1 << j) - 1, -v) for j, v in enumerate(row) if v]
+        for k, row in enumerate(kos.algebra.ad(xs).entries)
+    ]
     iota = _contraction(xs, kos, 0)
     for p in range(n + 1):
         iota_up = _contraction(xs, kos, p + 1) if p < n else ()
@@ -839,13 +843,14 @@ def _fixed_space(operators: Sequence[Tuple[SparseColumns, int]], dim: int) -> Li
 
 @dataclass(frozen=True)
 class InvariantCohomology:
-    """Cohomology of the invariant subcomplex and the fixed cohomology
-    classes, degree by degree.  For a commuting semisimple set the two are
-    one count, certified by the three checks of ``invariant_subcomplex``."""
+    """The forms fixed by a commuting semisimple set, degree by degree:
+    their dimensions, bases (rows) and restricted differentials, and the
+    Betti numbers of that subcomplex.  These are also the dimensions of
+    the fixed cohomology classes, by the theorem and the three checks of
+    ``invariant_subcomplex``."""
 
     subspace_dims: Tuple[int, ...]
     invariant_betti: Tuple[int, ...]
-    fixed_cohomology_dims: Tuple[int, ...]
     subspace_bases: Tuple[Matrix, ...]
     restricted_differentials: Tuple[Matrix, ...]
 
@@ -900,7 +905,6 @@ def invariant_subcomplex(
             check_chain_map(kos.columns[p], w_here, w_up, phi.exterior.scale)
     return InvariantCohomology(
         tuple(map(len, bases)),
-        inv_betti,
         inv_betti,
         tuple(_dense_columns(b, kos.space_dim(p)).transpose() for p, b in enumerate(bases)),
         tuple(restricted),

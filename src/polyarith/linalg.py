@@ -35,7 +35,7 @@ from math import factorial, lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, PreconditionError
-from .polynomials import Poly
+from .polynomials import Poly, _scalar
 
 Scalar = Union[int, Fraction]
 Vector = Tuple[Scalar, ...]
@@ -57,16 +57,7 @@ def _norm_row(row) -> tuple:
     ``int`` is taken as it is, and a tuple is shared rather than copied."""
     if (type(row) is tuple or type(row) is list) and _all_int(row):
         return row if type(row) is tuple else tuple(row)
-    return tuple(map(_norm_entry, row))
-
-
-def _norm_entry(x: Scalar):
-    if type(x) is int:
-        return x
-    if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    return tuple(map(_scalar, row))
 
 
 class Matrix:
@@ -224,7 +215,7 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise PreconditionError("vector length mismatch")
-        return tuple(_norm_entry(_dot(r, v)) for r in self.entries)
+        return tuple(_scalar(_dot(r, v)) for r in self.entries)
 
     def apply_left(self, v: Sequence[Scalar]) -> Vector:
         """Row vector times matrix."""
@@ -232,14 +223,14 @@ class Matrix:
             raise PreconditionError("vector length mismatch")
         if not self.nrows:
             return (0,) * self.ncols
-        return tuple(_norm_entry(_dot(v, col)) for col in zip(*self.entries))
+        return tuple(_scalar(_dot(v, col)) for col in zip(*self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
 
     def trace(self) -> Scalar:
         _require_square(self, "trace")
-        return _norm_entry(sum(self.entries[i][i] for i in range(self.nrows)) if self.nrows else 0)
+        return _scalar(sum(self.entries[i][i] for i in range(self.nrows)) if self.nrows else 0)
 
     def det(self) -> Scalar:
         """The determinant, computed once per matrix and then kept."""

@@ -23,6 +23,8 @@ def _scalar(c) -> Scalar:
     """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
     if type(c) is int:
         return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
     f = Fraction(c)
     return f.numerator if f.denominator == 1 else f
 

@@ -192,13 +192,24 @@ def test_07_semisimple_rigidity_trials():
     stamp(7, f"100 rigidity trials passed ({met} met the fixed-H1 hypothesis)")
 
 
+def fixed_class_dims(kos, autos):
+    """The dimensions of the classes fixed by every automorphism, degree by
+    degree, read off the induced maps on cohomology."""
+    dims = []
+    for p, b in enumerate(kos.betti()):
+        ident = Matrix.identity(b)
+        rows = [r for phi in autos for r in (action_on_cohomology(phi, p, kos) - ident).entries]
+        dims.append(b - Matrix(rows, ncols=b).rank())
+    return tuple(dims)
+
+
 def test_08_invariant_subcomplex_matches_invariants_of_cohomology():
     h = heisenberg()
     kos = build_koszul(h)
     torus = LieAutomorphism(h, Matrix.diagonal((2, Fraction(1, 2), 1)))
     inv = invariant_subcomplex(kos, [torus])
     assert inv.invariant_betti == (1, 0, 0, 1)
-    assert inv.fixed_cohomology_dims == (1, 0, 0, 1)
+    assert fixed_class_dims(kos, [torus]) == (1, 0, 0, 1)
 
     ab3, ab4 = abelian(3), abelian(4)
     fil4 = nilpotent_catalog()["filiform_4"]
@@ -212,7 +223,7 @@ def test_08_invariant_subcomplex_matches_invariants_of_cohomology():
     ]
     for algebra, tori in suite:
         result = invariant_subcomplex(build_koszul(algebra), tori)
-        assert result.invariant_betti == result.fixed_cohomology_dims
+        assert result.invariant_betti == fixed_class_dims(build_koszul(algebra), tori)
     stamp(8, "invariant subcomplex dimensions equal fixed subspaces of cohomology")
 
 

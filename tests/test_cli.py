@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -418,6 +419,26 @@ class TestLieCohomology:
         assert code == 2
         assert out == ""
         assert "exceeds the cap" in err
+
+    @pytest.mark.parametrize("dim", [10**6, 10**30])
+    def test_dimension_far_past_the_cap_refused_at_once(self, tmp_path, dim):
+        # the Jacobi check expands only the triples whose indices all lie in
+        # table pairs, so its cost does not grow with dim; a fresh process
+        # with 1 GB of address space and a time limit keeps a regression
+        # from taking the host's memory
+        path = write_json(tmp_path, "huge.json", {"dim": dim, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}]})
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyarith.cli", "lie-cohomology", path],
+            capture_output=True, text=True, env=fresh_env(), timeout=60, preexec_fn=limit,
+        )
+        assert time.monotonic() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"dimension {dim} exceeds the cap 14" in proc.stderr
 
     def test_poincare_duality_certificate(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, "heis.json", HEISENBERG_DOC)
