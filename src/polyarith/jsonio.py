@@ -5,9 +5,10 @@ positive denominator); floats are rejected outright, including inside
 the JSON parser itself.  Parse errors carry a JSON pointer to the
 offending field so hand-written documents fail with a usable message.
 
-Validation here is structural only.  Mathematical preconditions (say a
-determinant condition or the Jacobi identity) are checked by the
-library types the parsed documents are fed into.
+Validation here is structural only, but for a Lie algebra ``dim`` over
+the dimension cap, refused before the algebra is built.  Mathematical
+preconditions (say a determinant condition or the Jacobi identity) are
+checked by the library types the parsed documents are fed into.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ def lie_algebra_to_json(algebra: LieAlgebra) -> dict:
 
 
 def parse_lie_algebra(obj, path: str = "") -> LieAlgebra:
-    from .lie import LieAlgebra
+    from .lie import LieAlgebra, _check_dimension
 
     _require_keys(obj, path, ("dim", "brackets"))
     dim = parse_int(obj["dim"], f"{path}/dim", minimum=0)
@@ -309,6 +310,7 @@ def parse_lie_algebra(obj, path: str = "") -> LieAlgebra:
         if k - 1 in slot:
             raise SchemaError(here, f"duplicate bracket component ({i}, {j}) -> {k}")
         slot[k - 1] = c
+    _check_dimension(dim)
     return LieAlgebra(dim, table)
 
 

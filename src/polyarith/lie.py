@@ -34,8 +34,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from math import lcm
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
@@ -45,6 +43,7 @@ from .linalg import (
     Scalar,
     SparseColumn,
     Vector,
+    _cleared,
     _dense_columns,
     _exterior_index,
     _is_diagonal,
@@ -74,6 +73,13 @@ def dimension_cap() -> int:
     if cap < 1:
         raise PreconditionError(f"{MAX_DIM_ENV} must be positive")
     return cap
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse a dimension above the cap; parsing a document checks it first."""
+    cap = dimension_cap()
+    if n > cap:
+        raise PreconditionError(f"dimension {n} exceeds the cap {cap}; set {MAX_DIM_ENV} to raise it")
 
 
 class LieAlgebra:
@@ -577,11 +583,7 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
     """Construct all exterior degrees and differentials, then certify
     that consecutive differentials compose to zero."""
     n = algebra.dim
-    cap = dimension_cap()
-    if n > cap:
-        raise PreconditionError(
-            f"dimension {n} exceeds the cap {cap}; set {MAX_DIM_ENV} to raise it"
-        )
+    _check_dimension(n)
     bases = tuple(tuple(itertools.combinations(range(n), p)) for p in range(n + 1))
     # d xi^k = -sum c_{ij}^k xi^i ^ xi^j
     images: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(n)]
@@ -766,8 +768,7 @@ def _certify_homotopy(kos: KoszulComplex, x: Vector) -> None:
     if x in kos._homotopies:
         return
     n = kos.algebra.dim
-    s = lcm(*(v.denominator for v in x if type(v) is Fraction))
-    xs = [int(v * s) for v in x]
+    _, (xs,) = _cleared([x])
     # L_x xi^k = -sum (ad x)_kj xi^j
     lie_rows = [
         [(1 << j, (1 << k) - 1 ^ (1 << j) - 1, -v) for j, v in enumerate(row) if v]

@@ -368,6 +368,13 @@ def _add_rows(rows: Sequence, ncols: int) -> list:
     return out
 
 
+def _hermite_split(a: list, w: list, ncols: int) -> Tuple[list, list]:
+    """The two halves of the rows of ``[a | w]`` reduced by :func:`_add_rows`,
+    ``a`` and ``w`` being row lists and ``a`` having ``ncols`` columns."""
+    rows = _add_rows([x + y for x, y in zip(a, w)], ncols)
+    return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
+
+
 def hnf(m: Matrix) -> Tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
@@ -379,9 +386,8 @@ def hnf(m: Matrix) -> Tuple[Matrix, Matrix]:
     """
     _require_integral(m, "hnf")
     nr, nc = m.nrows, m.ncols
-    aug = [list(r) + e for r, e in zip(m.entries, _identity_rows(nr))]
-    rows = _add_rows(aug, nc)
-    return Matrix([r[:nc] for r in rows], ncols=nc), Matrix([r[nc:] for r in rows], ncols=nr)
+    h, u = _hermite_split(m.to_lists(), _identity_rows(nr), nc)
+    return Matrix(h, ncols=nc), Matrix(u, ncols=nr)
 
 
 def row_hermite_basis(m: Matrix) -> Matrix:
@@ -402,13 +408,6 @@ class SmithDecomposition:
     def invariant_factors(self) -> Tuple[int, ...]:
         k = min(self.d.nrows, self.d.ncols)
         return tuple(self.d[i, i] for i in range(k) if self.d[i, i] != 0)
-
-
-def _smith_pass(a: list, w: list, ncols: int) -> Tuple[list, list]:
-    """Hermite-reduces the rows of ``[a | w]`` (``a`` has ``ncols``
-    columns) and returns the two halves."""
-    rows = _add_rows([x + y for x, y in zip(a, w)], ncols)
-    return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
 
 
 def _is_diagonal(a: list) -> bool:
@@ -451,10 +450,10 @@ def _smith(a: list, u: list, vt: list) -> Tuple[list, list, list]:
     chain."""
     nr, nc = len(a), len(vt)
     while True:
-        a, u = _smith_pass(a, u, nc)
+        a, u = _hermite_split(a, u, nc)
         if _is_diagonal(a):
             break
-        at, vt = _smith_pass([list(c) for c in zip(*a)], vt, nr)
+        at, vt = _hermite_split([list(c) for c in zip(*a)], vt, nr)
         a = [list(r) for r in zip(*at)]
         if _is_diagonal(a):
             break
@@ -496,9 +495,8 @@ def kernel_lattice(m: Matrix) -> Matrix:
     """Hermite basis (rows) of the saturated integer kernel ``{x : m x = 0}``."""
     _require_integral(m, "kernel_lattice")
     nr, nc = m.nrows, m.ncols
-    aug = [list(c) + e for c, e in zip(m.transpose().entries, _identity_rows(nc))]
-    kernel = [r[nr:] for r in _add_rows(aug, nr) if not any(r[:nr])]
-    return row_hermite_basis(Matrix(kernel, ncols=nc))
+    h, u = _hermite_split(m.transpose().to_lists(), _identity_rows(nc), nr)
+    return row_hermite_basis(Matrix([w for r, w in zip(h, u) if not any(r)], ncols=nc))
 
 
 def lattice_coordinates(basis: Matrix, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
@@ -692,22 +690,71 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
 # characteristic structure
 
 
+def _cleared(rows) -> Tuple[int, list]:
+    """e, the lcm of the denominators of the entries, and the rows times e
+    as ``int`` lists."""
+    e = lcm(*(x.denominator for r in rows for x in r if type(x) is Fraction))
+    return e, [[int(x * e) for x in r] for r in rows]
+
+
+def _int_product(a: list, b: list) -> list:
+    """The product of two square ``int`` matrices given as lists of rows,
+    over the nonzero entries only."""
+    out = []
+    for row in a:
+        acc = [0] * len(row)
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _int_powers(a: list, top: int) -> list:
+    """A^0, A^1, .. A^top of the square ``int`` rows A, as row lists, up to
+    the first zero power, which is left out: a power past the end of the
+    list is zero.  A^0 is always there, even when top < 0."""
+    powers = [_identity_rows(len(a))]
+    for k in range(1, top + 1):
+        power = a if k == 1 else _int_product(powers[-1], a)
+        if not any(map(any, power)):
+            break
+        powers.append(power)
+    return powers
+
+
+def _power_sum(coeffs: Sequence[Scalar], e: int, powers: list) -> Matrix:
+    """The sum of c_k (A / e)^k, A^k being ``powers[k]`` and zero past the
+    end of the list.  With s the lcm of the denominators of the c_k / e^k,
+    the sum times s is taken in ``int`` and divided by s once."""
+    n = len(powers[0])
+    terms = [(Fraction(c) / e**k, p) for k, (c, p) in enumerate(zip(coeffs, powers)) if c]
+    s = lcm(*(t.denominator for t, _ in terms))
+    total = [[0] * n for _ in range(n)]
+    for t, power in terms:
+        f = int(t * s)
+        for row, p_row in zip(total, power):
+            for j, v in enumerate(p_row):
+                if v:
+                    row[j] += f * v
+    return Matrix([[_quotient(v, s) for v in row] for row in total], ncols=n)
+
+
 def char_poly(a: Matrix) -> Poly:
-    """Characteristic polynomial ``det(xI - a)``, monic, by the trace
-    recursion over Z.  With ``a = A / e``, e the lcm of the denominators,
-    it runs the recursion on ``A``, whose coefficients are integers, and
-    divides the coefficient of ``x^(n - k)`` by ``e^k`` once."""
+    """Characteristic polynomial ``det(xI - a)``, monic, by Newton's
+    identities over Z.  With ``a = A / e``, e the lcm of the denominators,
+    the coefficient c_k of x^(n - k) in det(xI - A) is the integer with
+    k c_k = -(c_(k-1) tr A + .. + c_0 tr A^k), and is divided by e^k once."""
     _require_square(a, "char_poly")
     n = a.nrows
-    e = lcm(*(x.denominator for r in a.entries for x in r if type(x) is Fraction))
-    scaled = [[int(x * e) for x in r] for r in a.entries]
+    e, scaled = _cleared(a.entries)
+    traces = [sum(p[i][i] for i in range(n)) for p in _int_powers(scaled, n)]
+    traces += [0] * (n + 1 - len(traces))
     desc = [1]
-    mk = scaled
     for k in range(1, n + 1):
-        if k > 1:
-            mk = [row[:i] + [row[i] + desc[-1]] + row[i + 1 :] for i, row in enumerate(mk)]
-            mk = _int_product(scaled, mk)
-        desc.append(-sum(mk[i][i] for i in range(n)) // k)
+        desc.append(-sum(desc[k - i] * traces[i] for i in range(1, k + 1)) // k)
     return Poly.of(*reversed([Fraction(c, e**k) for k, c in enumerate(desc)]))
 
 
@@ -715,17 +762,14 @@ def min_poly(a: Matrix) -> Poly:
     """Minimal polynomial of ``a``, monic.  Divides :func:`char_poly`."""
     _require_square(a, "min_poly")
     n = a.nrows
-    # a = A / e with A in int, e the lcm of the denominators of a
-    e = lcm(*(x.denominator for r in a.entries for x in r if type(x) is Fraction))
-    scaled = [[int(x * e) for x in r] for r in a.entries]
-    powers = [_identity_rows(n)]
-    for _ in range(n):
-        powers.append(_int_product(powers[-1], scaled))
+    e, scaled = _cleared(a.entries)  # a = A / e with A in int
+    vecs = [list(itertools.chain(*p)) for p in _int_powers(scaled, n)]
+    vecs += [[0] * (n * n)] * (n + 1 - len(vecs))
     # columns vec(A^0), .., vec(A^n); once A^k depends on the lower powers
     # so do all higher ones, so the pivots are 0..k-1 and column k holds
     # the coordinates r_i of A^k in the lower powers: a^k is the sum of
     # r_i e^(i - k) a^i
-    reduced, pivots = _rref(list(zip(*(itertools.chain(*p) for p in powers))), n + 1)
+    reduced, pivots = _rref(list(zip(*vecs)), n + 1)
     k = len(pivots)
     if k > n or pivots != list(range(k)):
         raise InternalError("no annihilating polynomial of degree <= n found")
@@ -733,24 +777,11 @@ def min_poly(a: Matrix) -> Poly:
 
 
 def poly_eval(p: Poly, a: Matrix) -> Matrix:
-    """``p(a)`` by Horner's rule over Z.  With ``a = A / e`` and D the lcm
-    of the denominators of ``p``, it accumulates ``D e**k p(A / e)``, k the
-    degree, adding each scaled coefficient on the diagonal in place, and
-    divides by ``D e**k`` once."""
+    """``p(a)``: with ``a = A / e``, the sum of the coefficients times the
+    powers of A over e^k (:func:`_power_sum`)."""
     _require_square(a, "poly_eval")
-    n = a.nrows
-    e = lcm(*(x.denominator for r in a.entries for x in r if type(x) is Fraction))
-    cols = list(zip(*([int(x * e) for x in r] for r in a.entries)))
-    scale = lcm(*(c.denominator for c in p.coeffs if type(c) is Fraction))
-    divisor = scale * e ** max(p.degree, 0)
-    acc = [[0] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
-        acc = [[sum(map(operator.mul, r, col)) for col in cols] for r in acc]
-        shift = int(c * scale)
-        for i in range(n):
-            acc[i][i] += shift
-        scale *= e
-    return Matrix([[_quotient(x, divisor) for x in r] for r in acc], ncols=n)
+    e, scaled = _cleared(a.entries)
+    return _power_sum(p.coeffs, e, _int_powers(scaled, p.degree))
 
 
 @dataclass(frozen=True)
@@ -863,58 +894,20 @@ def finite_order(a: Matrix) -> Optional[int]:
 def nilpotency_index(a: Matrix) -> Optional[int]:
     """Smallest k >= 1 with ``a**k == 0``, or None if not nilpotent."""
     _require_square(a, "nilpotency_index")
-    if a.nrows == 0:
-        return 1
-    power = a
-    for k in range(1, a.nrows + 1):
-        if power.is_zero():
-            return k
-        power = power * a
-    return None
+    k = len(_int_powers(_cleared(a.entries)[1], a.nrows + 1))
+    return k if k <= a.nrows + 1 else None
 
 
 def _nilpotent_series(nil: Matrix, start: int, coeff, kind: str) -> Matrix:
     """start I + sum of coeff(k) nil^k over k >= 1, up to the first zero
-    power: nil^n or earlier when nil is nilpotent, nil^1 when n = 0, else
-    none.  The powers run in ``int`` on c nil, c the lcm of the
-    denominators of nil; with s the lcm of the denominators of
-    coeff(k) / c^k, the series is s start I + sum of s coeff(k) / c^k
-    (c nil)^k, all in ``int``, divided by s once at the end."""
-    n = nil.nrows
-    c = lcm(*(x.denominator for r in nil.entries for x in r if type(x) is Fraction))
-    scaled = [[int(x * c) for x in r] for r in nil.entries]
-    terms, power = [], scaled
-    for k in range(1, n + 2):
-        if not any(map(any, power)):
-            break
-        terms.append((coeff(k) / c**k, power))
-        power = _int_product(power, scaled)
-    else:
+    power: nil^n or earlier when nil is nilpotent, nil^1 when n = 0;
+    refused when nil^(n + 1) is not zero.  One :func:`_power_sum` over the
+    powers of c nil in ``int``, c the lcm of the denominators of nil."""
+    c, scaled = _cleared(nil.entries)
+    powers = _int_powers(scaled, nil.nrows + 1)
+    if len(powers) > nil.nrows + 1:
         raise PreconditionError(f"matrix is not {kind}")
-    s = lcm(*(a.denominator for a, _ in terms))
-    total = [[start * s if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, power in terms:
-        f = int(a * s)
-        for row, p_row in zip(total, power):
-            for j, v in enumerate(p_row):
-                if v:
-                    row[j] += f * v
-    return Matrix([[_quotient(v, s) for v in row] for row in total], ncols=n)
-
-
-def _int_product(a: list, b: list) -> list:
-    """The product of two square ``int`` matrices given as lists of rows,
-    over the nonzero entries only."""
-    out = []
-    for row in a:
-        acc = [0] * len(row)
-        for x, b_row in zip(row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        acc[j] += x * y
-        out.append(acc)
-    return out
+    return _power_sum([start, *map(coeff, range(1, len(powers)))], c, powers)
 
 
 def nilpotent_log(u: Matrix) -> Matrix:
@@ -974,9 +967,8 @@ class ExteriorExpansion:
 
     def __init__(self, m: Matrix):
         _require_square(m, "wedge_power")
-        self.scale = lcm(*(x.denominator for r in m.entries for x in r if type(x) is Fraction))
-        cols = zip(*m.entries)
-        self._images = [[(i, int(x * self.scale)) for i, x in enumerate(col) if x] for col in cols]
+        self.scale, cleared = _cleared(m.entries)
+        self._images = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*cleared)]
         self.levels = [(((0, 1),),)]
 
     def level(self, k: int) -> Tuple[SparseColumn, ...]:

@@ -276,6 +276,16 @@ class TestBasisCertificate:
         assert main(["teob", "3"]) == 3
         assert "distinguished basis does not span the full lattice" in capsys.readouterr().err
 
+    def test_factor_polynomial_mismatch_refused(self, monkeypatch, capsys):
+        # the semisimple factor's polynomial is x - 1 times the characteristic
+        # polynomial of the lower 2 x 2 block; a wrong block polynomial trips it
+        real = arithmeticity.char_poly
+        monkeypatch.setattr(arithmeticity, "char_poly", lambda m: real(m) + Poly.of(1))
+        with pytest.raises(InternalError, match="^semisimple factor polynomial mismatch$"):
+            non_arithmeticity_report(3)
+        assert main(["teob", "3"]) == 3
+        assert "semisimple factor polynomial mismatch" in capsys.readouterr().err
+
     def test_one_relator_walk_each_and_no_full_lattice_solve(self, monkeypatch):
         walks, checks, solved, fulls = [], [], [], []
         fox, is_derivation = cohomology._fox_matrix, cohomology.is_derivation

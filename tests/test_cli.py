@@ -420,13 +420,22 @@ class TestLieCohomology:
         assert out == ""
         assert "exceeds the cap" in err
 
-    @pytest.mark.parametrize("dim", [10**6, 10**30])
-    def test_dimension_far_past_the_cap_refused_at_once(self, tmp_path, dim):
-        # the Jacobi check expands only the triples whose indices all lie in
-        # table pairs, so its cost does not grow with dim; a fresh process
-        # with 1 GB of address space and a time limit keeps a regression
-        # from taking the host's memory
-        path = write_json(tmp_path, "huge.json", {"dim": dim, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}]})
+    @pytest.mark.parametrize(
+        "dim, pairs",
+        [
+            pytest.param(10**6, 1, id=str(10**6)),
+            pytest.param(10**30, 1, id=str(10**30)),
+            pytest.param(10**6, 1500, id="heisenberg-1500"),
+        ],
+    )
+    def test_dimension_far_past_the_cap_refused_at_once(self, tmp_path, dim, pairs):
+        # dim is compared with the cap as soon as the document's structure
+        # is checked, before the Jacobi check: with [e_(2t+1), e_(2t+2)] =
+        # e_dim for 1500 values of t the Jacobi check alone would take
+        # seconds; a fresh process with 1 GB of address space and a time
+        # limit keeps a regression from taking the host's memory
+        brackets = [{"i": 2 * t + 1, "j": 2 * t + 2, "k": dim, "c": "1"} for t in range(pairs)]
+        path = write_json(tmp_path, "huge.json", {"dim": dim, "brackets": brackets})
 
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))

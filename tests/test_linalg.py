@@ -756,6 +756,103 @@ class TestNilpotentSeriesAlone:
             nilpotent_log(Matrix([[1, 0]]))
 
 
+def sympy_matrix(m):
+    n = m.nrows
+    return sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for r in m.entries for x in map(Fraction, r)])
+
+
+def typed_entries(m):
+    return [(type(x), x) for x in itertools.chain(*m.entries)]
+
+
+def sympy_poly_eval(p, m):
+    """p(m) by sympy, as typed entries: int where the value is integral."""
+    a = sympy_matrix(m)
+    total = sympy.zeros(m.nrows, m.nrows)
+    for k, c in enumerate(p.coeffs):
+        total += sympy.Rational(c.numerator, c.denominator) * a**k
+    return [(int if v.q == 1 else Fraction, Fraction(int(v.p), int(v.q))) for v in total]
+
+
+def random_strictly_upper(rng, n, denom):
+    return Matrix(
+        [[Fraction(rng.randint(-4, 4), rng.randint(1, denom)) if j > i else 0 for j in range(n)] for i in range(n)],
+        ncols=n,
+    )
+
+
+class TestPowerKernelEdges:
+    """char_poly and poly_eval read one list of integer powers, which ends
+    before the first zero power; the zero polynomial, constants, the 0 x 0
+    matrix and powers past a nilpotency index are checked against sympy."""
+
+    MATRICES = [
+        Matrix.zero(0, 0),
+        Matrix([[2, 1], [1, 1]]),
+        Matrix([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]),
+        Matrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]]),
+        Matrix.zero(3, 3),
+        filiform(6).ad((1, 0, Fraction(2, 3), 0, 0, -1)),
+    ]
+    POLYS = [
+        Poly(),
+        Poly.of(3),
+        Poly.of(Fraction(-5, 6)),
+        Poly.of(Fraction(1, 2), -1, Fraction(2, 7)),
+        Poly.of(1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24), Fraction(1, 120), 0, 0, Fraction(-3, 5)),
+    ]
+
+    @pytest.mark.parametrize("m", MATRICES, ids=range(len(MATRICES)))
+    @pytest.mark.parametrize("p", POLYS, ids=range(len(POLYS)))
+    def test_poly_eval_matches_sympy(self, p, m):
+        got = poly_eval(p, m)
+        assert (got.nrows, got.ncols) == (m.nrows, m.nrows)
+        assert typed_entries(got) == sympy_poly_eval(p, m)
+
+    def test_degree_past_the_nilpotency_index(self):
+        # the degree-8 polynomial outruns the power list of each nilpotent case
+        p = self.POLYS[-1]
+        rng = random.Random(3232)
+        for m in self.MATRICES[3:] + [random_strictly_upper(rng, n, 3) for n in (1, 2, 4, 6)]:
+            assert nilpotency_index(m) < p.degree
+            assert typed_entries(poly_eval(p, m)) == sympy_poly_eval(p, m)
+
+    def test_char_poly_of_nilpotent_matrices(self):
+        # the traces of the powers end early, and det(xI - N) = x^n
+        rng = random.Random(3233)
+        cases = [filiform(6).ad(x) for x in ((1, 0, 0, 0, 0, 0), (1, 2, Fraction(1, 3), 0, -1, 5))]
+        cases += [random_strictly_upper(rng, n, denom) for n in range(0, 8) for denom in (1, 4)]
+        for m in cases:
+            theirs = sympy_matrix(m).charpoly().all_coeffs()
+            got = char_poly(m)
+            assert got == Poly.of(*[0] * m.nrows, 1)
+            assert typed(got) == [(int, Fraction(int(c.p), int(c.q))) for c in reversed(theirs)]
+
+
+def _gap_at_one(real, a, top):
+    powers = real(a, top)
+    return [powers[0], [[0] * len(a) for _ in a]] + powers[2:]
+
+
+def _matrix_units(real, a, top):
+    # n + 1 independent matrix units, which no single matrix's powers are
+    n = len(a)
+    return [[[int(divmod(k, n) == (i, j)) for j in range(n)] for i in range(n)] for k in range(n + 1)]
+
+
+class TestMinPolyCertificate:
+    """min_poly certifies that the first dependent power closes the basis
+    of lower powers, which Cayley-Hamilton guarantees; a power list that
+    breaks this trips the certificate."""
+
+    @pytest.mark.parametrize("spoil", [_gap_at_one, _matrix_units])
+    def test_no_annihilating_polynomial(self, monkeypatch, spoil):
+        real = linalg._int_powers
+        monkeypatch.setattr(linalg, "_int_powers", lambda a, top: spoil(real, a, top))
+        with pytest.raises(InternalError, match=r"^no annihilating polynomial of degree <= n found$"):
+            min_poly(Matrix([[2, 1], [1, 1]]))
+
+
 class TestSquareRule:
     """Every operation that needs a square matrix refuses a 2 x 3 one with
     its own name in the message."""
