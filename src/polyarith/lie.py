@@ -87,6 +87,8 @@ class LieAlgebra:
 
     ``brackets`` maps an index pair (i, j) with i < j to a mapping
     k -> coefficient; pairs and coefficients not listed are zero.
+    ``_signed`` holds each pair both ways, with c_{ji}^k = -c_{ij}^k, so
+    no reader of [e_j, e_i] flips a sign.
     """
 
     def __init__(self, dim: int, brackets: Mapping[Tuple[int, int], Mapping[int, Scalar]]):
@@ -107,6 +109,9 @@ class LieAlgebra:
             if terms:
                 table[(i, j)] = tuple(terms)
         self._table = table
+        self._signed = dict(table)
+        for (i, j), terms in table.items():
+            self._signed[(j, i)] = tuple((k, -c) for k, c in terms)
         self._check_jacobi()
 
     def __eq__(self, other) -> bool:
@@ -123,14 +128,9 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> Vector:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise PreconditionError(f"basis index pair ({i}, {j}) out of range for dimension {self.dim}")
-        if i == j:
-            return (0,) * self.dim
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
         out = [0] * self.dim
-        for k, c in self._table.get((i, j), ()):
-            out[k] = sign * c
+        for k, c in self._signed.get((i, j), ()):
+            out[k] = c
         return tuple(out)
 
     def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
@@ -150,23 +150,18 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         """Expand [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-        from the table for each basis triple i < j < k holding a table pair
-        whose third index also lies in a table pair, in order; the other
-        triples have three zero terms, so the cost does not grow with dim."""
-        table = self._table
-
-        def terms(a: int, b: int) -> Iterable[Tuple[int, Scalar]]:
-            if a < b:
-                return table.get((a, b), ())
-            return [(k, -c) for k, c in table.get((b, a), ())]
-
+        from ``_signed`` for each basis triple i < j < k holding a table
+        pair whose third index also lies in a table pair, in order; the
+        other triples have three zero terms, so the cost does not grow
+        with dim."""
+        table, signed = self._table, self._signed
         used = {i for ij in table for i in ij}
         triples = {tuple(sorted((*ij, k))) for ij in table for k in used if k not in ij}
         for i, j, k in sorted(triples):
             total: Dict[int, Scalar] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in terms(a, b):
-                    for t, y in terms(m, c):
+                for m, x in signed.get((a, b), ()):
+                    for t, y in signed.get((m, c), ()):
                         total[t] = total.get(t, 0) + x * y
             if any(total.values()):
                 raise PreconditionError(
@@ -178,28 +173,29 @@ class LieAlgebra:
         return sorted(self._table.items())
 
     def ad(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of [x, -] on columns, read off the table: the pair (i, j)
-        adds x_i times its terms to [x, e_j] and -x_j times them to [x, e_i]."""
+        """Matrix of [x, -] on columns, read off ``_signed``: each pair
+        (i, j) with x_i nonzero adds x_i times its terms to [x, e_j]."""
         n = self.dim
         if len(x) != n:
             raise PreconditionError(f"vector length mismatch: ad needs a vector of length {n}")
         rows: List[List[Scalar]] = [[0] * n for _ in range(n)]
-        for (i, j), terms in self._table.items():
-            for k, c in terms:
-                rows[k][j] += x[i] * c
-                rows[k][i] -= x[j] * c
+        for (i, j), terms in self._signed.items():
+            if x[i]:
+                for k, c in terms:
+                    rows[k][j] += x[i] * c
         return Matrix(rows, ncols=n)
 
     def ad_preimage(self, d: Matrix) -> Optional[Vector]:
         """One x with ad x = d, or None: the n^2 equations
-        sum_i x_i c_ij^k = d[k, j], read off the table, where an entry of d
-        that no table term reaches must be 0."""
+        sum_i x_i c_ij^k = d[k, j], read off ``_signed``, where an entry of
+        d that no term reaches must be 0.  d must be n x n."""
         n = self.dim
+        if (d.nrows, d.ncols) != (n, n):
+            raise PreconditionError(f"matrix shape mismatch: ad_preimage needs a {n} x {n} matrix")
         rows: Dict[Tuple[int, int], List[Scalar]] = {}
-        for (i, j), terms in self._table.items():
+        for (i, j), terms in self._signed.items():
             for k, c in terms:
                 rows.setdefault((k, j), [0] * n)[i] += c
-                rows.setdefault((k, i), [0] * n)[j] -= c
         if any(d[k, j] for k in range(n) for j in range(n) if (k, j) not in rows):
             return None
         keys = sorted(rows)
@@ -207,9 +203,9 @@ class LieAlgebra:
 
     def lower_central_series(self) -> List[Matrix]:
         """Bases of g = g^0 >= g^1 >= ..., where g^{i+1} = [g, g^i], in
-        reduced row echelon form.  One pass over the table per row x of g^i
-        gives [e_a, x] for every a: the pair (i, j) adds x_j times its terms
-        to [e_i, x] and -x_i times them to [e_j, x].  The nonzero products are
+        reduced row echelon form.  One pass over ``_signed`` per row x of
+        g^i gives [e_a, x] for every a: each pair (i, j) with x_j nonzero
+        adds x_j times its terms to [e_i, x].  The nonzero products are
         reduced once per term.  Stops after the first repeat: the last entry
         is the zero subspace (nilpotent case) or the stable term."""
         n = self.dim
@@ -218,14 +214,10 @@ class LieAlgebra:
             prods = []
             for x in series[-1].entries:
                 out = [[0] * n for _ in range(n)]
-                for (i, j), terms in self._table.items():
-                    xi, xj = x[i], x[j]
-                    if xj:
+                for (i, j), terms in self._signed.items():
+                    if x[j]:
                         for k, c in terms:
-                            out[i][k] += xj * c
-                    if xi:
-                        for k, c in terms:
-                            out[j][k] -= xi * c
+                            out[i][k] += x[j] * c
                 prods.extend(row for row in out if any(row))
             reduced, pivots = rref(Matrix(prods, ncols=n))
             series.append(Matrix(reduced.entries[: len(pivots)], ncols=n))
@@ -320,6 +312,11 @@ def nilpotent_catalog() -> Dict[str, LieAlgebra]:
 
 # ---------------------------------------------------------------------------
 # the complex
+
+
+def _betti(dims: Iterable[int], ranks: Sequence[int]) -> Tuple[int, ...]:
+    """dim - rank d^p - rank d^(p-1) in each degree p of a complex."""
+    return tuple(dim - ranks[p] - (ranks[p - 1] if p else 0) for p, dim in enumerate(dims))
 
 
 # A differential, a form action and a basis are stored sparse: a
@@ -437,11 +434,7 @@ class KoszulComplex:
         return tuple(sparse_rank(cols, self._target_dim(p)) for p, cols in enumerate(self.columns))
 
     def betti(self) -> Tuple[int, ...]:
-        ranks = self.ranks
-        return tuple(
-            self.space_dim(p) - ranks[p] - (ranks[p - 1] if p > 0 else 0)
-            for p in range(self.algebra.dim + 1)
-        )
+        return _betti(map(len, self.bases), self.ranks)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * b for p, b in enumerate(self.betti()))
@@ -898,8 +891,7 @@ def invariant_subcomplex(
         restricted.append(_dense_columns(coords, len(bases[p + 1])))
     restricted.append(Matrix([], ncols=0))
 
-    ranks = [d.rank() for d in restricted]
-    inv_betti = tuple(len(b) - ranks[p] - (ranks[p - 1] if p else 0) for p, b in enumerate(bases))
+    inv_betti = _betti(map(len, bases), [d.rank() for d in restricted])
     # the certificate that the subcomplex's cohomology is the fixed classes
     for p in range(n):
         for phi, (w_here, _), (w_up, _) in zip(autos, levels[p], levels[p + 1]):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import time
 from dataclasses import fields
@@ -23,7 +24,7 @@ from polyarith.errors import InternalError, PreconditionError
 from polyarith.linalg import Matrix, block_diag, finite_order, jordan_chevalley, min_poly
 from polyarith.polynomials import Poly
 from polyarith.quadratic import fundamental_pell
-from polyarith.semidirect import gamma_epsilon_derivation_basis
+from polyarith.semidirect import GammaEpsilon, gamma_epsilon_derivation_basis
 
 
 class TestClassify:
@@ -285,6 +286,21 @@ class TestBasisCertificate:
             non_arithmeticity_report(3)
         assert main(["teob", "3"]) == 3
         assert "semisimple factor polynomial mismatch" in capsys.readouterr().err
+
+    def test_coupling_drift_refused(self, monkeypatch, capsys):
+        # a different entry [2, 3] changes the determinant, so classify would
+        # refuse the action first; the coupling moves once classify has run,
+        # after the basis is built on the true one
+        drifted = []
+        coupling, classify = GammaEpsilon.coupling.fget, arithmeticity.classify
+        monkeypatch.setattr(GammaEpsilon, "coupling", property(lambda ge: coupling(ge) + len(drifted)))
+        monkeypatch.setattr(arithmeticity, "classify", lambda a: drifted.append(1) or classify(a))
+        message = "lower block coupling entry drifted from gcd(a+1, b*d)"
+        with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+            non_arithmeticity_report(3)
+        drifted.clear()
+        assert main(["teob", "3"]) == 3
+        assert message in capsys.readouterr().err
 
     def test_one_relator_walk_each_and_no_full_lattice_solve(self, monkeypatch):
         walks, checks, solved, fulls = [], [], [], []

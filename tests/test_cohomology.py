@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polyarith import cohomology, linalg
+from polyarith.cli import main
 from polyarith.cohomology import (
     CohomologyGroup,
     Derivation,
@@ -771,3 +773,80 @@ class TestH1FromRanks:
         monkeypatch.setattr(linalg, "_gcd_lcm", lambda a, u, vt: None)
         with pytest.raises(InternalError, match="smith divisibility chain broken"):
             h1(pres, action)
+
+
+def one_more_at_origin(m):
+    rows = [list(row) for row in m.entries]
+    rows[0][0] += 1
+    return Matrix(rows, ncols=m.ncols)
+
+
+class TestCertificatesTrip:
+    """Each certificate below fails when the computation it checks is
+    perturbed, with its exact message, and the CLI exits 3."""
+
+    def test_fractional_relator_coefficients_refused(self, monkeypatch, capsys):
+        real = cohomology._fox_matrix
+
+        def fractional(action, w):
+            fox, mw = real(action, w)
+            rows = [list(row) for row in fox.entries]
+            rows[0][0] += Fraction(1, 2)
+            return Matrix(rows, ncols=fox.ncols), mw
+
+        monkeypatch.setattr(cohomology, "_fox_matrix", fractional)
+        ge = build_gamma_epsilon(3)
+        with pytest.raises(InternalError, match="^relator coefficients must be integral$"):
+            derivation_space(ge.group.presentation, ge.group.action)
+        assert main(["teob", "3"]) == 3
+        assert "relator coefficients must be integral" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (one_more_at_origin, "conjugated derivation left the lattice"),
+            (lambda m: m.scale(2), "conjugation action must be unimodular"),
+        ],
+        ids=["bumped", "doubled"],
+    )
+    def test_perturbed_conjugation_refused(self, monkeypatch, capsys, perturb, message):
+        # one more unit at [0, 0] sends a basis derivation of Gamma_3 off
+        # the lattice; doubled images stay in it with determinant 2^rank
+        ge = build_gamma_epsilon(3)
+        g = ge.group.presentation.word([("A", 1)])
+        table = rewriting_table(ge.group.engine, g)
+        lattice = derivation_space(ge.group.presentation, ge.group.action)
+        real = cohomology._conjugation_matrix
+        monkeypatch.setattr(cohomology, "_conjugation_matrix", lambda *a: perturb(real(*a)))
+        with pytest.raises(InternalError, match=f"^{message}$"):
+            conjugation_action(g, table, lattice)
+        assert main(["teob", "3"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_zero_before_nonzero_on_the_smith_diagonal_refused(self, monkeypatch, capsys, tmp_path):
+        # Z acting on Z^2 by a shear: D^T reduces to diag(2, 0), and the
+        # patched gcd/lcm step moves the zero first
+        pres = Presentation(("a",), ())
+        action = ModuleAction(2, (Matrix([[1, 2], [0, 1]]),))
+        group = h1(pres, action)
+        assert (group.free_rank, group.torsion) == (1, (2,))
+        real = linalg._gcd_lcm
+
+        def zeros_first(a, u, vt):
+            real(a, u, vt)
+            diagonal = sorted((a[i][i] for i in range(min(len(a), len(vt)))), key=bool)
+            for i, x in enumerate(diagonal):
+                a[i][i] = x
+
+        monkeypatch.setattr(linalg, "_gcd_lcm", zeros_first)
+        with pytest.raises(InternalError, match="^smith diagonal out of order$"):
+            h1(pres, action)
+        doc = {
+            "action": {"matrices": {"a": {"rows": 2, "cols": 2, "entries": [["1", "2"], ["0", "1"]]}}, "rank": 2},
+            "engine": "free_abelian",
+            "presentation": {"generators": ["a"], "relators": []},
+        }
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps(doc))
+        assert main(["h1", str(path)]) == 3
+        assert "smith diagonal out of order" in capsys.readouterr().err

@@ -2292,3 +2292,67 @@ class TestTableDriven:
         with pytest.raises(PreconditionError, match="vector length mismatch"):
             h.bracket((1, 0, 0), (0, 1))
         assert h.ad((1, 0, 0)) == Matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+
+
+def unit_vector(n, i):
+    return tuple(int(t == i) for t in range(n))
+
+
+class TestSignedReaders:
+    """bracket_basis, ad and ad_preimage against the bracket they stand for."""
+
+    @pytest.mark.parametrize("name", sorted(structure_algebras()))
+    def test_bracket_basis_is_the_bracket_of_basis_vectors(self, name):
+        algebra = structure_algebras()[name]
+        n = algebra.dim
+        for i, j in itertools.product(range(n), repeat=2):
+            got = algebra.bracket_basis(i, j)
+            want = algebra.bracket(unit_vector(n, i), unit_vector(n, j))
+            assert typed_vector(got) == typed_vector(want), (i, j)
+
+    @pytest.mark.parametrize("name", sorted(structure_algebras()))
+    def test_ad_columns_are_brackets_and_ad_preimage_inverts_ad(self, name):
+        algebra = structure_algebras()[name]
+        n = algebra.dim
+        rng = random.Random(name)
+        for _ in range(3):
+            x = tuple(random_scalar(rng) for _ in range(n))
+            ad = algebra.ad(x)
+            for j in range(n):
+                assert typed_vector(ad.col(j)) == typed_vector(algebra.bracket(x, unit_vector(n, j)))
+            preimage = algebra.ad_preimage(ad)
+            assert preimage is not None
+            assert typed_rows(algebra.ad(preimage)) == typed_rows(ad)
+
+    def test_ad_preimage_refuses_entries_no_term_reaches(self):
+        refused = 0
+        for name, algebra in sorted(structure_algebras().items()):
+            n = algebra.dim
+            reached = {
+                (k, j)
+                for i, j in itertools.product(range(n), repeat=2)
+                for k, c in enumerate(algebra.bracket_basis(i, j))
+                if c
+            }
+            ad = algebra.ad(tuple(range(1, n + 1)))
+            for k, j in sorted(set(itertools.product(range(n), repeat=2)) - reached)[:3]:
+                rows = [list(row) for row in ad.entries]
+                rows[k][j] += 1
+                assert algebra.ad_preimage(Matrix(rows, ncols=n)) is None, (name, k, j)
+                refused += 1
+        assert refused >= 3 * len(structure_algebras())
+
+    def test_ad_preimage_refuses_a_matrix_on_the_pattern_outside_the_image(self):
+        # on filiform(4), ad x has x_0 at both (2, 1) and (3, 2)
+        f = filiform(4)
+        d = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0]])
+        assert f.ad_preimage(d) is None
+        assert f.ad_preimage(Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]])) == (2, 0, 0, 0)
+
+    def test_ad_preimage_refuses_a_matrix_of_the_wrong_shape(self):
+        h = heisenberg()
+        wide = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+        for d in (Matrix.zero(2, 2), Matrix.zero(4, 4), wide):
+            with pytest.raises(PreconditionError, match="^matrix shape mismatch: ad_preimage needs a 3 x 3 matrix$"):
+                h.ad_preimage(d)
+        assert h.ad_preimage(Matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])) == (1, 0, 0)
