@@ -34,6 +34,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
@@ -45,7 +46,10 @@ from .linalg import (
     Vector,
     _cleared,
     _dense_columns,
+    _dense_rows,
+    _eliminate,
     _exterior_index,
+    _integer_rows,
     _is_diagonal,
     _norm_row,
     _quotient,
@@ -205,20 +209,21 @@ class LieAlgebra:
         """Bases of g = g^0 >= g^1 >= ..., where g^{i+1} = [g, g^i], in
         reduced row echelon form.  One pass over ``_signed`` per row x of
         g^i gives [e_a, x] for every a: each pair (i, j) with x_j nonzero
-        adds x_j times its terms to [e_i, x].  The nonzero products are
-        reduced once per term.  Stops after the first repeat: the last entry
-        is the zero subspace (nilpotent case) or the stable term."""
+        adds x_j times its terms to [e_i, x], built only for the i reached;
+        the nonzero products, by i, are reduced once per term.  Stops after
+        the first repeat: the zero subspace (nilpotent) or the stable term."""
         n = self.dim
         series = [Matrix.identity(n)]
         while series[-1].nrows:
             prods = []
             for x in series[-1].entries:
-                out = [[0] * n for _ in range(n)]
+                out: Dict[int, List[Scalar]] = {}
                 for (i, j), terms in self._signed.items():
                     if x[j]:
+                        row = out.setdefault(i, [0] * n)
                         for k, c in terms:
-                            out[i][k] += x[j] * c
-                prods.extend(row for row in out if any(row))
+                            row[k] += x[j] * c
+                prods.extend(row for _, row in sorted(out.items()) if any(row))
             reduced, pivots = rref(Matrix(prods, ncols=n))
             series.append(Matrix(reduced.entries[: len(pivots)], ncols=n))
             if len(pivots) == series[-2].nrows:
@@ -347,19 +352,20 @@ def _components(columns: Iterable[SparseColumn], size: int) -> Callable[[int], i
 def sparse_rank(columns: Sequence[SparseColumn], nrows: int) -> int:
     """Rank over Q of the nrows-row matrix with the given sparse columns.
 
-    Rows that share a column are joined (``_components``); each connected
-    block of the nonzero pattern is ranked on its own with
-    ``Matrix.rank`` and the block ranks are summed.  A block of one column,
-    or of one row (every column a single entry), has rank 1 with no
-    elimination, since its entries are nonzero.
+    The cost follows the nonzero columns, as empty ones are dropped first.
+    Rows that share a column are joined (``_components``), and each block
+    of the nonzero pattern is ranked on its own, as ``int`` rows under a
+    forward ``_eliminate``.  A block of one column, or of one row (every
+    column a single entry), has rank 1 with no elimination.
     """
+    columns = [col for col in columns if col]
     find = _components(columns, nrows)
     blocks: Dict[int, List[SparseColumn]] = {}
     for col in columns:
-        if col:
-            blocks.setdefault(find(col[0][0]), []).append(col)
+        blocks.setdefault(find(col[0][0]), []).append(col)
     return sum(
-        1 if len(cols) == 1 or all(len(col) == 1 for col in cols) else _dense_columns(cols).rank()
+        1 if len(cols) == 1 or all(len(col) == 1 for col in cols)
+        else len(_eliminate(_integer_rows(_dense_rows(cols))[0], len(cols), forward=True)[1])
         for cols in blocks.values()
     )
 
@@ -386,7 +392,7 @@ def check_square_zero(lower: SparseColumns, upper: SparseColumns, p: int) -> Non
     """Certify upper * lower = 0 column by column, in time linear in the
     nonzeros touched; ``lower`` is d^p and ``upper`` is d^{p+1}."""
     for col in lower:
-        if _combine(upper, col):
+        if col and _combine(upper, col):
             raise InternalError(f"differential does not square to zero at degree {p}")
 
 
@@ -402,14 +408,15 @@ def check_chain_map(d: SparseColumns, w_here: SparseColumns, w_up: SparseColumns
 @dataclass(frozen=True)
 class KoszulComplex:
     """The cochain complex of a Lie algebra: ``bases[p]`` indexes degree p,
-    ``columns[p]`` holds d^p to degree p + 1 as sparse columns.  Ranks and
-    cohomology bases are made on first use; the bases are sparse rows,
-    built from ``columns`` block by block: forms that a column of d^{p-1}
-    or d^p links share a block, each block is reduced on its own, and the
-    rows are put back in the order the dense eliminations give.  An action
-    on cohomology then runs no elimination.  ``differentials``,
-    ``cocycles``, ``coboundaries`` and ``representatives`` are dense views,
-    built only when asked for."""
+    ``columns[p]`` holds d^p to degree p + 1 as sparse columns, () where d
+    has no term, so building and ranking them follow the nonzero terms of
+    d, not the 2^n forms.  Ranks and cohomology bases are made on first
+    use; the bases are sparse rows, built from ``columns`` block by block:
+    forms that a column of d^{p-1} or d^p links share a block, each block
+    is reduced on its own, and the rows are put back in the order the dense
+    eliminations give, so an action on cohomology runs no elimination.
+    ``differentials``, ``cocycles``, ``coboundaries`` and
+    ``representatives`` are dense views, built only when asked for."""
 
     algebra: LieAlgebra
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]
@@ -547,34 +554,41 @@ def _leibniz(
     bases: Sequence[Sequence[Tuple[int, ...]]],
     p: int,
     images: Sequence[Sequence[Tuple[int, int, Scalar]]],
-) -> Iterable[Dict[int, Scalar]]:
+) -> List[Dict[int, Scalar]]:
     """D on the forms of degree p, one row -> entry dict per form (zero
     entries kept), where D is the (anti)derivation of degree |M| - 1 that
     sends xi^k to the sum of c xi^M over the (mask of M, S, c) in
     ``images[k]``, with S = below(k) ^ below(b) over the b in M and
-    below(i) = (1 << i) - 1.  The term of k in D xi^K is zero when M meets
-    K - k; otherwise moving D past the forms before k and sorting xi^M into
-    the rest gives the sign (-1)^popcount((K - k) & S)."""
+    below(i) = (1 << i) - 1.  The cost follows the nonzero terms, not the
+    forms: each term of k walks the forms R of degree p - 1 that miss M
+    and k, and adds to D xi^(R + k) the entry at R + M, with the sign
+    (-1)^popcount(R & S) from moving D past the forms before k and sorting
+    xi^M into R.  The forms that no term reaches share one empty dict."""
     masks, row_of = _exterior_index(len(images))
-    # only the k with a nonzero image give terms
-    active = sum(1 << k for k, terms in enumerate(images) if terms)
-    for key, mask in zip(bases[p], masks[p]):
-        col: Dict[int, Scalar] = {}
-        for k in key if mask & active else ():
-            if not images[k]:
-                continue
-            rest = mask ^ 1 << k
-            for m, s, c in images[k]:
-                if rest & m:
+    empty: Dict[int, Scalar] = {}
+    cols = [empty] * len(masks[p])
+    lower = masks[p - 1] if p else ()
+    for k, terms in enumerate(images):
+        bit = 1 << k
+        for m, s, c in terms:
+            miss = m | bit
+            for rest in lower:
+                if rest & miss:
                     continue
+                j = row_of[rest | bit]
+                col = cols[j]
+                if col is empty:
+                    col = cols[j] = {}
                 r = row_of[rest | m]
                 col[r] = col.get(r, 0) + (-c if (rest & s).bit_count() & 1 else c)
-        yield col
+    return cols
 
 
 def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
     """Construct all exterior degrees and differentials, then certify
-    that consecutive differentials compose to zero."""
+    that consecutive differentials compose to zero.  Past the bases, the
+    cost follows the nonzero terms of d: only the columns they reach are
+    built, sorted and checked."""
     n = algebra.dim
     _check_dimension(n)
     bases = tuple(tuple(itertools.combinations(range(n), p)) for p in range(n + 1))
@@ -584,7 +598,7 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
         for k, c in comps:
             images[k].append((1 << i | 1 << j, (1 << k) - 1 ^ (1 << i) - 1 ^ (1 << j) - 1, -c))
     diffs = tuple(
-        tuple(tuple(sorted((r, v) for r, v in col.items() if v)) if col else () for col in cols)
+        tuple(tuple(sorted(filter(itemgetter(1), col.items()))) if col else () for col in cols)
         for cols in (_leibniz(bases, p, images) for p in range(n + 1))
     )
     for p in range(n):

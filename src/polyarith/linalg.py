@@ -728,14 +728,16 @@ def _int_powers(a: list, top: int) -> list:
 def _power_sum(coeffs: Sequence[Scalar], e: int, powers: list) -> Matrix:
     """The sum of c_k (A / e)^k, A^k being ``powers[k]`` and zero past the
     end of the list.  With s the lcm of the denominators of the c_k / e^k,
-    the sum times s is taken in ``int`` and divided by s once."""
+    the sum times s is taken in ``int`` and divided by s once; the c_0
+    term goes straight onto the diagonal."""
     n = len(powers[0])
-    terms = [(Fraction(c) / e**k, p) for k, (c, p) in enumerate(zip(coeffs, powers)) if c]
+    terms = [(Fraction(c, e**k), k) for k, c in enumerate(coeffs[: len(powers)]) if c]
     s = lcm(*(t.denominator for t, _ in terms))
-    total = [[0] * n for _ in range(n)]
-    for t, power in terms:
-        f = int(t * s)
-        for row, p_row in zip(total, power):
+    scaled = {k: t.numerator * (s // t.denominator) for t, k in terms}
+    c0 = scaled.pop(0, 0)
+    total = [[0] * i + [c0] + [0] * (n - 1 - i) for i in range(n)]
+    for k, f in scaled.items():
+        for row, p_row in zip(total, powers[k]):
             for j, v in enumerate(p_row):
                 if v:
                     row[j] += f * v
@@ -923,10 +925,8 @@ def nilpotent_exp(m: Matrix) -> Matrix:
     return _nilpotent_series(m, 1, lambda k: Fraction(1, factorial(k)), "nilpotent")
 
 
-def _dense_columns(
-    cols: Sequence[SparseColumn], rows: Union[int, Sequence[int], None] = None
-) -> Matrix:
-    """The sparse columns as a dense matrix: on ``rows`` rows when it is a
+def _dense_rows(cols: Sequence[SparseColumn], rows: Union[int, Sequence[int], None] = None) -> list:
+    """The sparse columns as dense row lists: on ``rows`` rows when it is a
     count, else on the given increasing rows, by default the rows that the
     columns touch."""
     if rows is None:
@@ -936,7 +936,12 @@ def _dense_columns(
     for j, col in enumerate(cols):
         for r, v in col:
             out[local[r]][j] = v
-    return Matrix(out, ncols=len(cols))
+    return out
+
+
+def _dense_columns(cols: Sequence[SparseColumn], rows: Union[int, Sequence[int], None] = None) -> Matrix:
+    """``_dense_rows`` as a matrix."""
+    return Matrix(_dense_rows(cols, rows), ncols=len(cols))
 
 
 @functools.lru_cache(maxsize=None)

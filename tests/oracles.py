@@ -287,6 +287,29 @@ def wedge_minors(rows, p):
     ]
 
 
+def leibniz_by_forms(bases, p, images):
+    """The graded Leibniz rule of the Koszul complex walked form by form:
+    for each form xi^K of degree p (``bases[p]``, index tuples by degree)
+    and each k in K, each term (mask of M, S, c) of ``images[k]`` with M
+    missing K - k adds (-1)^popcount((K - k) & S) c at the form K - k + M.
+    One row -> entry dict per form, zero entries kept, filled in the order
+    k, then term.  Every form costs a pass, with or without terms."""
+    row_of = {sum(1 << i for i in key): r for keys in bases for r, key in enumerate(keys)}
+    out = []
+    for key in bases[p]:
+        mask = sum(1 << i for i in key)
+        col = {}
+        for k in key:
+            rest = mask ^ 1 << k
+            for m, s, c in images[k]:
+                if rest & m:
+                    continue
+                r = row_of[rest | m]
+                col[r] = col.get(r, 0) + (-c if bin(rest & s).count("1") % 2 else c)
+        out.append(col)
+    return out
+
+
 # derivation values letter by letter
 
 

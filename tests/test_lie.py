@@ -37,6 +37,7 @@ from polyarith.lie import (
     sparse_rank,
     strictly_upper,
 )
+from oracles import leibniz_by_forms
 from polyarith import linalg
 from polyarith.linalg import (
     Matrix,
@@ -2356,3 +2357,124 @@ class TestSignedReaders:
             with pytest.raises(PreconditionError, match="^matrix shape mismatch: ad_preimage needs a 3 x 3 matrix$"):
                 h.ad_preimage(d)
         assert h.ad_preimage(Matrix([[0, 0, 0], [0, 0, 0], [0, 1, 0]])) == (1, 0, 0)
+
+
+def leibniz_algebras():
+    """Seeded relabellings with signs of the catalog algebras (dimension at
+    most 7), fraction_4, sl2 and a Heisenberg algebra plus an abelian one."""
+    rng = random.Random(34)
+    catalog = nilpotent_catalog()
+    algebras = {f"{name}/relabelled": relabelled(catalog[name], rng) for name in sorted(catalog)}
+    algebras["fraction_4"] = reference_test_algebras()["fraction_4"]
+    algebras["sl2"] = sl2()
+    algebras["heisenberg_3+abelian_2"] = direct_sum(heisenberg(), abelian(2))
+    return algebras
+
+
+def typed_items(cols):
+    """Each column's (row, type, entry) items in the dict's own order."""
+    return [[(r, type(v), v) for r, v in col.items()] for col in cols]
+
+
+class TestTermDrivenLeibniz:
+    """``_leibniz`` walks the nonzero terms; the form-by-form rule it
+    replaced (``oracles.leibniz_by_forms``) is the slow path it must match
+    for d, i_x and L_x, entry for entry, with types and order."""
+
+    @pytest.mark.parametrize("name", sorted(leibniz_algebras()))
+    def test_d_contraction_and_lie_derivative_match_the_form_rule(self, monkeypatch, name):
+        algebra = leibniz_algebras()[name]
+        n = algebra.dim
+        rng = random.Random(name)
+        x = tuple(rng.choice((0, 1, -1, 2, Fraction(1, 2))) for _ in range(n))
+        with monkeypatch.context() as m:
+            calls = count_calls(m, lie, "_leibniz")
+            kos = build_koszul(algebra)
+            lie._certify_homotopy(kos, x)
+        # d in every degree, then i_x from degree 0, and per degree L_x and i_x one up
+        assert len(calls) == 3 * n + 3
+        for bases, p, images in calls:
+            got = lie._leibniz(bases, p, images)
+            assert len(got) == len(bases[p])
+            assert typed_items(got) == typed_items(leibniz_by_forms(bases, p, images)), (name, p)
+        for p in range(n + 1):
+            assert kos.differentials[p] == reference_differential(algebra, p), (name, p)
+
+    def test_forms_without_a_term_get_an_empty_column(self, monkeypatch):
+        # on heisenberg + line, d xi^2 = -xi^0 ^ xi^1 is the one term, so d
+        # xi^K is nonzero exactly when K holds 2 but neither 0 nor 1
+        with monkeypatch.context() as m:
+            calls = count_calls(m, lie, "_leibniz")
+            kos = build_koszul(direct_sum(heisenberg(), abelian(1)))
+        for (bases, p, images), cols in zip(calls, kos.columns):
+            built = lie._leibniz(bases, p, images)
+            for key, col, dict_col in zip(bases[p], cols, built):
+                assert bool(col) == (2 in key and not {0, 1} & set(key)), (p, key)
+                assert (dict_col == {}) == (not col)
+
+    def test_reference_differential_catches_a_sign_flip_that_d_squared_misses(self, monkeypatch):
+        algebra = filiform(6)
+        original = lie._leibniz
+
+        def flipped(bases, p, images):
+            cols = original(bases, p, images)
+            if p == 2:
+                j = next(j for j, col in enumerate(cols) if any(col.values()))
+                col = cols[j] = dict(cols[j])
+                r = next(r for r, v in col.items() if v)
+                col[r] = -col[r]
+            return cols
+
+        monkeypatch.setattr(lie, "_leibniz", flipped)
+        kos = build_koszul(algebra)  # d o d = 0 holds term by term, so it passes
+        assert kos.differentials[2] != reference_differential(algebra, 2)
+        for p in (0, 1, 3, 4, 5, 6):
+            assert kos.differentials[p] == reference_differential(algebra, p)
+
+    def test_square_zero_check_skips_only_empty_columns(self):
+        upper = (((0, 1),), ())
+        check_square_zero(((), ((1, 5),), ()), upper, 0)
+        with pytest.raises(InternalError, match="does not square to zero at degree 3"):
+            check_square_zero(((), ((0, 2),), ()), upper, 3)
+
+    @pytest.mark.parametrize(
+        "columns, nrows, rank",
+        [
+            ((), 0, 0),
+            (((), (), ()), 4, 0),
+            (((), (), ((0, 1), (1, 2)), ((0, 2), (1, 4))), 3, 1),
+            ((((0, 1), (1, 2)), ((1, 3),), (), ()), 2, 2),
+            ((((0, Fraction(1, 2)),), (), ((0, 1), (2, -1)), (), ((0, Fraction(-3, 2)), (2, 3))), 3, 2),
+            ((), 5, 0),
+        ],
+    )
+    def test_sparse_rank_with_empty_columns(self, columns, nrows, rank):
+        assert sparse_rank(columns, nrows) == rank == _dense_columns(columns, nrows).rank()
+
+    def test_sparse_rank_eliminates_each_block_on_int_rows_without_a_matrix(self, monkeypatch):
+        # blocks: rows {0, 1} from two columns, row 2 alone, rows {3, 4} from
+        # three columns of rank 2, so 1 + 1 + 2; the empty columns join none
+        columns = (
+            (),
+            ((0, 1), (1, 1)),
+            ((0, Fraction(1, 3)), (1, Fraction(1, 3))),
+            ((2, 5),),
+            (),
+            ((3, 1), (4, 2)),
+            ((3, 2), (4, 4)),
+            ((4, 1),),
+            (),
+        )
+        want = _dense_columns(columns, 6).rank()
+        eliminated, original = [], lie._eliminate
+
+        def recording(rows, ncols, **kw):
+            eliminated.append([list(row) for row in rows])
+            return original(rows, ncols, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "__init__", lambda *args, **kw: pytest.fail("Matrix built"))
+            m.setattr(lie, "_eliminate", recording)
+            assert sparse_rank(columns, 6) == want == 4
+        # each block that needs elimination, one int row per matrix row
+        assert eliminated == [[[3, 1], [3, 1]], [[1, 2, 0], [2, 4, 1]]]
