@@ -17,7 +17,10 @@ The repeats of all rows alternate, so a drift of the host spreads over
 every row alike.  Each row gives the median and quartiles in ms, the
 sha256 of standard output (the same in every run, or the script fails),
 and whether bytecode writing is off (``PYTHONDONTWRITEBYTECODE``): with
-it off, every process compiles the modules it imports from source.  Run
+it off, every process compiles the modules it imports from source.  One
+more run per row, not timed, lists the polyarith modules the subcommand
+loads (``modules``) and counts their source lines (``lines``); these
+repeat exactly, so they show start-up work without timing noise.  Run
 from the root of a checkout with the package on PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/startup_timings.py --repeats 25
@@ -57,6 +60,29 @@ def commands(work: Path) -> dict:
     return rows
 
 
+# runs main in a fresh interpreter as ``-m polyarith.cli`` does, then
+# reports the polyarith modules loaded and their source lines on stderr
+LOAD_PROBE = """
+import json, pathlib, sys
+import polyarith.cli
+code = polyarith.cli.main(sys.argv[1:])
+names = sorted(m for m in sys.modules if m == "polyarith" or m.startswith("polyarith."))
+with_lines = {m: pathlib.Path(sys.modules[m].__file__).read_bytes().count(b"\\n") for m in names}
+print(json.dumps(with_lines), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_modules(argv: list, work: str, env: dict) -> dict:
+    """The polyarith modules that the subcommand loads, each with its line count."""
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True, cwd=work, env=env
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr.decode()}")
+    return json.loads(done.stderr.decode().splitlines()[-1])
+
+
 def run_once(argv: list, work: str, env: dict) -> tuple:
     """Seconds from starting the process in ``work`` to its exit, and its stdout."""
     start = time.perf_counter()
@@ -86,6 +112,7 @@ def main(argv=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in path if p))
     with tempfile.TemporaryDirectory() as work:
         rows = commands(Path(work))
+        loads = {name: loaded_modules(cmd, work, env) for name, cmd in rows.items()}
         times = {name: [] for name in rows}
         digests = {name: set() for name in rows}
         for _ in range(args.repeats):
@@ -101,8 +128,10 @@ def main(argv=None):
         q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
         row = {"command": name, "runs": len(ms), "median_ms": round(median, 1),
                "q1_ms": round(q1, 1), "q3_ms": round(q3, 1), "sha256": digests[name].pop(),
-               "bytecode_writing_off": no_bytecode}
+               "bytecode_writing_off": no_bytecode, "modules": list(loads[name]),
+               "lines": sum(loads[name].values())}
         line = (f"{name:<18} {row['median_ms']:>7.1f} ms  (q1 {row['q1_ms']:.1f}, q3 {row['q3_ms']:.1f})"
+                f"  {len(row['modules']):>2} modules {row['lines']:>5} lines"
                 f"  bytecode {'off' if no_bytecode else 'on '}  {row['sha256']}")
         print(json.dumps(row, sort_keys=True) if args.json else line, flush=True)
     return 0

@@ -40,8 +40,7 @@ from .jsonio import (
     render_scalar,
     vector_to_json,
 )
-from .linalg import Matrix
-from .presentations import DihedralEngine, FreeAbelianEngine, _check_engine
+from .matrix import Matrix
 
 # the last item lists the --pretty lines; a (matrix, label) pair stands for its _matrix_lines
 Handler = Tuple[dict, Dict[str, dict], dict, List[Union[str, Tuple[Matrix, str]]]]
@@ -78,6 +77,8 @@ def _verdict_json(verdict) -> dict:
 
 
 def _engine_for(document: GroupDocument):
+    from .presentations import DihedralEngine, FreeAbelianEngine, _check_engine
+
     if document.engine is None:
         raise SchemaError(
             "/engine", "this command needs a normal form engine tag (dihedral or free_abelian)"

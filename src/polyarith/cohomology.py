@@ -237,12 +237,16 @@ def h1(pres: Presentation, action: ModuleAction) -> CohomologyGroup:
     Z^1 = ker C is saturated in Z^N and holds B^1 = im D, so
     H^1 = Z^1 / B^1 is Z^(N - rank C - rank D) plus the torsion of
     Z^N / im D, the invariant factors of D greater than 1: an x in Z^N
-    with m x in B^1 has C x = 0.  The certificate is C D = 0."""
+    with m x in B^1 has C x = 0.  The certificate is C D = 0.  When N =
+    rank * generators is 0, Z^N = 0 and so is H^1, whatever the rank:
+    then every relator acts trivially and neither C nor D is built."""
+    ncols = action.rank * len(action.matrices)
+    if not ncols and len(action.matrices) == len(pres.generators):
+        return CohomologyGroup(0, ())
     rows = _constraint_rows(pres, action)
     principal = _principal_rows(action)
     if any(sum(map(mul, c, p)) for c in rows for p in principal):
         raise InternalError("principal derivation outside the derivation lattice")
-    ncols = action.rank * len(action.matrices)
     rank_c = Matrix(rows, ncols=ncols).rank()
     factors = invariant_factors(Matrix(principal, ncols=ncols))
     return CohomologyGroup(

@@ -9,6 +9,10 @@ Validation here is structural only, but for a Lie algebra ``dim`` over
 the dimension cap, refused before the algebra is built.  Mathematical
 preconditions (say a determinant condition or the Jacobi identity) are
 checked by the library types the parsed documents are fed into.
+
+At import this module loads only :mod:`polyarith.matrix`: each parser of
+a presentation, action, word or Lie algebra imports the type it builds
+when it runs.
 """
 
 from __future__ import annotations
@@ -20,18 +24,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
-from .linalg import Matrix, Scalar
-from .polynomials import Poly
-from .presentations import (
-    ModuleAction,
-    Presentation,
-    Word,
-    make_word,
-)
+from .matrix import Matrix, Scalar
 
-# parse_lie_algebra imports LieAlgebra when it runs, so only the Lie commands load lie
 if TYPE_CHECKING:
     from .lie import LieAlgebra
+    from .polynomials import Poly
+    from .presentations import ModuleAction, Presentation, Word
 
 _SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -163,6 +161,8 @@ def word_to_json(w: Word, pres: Presentation) -> list:
 
 
 def parse_word(obj, path: str, pres: Presentation) -> Word:
+    from .presentations import make_word
+
     items = _require_list(obj, path)
     pairs = []
     for i, letter in enumerate(items):
@@ -187,6 +187,8 @@ def presentation_to_json(pres: Presentation) -> dict:
 
 
 def parse_presentation(obj, path: str) -> Presentation:
+    from .presentations import Presentation
+
     _require_keys(obj, path, ("generators", "relators"))
     gens = _require_list(obj["generators"], f"{path}/generators")
     names = []
@@ -214,6 +216,8 @@ def action_to_json(action: ModuleAction, pres: Presentation) -> dict:
 
 
 def parse_action(obj, path: str, pres: Presentation) -> ModuleAction:
+    from .presentations import ModuleAction
+
     _require_keys(obj, path, ("rank", "matrices"))
     rank = parse_int(obj["rank"], f"{path}/rank", minimum=0)
     mats = obj["matrices"]
@@ -329,6 +333,8 @@ def vector_to_json(v: Sequence[Scalar]) -> list:
 def parse_element_text(text: str, pres: Presentation, path: str) -> Word:
     """Words typed on the command line: whitespace separated tokens
     ``name`` or ``name^exponent``, for example "A t A^-1"."""
+    from .presentations import make_word
+
     pairs = []
     for token in text.split():
         name, _, exp_s = token.partition("^")

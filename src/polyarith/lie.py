@@ -550,11 +550,7 @@ class KoszulComplex:
         return cache[p]
 
 
-def _leibniz(
-    bases: Sequence[Sequence[Tuple[int, ...]]],
-    p: int,
-    images: Sequence[Sequence[Tuple[int, int, Scalar]]],
-) -> List[Dict[int, Scalar]]:
+def _leibniz(p: int, images: Sequence[Sequence[Tuple[int, int, Scalar]]]) -> List[Dict[int, Scalar]]:
     """D on the forms of degree p, one row -> entry dict per form (zero
     entries kept), where D is the (anti)derivation of degree |M| - 1 that
     sends xi^k to the sum of c xi^M over the (mask of M, S, c) in
@@ -599,7 +595,7 @@ def build_koszul(algebra: LieAlgebra) -> KoszulComplex:
             images[k].append((1 << i | 1 << j, (1 << k) - 1 ^ (1 << i) - 1 ^ (1 << j) - 1, -c))
     diffs = tuple(
         tuple(tuple(sorted(filter(itemgetter(1), col.items()))) if col else () for col in cols)
-        for cols in (_leibniz(bases, p, images) for p in range(n + 1))
+        for cols in (_leibniz(p, images) for p in range(n + 1))
     )
     for p in range(n):
         check_square_zero(diffs[p], diffs[p + 1], p)
@@ -737,12 +733,12 @@ def action_on_cohomology(
     return _dense_columns([[(i, _quotient(x, den)) for i, x in col] for col in cols], len(cols))
 
 
-def _contraction(x: Sequence[int], kos: KoszulComplex, p: int) -> List[SparseColumn]:
+def _contraction(x: Sequence[int], p: int) -> List[SparseColumn]:
     """i_x from degree p to p - 1 as sparse columns: the antiderivation
     sending xi^k to x_k, so xi^K goes to the sum over positions t of
     (-1)^t x_(k_t) xi^(K - k_t)."""
     images = [[(0, (1 << k) - 1, v)] if v else [] for k, v in enumerate(x)]
-    return [tuple(col.items()) for col in _leibniz(kos.bases, p, images)]
+    return [tuple(col.items()) for col in _leibniz(p, images)]
 
 
 def _check_cartan(
@@ -759,7 +755,7 @@ def _check_cartan(
     lower = kos.columns[p - 1] if p else ()
     # d^(p-1) i_x and i_x d^p as one combination of the columns of both maps
     both, shift = tuple(lower) + tuple(iota_up), len(lower)
-    for lhs, d_col, i_col in zip(_leibniz(kos.bases, p, lie_rows), kos.columns[p], iota):
+    for lhs, d_col, i_col in zip(_leibniz(p, lie_rows), kos.columns[p], iota):
         rhs = _combine(both, itertools.chain(i_col, ((shift + r, v) for r, v in d_col)))
         if {r: v for r, v in lhs.items() if v} != rhs:
             raise InternalError(f"Cartan's formula fails in degree {p}")
@@ -781,9 +777,9 @@ def _certify_homotopy(kos: KoszulComplex, x: Vector) -> None:
         [(1 << j, (1 << k) - 1 ^ (1 << j) - 1, -v) for j, v in enumerate(row) if v]
         for k, row in enumerate(kos.algebra.ad(xs).entries)
     ]
-    iota = _contraction(xs, kos, 0)
+    iota = _contraction(xs, 0)
     for p in range(n + 1):
-        iota_up = _contraction(xs, kos, p + 1) if p < n else ()
+        iota_up = _contraction(xs, p + 1) if p < n else ()
         _check_cartan(kos, p, lie_rows, iota, iota_up)
         iota = iota_up
     kos._homotopies.add(x)

@@ -14,19 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-Scalar = Union[int, Fraction]
-
-
-def _scalar(c) -> Scalar:
-    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(c) is int:
-        return c
-    if type(c) is Fraction:
-        return c.numerator if c.denominator == 1 else c
-    f = Fraction(c)
-    return f.numerator if f.denominator == 1 else f
+from .matrix import Scalar, _scalar
 
 
 def _normalize(coeffs: Iterable[Scalar]) -> tuple:

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import Matrix
+from .matrix import Matrix
 
 Letter = Tuple[int, int]
 Word = Tuple[Letter, ...]

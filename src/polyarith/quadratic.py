@@ -12,7 +12,7 @@ from math import isqrt
 from typing import Tuple
 
 from .errors import InternalError, PreconditionError
-from .linalg import Matrix
+from .matrix import Matrix
 
 
 def _check_d(d: int):

@@ -157,6 +157,31 @@ class TestH1:
         _, out, _ = run(capsys, "h1", gamma_spec, "--pretty")
         assert out.strip().endswith("H1 = Z + Z/2 + Z/2")
 
+    def test_no_generators_give_trivial_h1_whatever_the_rank(self, tmp_path):
+        # with no generator there is no cochain, so H^1 = 0 without a
+        # matrix of one row per module coordinate; a fresh process with
+        # 1 GB of address space and a time limit keeps a regression from
+        # taking the host's memory
+        doc = {
+            "presentation": {"generators": [], "relators": [[]]},
+            "action": {"rank": 10**30, "matrices": {}},
+        }
+        path = write_json(tmp_path, "huge.json", doc)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyarith.cli", "h1", path],
+            capture_output=True, text=True, env=fresh_env(), timeout=60, preexec_fn=limit,
+        )
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"] == {
+            "free_rank": 0, "torsion": [], "order": 1, "trivial": True, "text": "0",
+        }
+
 
 class TestDerAction:
     def test_translation_generator(self, capsys, gamma_spec):
@@ -753,7 +778,7 @@ code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("polyarith.")),
                   [m for m in ("traceback", "datetime", "hashlib") if m in sys.modules]]))
 """
-PARSE_LAYER = {"cli", "errors", "jsonio", "linalg", "polynomials", "presentations"}
+PARSE_LAYER = {"cli", "errors", "jsonio", "matrix"}
 
 
 class TestModuleLoads:
@@ -775,6 +800,10 @@ class TestModuleLoads:
         assert modules == PARSE_LAYER
         assert stdlib == []
 
+    def test_pell_loads_quadratic_alone(self):
+        modules, _ = self.loads("pell", "3")
+        assert modules == PARSE_LAYER | {"quadratic"}
+
     def test_teob_loads_no_lie(self):
         modules, _ = self.loads("teob", "3")
         assert "arithmeticity" in modules
@@ -795,7 +824,7 @@ class TestModuleLoads:
             args.append(write_json(tmp_path, "torus.json", TORUS_DOC))
         modules, _ = self.loads(command, *args)
         assert "lie" in modules
-        assert modules.isdisjoint({"cohomology", "arithmeticity", "semidirect", "quadratic"})
+        assert modules.isdisjoint({"cohomology", "arithmeticity", "semidirect", "quadratic", "presentations"})
 
 
 class TestConsoleScript:

@@ -757,6 +757,18 @@ class TestH1FromRanks:
         with pytest.raises(InternalError, match="principal derivation outside the derivation lattice"):
             h1(pres, action)
 
+    def test_no_cochain_gives_zero_without_building_c_or_d(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "_principal_rows", lambda a: pytest.fail("principal rows built"))
+        monkeypatch.setattr(cohomology, "_constraint_rows", lambda *a: pytest.fail("constraint rows built"))
+        free = (Presentation((), ((),)), ModuleAction(10**30, ()))
+        rank_zero = (Presentation(("a", "b"), (((0, 1), (1, 1)),)), ModuleAction(0, (Matrix([]), Matrix([]))))
+        for pres, action in (free, rank_zero):
+            assert h1(pres, action) == CohomologyGroup(0, ())
+        # a missing matrix is refused even when N = 0
+        monkeypatch.undo()
+        with pytest.raises(PreconditionError, match="one matrix per generator"):
+            h1(Presentation(("a",), ()), ModuleAction(0, ()))
+
     def test_certificate_raises_after_the_relator_checks(self, monkeypatch):
         monkeypatch.setattr(cohomology, "_principal_rows", lambda a: pytest.fail("principal rows built"))
         pres = Presentation(("t",), (((0, 1), (0, 1)),))

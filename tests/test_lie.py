@@ -1113,8 +1113,8 @@ class TestInnerPath:
     def test_sign_flip_in_the_contraction_is_refused(self, monkeypatch):
         original = lie._contraction
 
-        def flipped(x, kos, p):
-            return [tuple((r, -v) for r, v in col) for col in original(x, kos, p)]
+        def flipped(x, p):
+            return [tuple((r, -v) for r, v in col) for col in original(x, p)]
 
         monkeypatch.setattr(lie, "_contraction", flipped)
         for algebra in (heisenberg(1), filiform(5), free_two_step(3)):
@@ -1273,7 +1273,7 @@ class TestLeibnizRule:
                 assert dense_on(iota, p - 1, n) == reference_contraction(algebra, x, p), (name, x, p)
                 if p < n:
                     assert dense_on(iota_up, p, n) == reference_contraction(algebra, x, p + 1)
-                lie_x = [tuple(sorted(col.items())) for col in lie._leibniz(kos.bases, p, lie_rows)]
+                lie_x = [tuple(sorted(col.items())) for col in lie._leibniz(p, lie_rows)]
                 assert dense_on(lie_x, p, n) == reference_lie_derivative(algebra, x, p), (name, x, p)
 
 
@@ -2393,10 +2393,10 @@ class TestTermDrivenLeibniz:
             lie._certify_homotopy(kos, x)
         # d in every degree, then i_x from degree 0, and per degree L_x and i_x one up
         assert len(calls) == 3 * n + 3
-        for bases, p, images in calls:
-            got = lie._leibniz(bases, p, images)
-            assert len(got) == len(bases[p])
-            assert typed_items(got) == typed_items(leibniz_by_forms(bases, p, images)), (name, p)
+        for p, images in calls:
+            got = lie._leibniz(p, images)
+            assert len(got) == len(kos.bases[p])
+            assert typed_items(got) == typed_items(leibniz_by_forms(kos.bases, p, images)), (name, p)
         for p in range(n + 1):
             assert kos.differentials[p] == reference_differential(algebra, p), (name, p)
 
@@ -2406,9 +2406,9 @@ class TestTermDrivenLeibniz:
         with monkeypatch.context() as m:
             calls = count_calls(m, lie, "_leibniz")
             kos = build_koszul(direct_sum(heisenberg(), abelian(1)))
-        for (bases, p, images), cols in zip(calls, kos.columns):
-            built = lie._leibniz(bases, p, images)
-            for key, col, dict_col in zip(bases[p], cols, built):
+        for (p, images), cols in zip(calls, kos.columns):
+            built = lie._leibniz(p, images)
+            for key, col, dict_col in zip(kos.bases[p], cols, built):
                 assert bool(col) == (2 in key and not {0, 1} & set(key)), (p, key)
                 assert (dict_col == {}) == (not col)
 
@@ -2416,8 +2416,8 @@ class TestTermDrivenLeibniz:
         algebra = filiform(6)
         original = lie._leibniz
 
-        def flipped(bases, p, images):
-            cols = original(bases, p, images)
+        def flipped(p, images):
+            cols = original(p, images)
             if p == 2:
                 j = next(j for j, col in enumerate(cols) if any(col.values()))
                 col = cols[j] = dict(cols[j])

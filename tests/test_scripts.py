@@ -164,8 +164,10 @@ def test_startup_timings_json():
     ]
     for row in rows:
         assert set(row) == {"command", "runs", "median_ms", "q1_ms", "q3_ms", "sha256",
-                            "bytecode_writing_off"}
+                            "bytecode_writing_off", "modules", "lines"}
         assert row["runs"] == 2
+        assert {"polyarith", "polyarith.cli", "polyarith.matrix"} <= set(row["modules"])
+        assert row["lines"] > 0
         assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert row["bytecode_writing_off"] == bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     # stdout of each command, which names its inputs by relative path only
