@@ -23,15 +23,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError, PreconditionError
 from .linalg import (
     Matrix,
+    _all_int,
+    _eliminate,
     _hermite_coordinates,
     _hermite_pair,
     _identity_rows,
+    _int_product,
     invariant_factors,
     kernel_lattice,
     row_hermite_basis,
@@ -66,23 +69,23 @@ class Derivation:
         return Derivation(tuple(tuple(-x for x in v) for v in self.values))
 
 
-def _fox_matrix(action: ModuleAction, w: Word) -> Tuple[Matrix, Matrix]:
-    """F_w and the matrix M_w of w, in one pass over the letters: at a
-    letter x_i = x_j block j gains the prefix x1 ... x_{i-1}, at
-    x_i = x_j^-1 it loses x1 ... x_i; the last prefix is M_w."""
+def _fox_matrix(action: ModuleAction, w: Word) -> Tuple[List[List[int]], Optional[Sequence[Vector]]]:
+    """The rows of F_w and of M_w, None for the identity, in one pass over
+    the letters: at a letter x_i = x_j block j gains the prefix x1 ...
+    x_{i-1}, at x_i = x_j^-1 it loses x1 ... x_i; the last prefix is M_w."""
     n = action.rank
     rows = [[0] * (n * len(action.matrices)) for _ in range(n)]
     prefix = None  # the identity, until the first letter is multiplied in
     for idx, exp in w:
-        letter = action.letter_matrix(idx, exp)
+        letter = action.letter_rows(idx, exp)
         if exp == -1:
-            prefix = letter if prefix is None else prefix * letter
-        block = slice(idx * n, idx * n + n)
-        for row, p in zip(rows, _identity_rows(n) if prefix is None else prefix.entries):
-            row[block] = [a + exp * b for a, b in zip(row[block], p)]
+            prefix = letter if prefix is None else _int_product(prefix, letter)
+        block, op = slice(idx * n, idx * n + n), add if exp == 1 else sub
+        for row, p in zip(rows, _identity_rows(n) if prefix is None else prefix):
+            row[block] = map(op, row[block], p)
         if exp == 1:
-            prefix = letter if prefix is None else prefix * letter
-    return Matrix(rows, ncols=n * len(action.matrices)), Matrix.identity(n) if prefix is None else prefix
+            prefix = letter if prefix is None else _int_product(prefix, letter)
+    return rows, prefix
 
 
 def _flat_values(action: ModuleAction, deriv: Derivation) -> Vector:
@@ -94,7 +97,8 @@ def _flat_values(action: ModuleAction, deriv: Derivation) -> Vector:
 
 def word_value(action: ModuleAction, deriv: Derivation, w: Word) -> Vector:
     """Value of the derivation on an arbitrary word."""
-    return _fox_matrix(action, w)[0].apply(_flat_values(action, deriv))
+    flat = _flat_values(action, deriv)
+    return Matrix(_fox_matrix(action, w)[0], ncols=len(flat)).apply(flat)
 
 
 def is_derivation(pres: Presentation, action: ModuleAction, deriv: Derivation) -> bool:
@@ -146,10 +150,10 @@ def _constraint_rows(pres: Presentation, action: ModuleAction) -> List[Vector]:
     rows: List[Vector] = []
     for w in pres.relators:
         fox, mw = _fox_matrix(action, w)
-        _refuse_relator(None if mw.is_identity() else w)
-        if not fox.is_integral():
+        _refuse_relator(None if mw is None or list(map(list, mw)) == _identity_rows(len(mw)) else w)
+        if not all(map(_all_int, fox)):
             raise InternalError("relator coefficients must be integral")
-        rows.extend(fox.entries)
+        rows.extend(fox)
     return rows
 
 
@@ -161,8 +165,10 @@ def derivation_space(pres: Presentation, action: ModuleAction) -> DerivationLatt
     combination of the returned basis.  An action under which a relator
     does not act trivially is refused.
     """
-    rows = _constraint_rows(pres, action)
     ncols = action.rank * len(action.matrices)
+    if not ncols and len(action.matrices) == len(pres.generators):
+        return DerivationLattice(pres, action, ())
+    rows = _constraint_rows(pres, action)
     kernel = kernel_lattice(Matrix(rows, ncols=ncols)) if rows else Matrix.identity(ncols)
     basis = tuple(Derivation.unflatten(r, action.rank) for r in kernel.entries)
     return DerivationLattice(pres, action, basis)
@@ -247,7 +253,7 @@ def h1(pres: Presentation, action: ModuleAction) -> CohomologyGroup:
     principal = _principal_rows(action)
     if any(sum(map(mul, c, p)) for c in rows for p in principal):
         raise InternalError("principal derivation outside the derivation lattice")
-    rank_c = Matrix(rows, ncols=ncols).rank()
+    rank_c = len(_eliminate(rows, ncols, forward=True)[1])
     factors = invariant_factors(Matrix(principal, ncols=ncols))
     return CohomologyGroup(
         ncols - rank_c - len(factors),
@@ -276,12 +282,11 @@ def rewriting_table(engine, g: Word) -> RewritingTable:
     return RewritingTable(tuple(g), tuple(conj))
 
 
-def _conjugation_matrix(action: ModuleAction, table: RewritingTable) -> Matrix:
-    """C with (g * d).flatten() = C . d.flatten(): block row i is
-    M_g F_{w_i} for the conjugate word w_i of generator i."""
-    mg = evaluate_word(action, table.element)
-    rows = [r for w in table.conjugates for r in (mg * _fox_matrix(action, w)[0]).entries]
-    return Matrix(rows, ncols=action.rank * len(action.matrices))
+def _conjugation_matrix(action: ModuleAction, table: RewritingTable) -> List[List[int]]:
+    """The rows of C with (g * d).flatten() = C . d.flatten(): block row i
+    is M_g F_{w_i} for the conjugate word w_i of generator i."""
+    mg = evaluate_word(action, table.element).entries
+    return [r for w in table.conjugates for r in _int_product(mg, _fox_matrix(action, w)[0])]
 
 
 def conjugate_derivation(
@@ -292,7 +297,8 @@ def conjugate_derivation(
     Well defined on any word representing the conjugate because d
     satisfies the relators.
     """
-    flat = _conjugation_matrix(action, table).apply(_flat_values(action, deriv))
+    values = _flat_values(action, deriv)
+    flat = Matrix(_conjugation_matrix(action, table), ncols=len(values)).apply(values)
     return Derivation.unflatten(flat, action.rank)
 
 
@@ -309,7 +315,8 @@ def conjugation_action(
         raise PreconditionError("rewriting table was built for a different element")
     conj = _conjugation_matrix(lattice.action, table)
     rows = []
-    for image in (lattice.basis_matrix() * conj.transpose()).entries:
+    for basis_row in lattice.basis_matrix().entries:
+        image = [sum(map(mul, basis_row, c)) for c in conj]
         coords = lattice.coordinates(Derivation.unflatten(image, lattice.action.rank))
         if coords is None:
             raise InternalError("conjugated derivation left the lattice")

@@ -399,12 +399,12 @@ def _cleared(rows) -> Tuple[int, list]:
     return e, [[int(x * e) for x in r] for r in rows]
 
 
-def _int_product(a: list, b: list) -> list:
-    """The product of two square ``int`` matrices given as lists of rows,
-    over the nonzero entries only."""
+def _int_product(a: Sequence, b: Sequence) -> list:
+    """The product of two ``int`` matrices given as sequences of rows, as
+    a list of rows, over the nonzero entries only."""
     out = []
     for row in a:
-        acc = [0] * len(row)
+        acc = [0] * len(b[0])
         for x, b_row in zip(row, b):
             if x:
                 for j, y in enumerate(b_row):

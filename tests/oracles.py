@@ -447,6 +447,13 @@ def jordan_by_matrix_newton(a):
 # word products and principal derivations the long way round
 
 
+def _letter(action, idx, exp):
+    """The letter's matrix, x^-1 by ``Matrix.inverse`` rather than by the
+    action's own back-substitution."""
+    m = action.matrices[idx]
+    return m if exp == 1 else m.inverse()
+
+
 def evaluate_word_from_identity(action, w):
     """The ordered product of a word's letter matrices, started from the
     identity matrix and multiplied letter by letter."""
@@ -454,7 +461,7 @@ def evaluate_word_from_identity(action, w):
 
     out = Matrix.identity(action.rank)
     for idx, exp in w:
-        out = out * action.letter_matrix(idx, exp)
+        out = out * _letter(action, idx, exp)
     return out
 
 
@@ -469,12 +476,12 @@ def fox_matrix_from_identity(action, w):
     prefix = Matrix.identity(n)
     for idx, exp in w:
         if exp == -1:
-            prefix = prefix * action.letter_matrix(idx, -1)
+            prefix = prefix * _letter(action, idx, -1)
         for row, p in zip(rows, prefix.entries):
             for j, x in enumerate(p):
                 row[idx * n + j] += exp * x
         if exp == 1:
-            prefix = prefix * action.letter_matrix(idx, 1)
+            prefix = prefix * _letter(action, idx, 1)
     return Matrix(rows, ncols=n * len(action.matrices)), prefix
 
 

@@ -162,25 +162,44 @@ class TestH1:
         # matrix of one row per module coordinate; a fresh process with
         # 1 GB of address space and a time limit keeps a regression from
         # taking the host's memory
-        doc = {
-            "presentation": {"generators": [], "relators": [[]]},
-            "action": {"rank": 10**30, "matrices": {}},
-        }
-        path = write_json(tmp_path, "huge.json", doc)
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "polyarith.cli", "h1", path],
-            capture_output=True, text=True, env=fresh_env(), timeout=60, preexec_fn=limit,
-        )
-        assert time.monotonic() - start < 2.0
-        assert proc.returncode == 0, proc.stderr
+        proc = run_without_generators(tmp_path, "h1", 10**30)
         assert json.loads(proc.stdout)["results"] == {
             "free_rank": 0, "torsion": [], "order": 1, "trivial": True, "text": "0",
         }
+
+    @pytest.mark.parametrize("rank", [300_000, 10**30])
+    def test_no_generators_give_no_derivation_whatever_the_rank(self, tmp_path, rank):
+        # the empty relator's Fox matrix has no column and its M_w is the
+        # identity, so neither a rank x rank matrix nor one row per module
+        # coordinate is needed
+        proc = run_without_generators(tmp_path, "derivations", rank)
+        assert json.loads(proc.stdout)["results"] == {
+            "rank": 0, "basis": [], "flattened_basis": {"rows": 0, "cols": 0, "entries": []},
+        }
+
+
+def run_without_generators(tmp_path, command, rank):
+    """``command`` on a document with no generators, one empty relator and
+    the given rank, in a fresh process with 1 GB of address space and a
+    time limit, so that a regression cannot take the host's memory; the
+    process must exit 0 within 2 s."""
+    doc = {
+        "presentation": {"generators": [], "relators": [[]]},
+        "action": {"rank": rank, "matrices": {}},
+    }
+    path = write_json(tmp_path, "huge.json", doc)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyarith.cli", command, path],
+        capture_output=True, text=True, env=fresh_env(), timeout=60, preexec_fn=limit,
+    )
+    assert time.monotonic() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 class TestDerAction:
@@ -583,6 +602,25 @@ class TestErrorPaths:
         target.write_text('{"rows": 1, "cols": 1, "entries": [[1.5]]}')
         code, _, err = run(capsys, "jordan", str(target))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([["1", "0", "0"], ["0", "1", "0"]], "action matrices must be rank x rank"),
+            ([["1", "1/2"], ["0", "1"]], "action matrices must be integral"),
+            ([["2", "0"], ["0", "1"]], "action matrices must have determinant +-1"),
+            ([["1", "2"], ["2", "4"]], "action matrices must have determinant +-1"),
+        ],
+        ids=["non-square", "fraction", "det 2", "singular"],
+    )
+    def test_refused_action_matrix_exits_2(self, capsys, tmp_path, entries, message):
+        doc = {
+            "presentation": {"generators": ["g"], "relators": []},
+            "action": {"rank": 2, "matrices": {"g": {"rows": 2, "cols": len(entries[0]), "entries": entries}}},
+        }
+        code, out, err = run(capsys, "h1", write_json(tmp_path, "bad.json", doc))
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         import polyarith.arithmeticity as arithmeticity

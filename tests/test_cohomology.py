@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyarith import cohomology, linalg
+from polyarith import cohomology, linalg, presentations
 from polyarith.cli import main
 from polyarith.cohomology import (
     CohomologyGroup,
@@ -526,7 +526,7 @@ class TestFoxMatrix:
         rows = []
         for w in words:
             expected = relator_rows_by_letters(mats, w)
-            assert _fox_matrix(action, w)[0].entries == tuple(expected)
+            assert list(map(tuple, _fox_matrix(action, w)[0])) == expected
             if w in pres.relators:
                 rows.extend(expected)
         lattice = derivation_space(pres, action)
@@ -579,6 +579,14 @@ def _oracle_words(pres, rng):
     return words
 
 
+def _fox_as_matrices(action, w):
+    """``_fox_matrix``'s rows of F_w and M_w as matrices, M_w of the empty
+    word (None) as the identity."""
+    fox, mw = _fox_matrix(action, w)
+    n = action.rank
+    return Matrix(fox, ncols=n * len(action.matrices)), Matrix.identity(n) if mw is None else Matrix(mw, ncols=n)
+
+
 @pytest.mark.parametrize("label,case", IDENTITY_START_CASES, ids=[c[0] for c in IDENTITY_START_CASES])
 class TestAgainstIdentityStart:
     def test_evaluate_word(self, label, case):
@@ -590,8 +598,8 @@ class TestAgainstIdentityStart:
     def test_fox_matrix(self, label, case):
         pres, action = case
         for w in _oracle_words(pres, random.Random(label)):
-            assert _fox_matrix(action, w) == fox_matrix_from_identity(action, w)
-        assert _fox_matrix(action, ())[1] == Matrix.identity(action.rank)
+            assert _fox_as_matrices(action, w) == fox_matrix_from_identity(action, w)
+        assert _fox_matrix(action, ())[1] is None
 
     def test_principal_rows(self, label, case, monkeypatch):
         _, action = case
@@ -602,6 +610,30 @@ class TestAgainstIdentityStart:
         want = principal_rows_by_apply(action)
         assert rows == [Matrix(want, ncols=action.rank * len(action.matrices))]
         assert got == real(rows[0])
+
+
+def _independent_oracle_cases():
+    for pres, action in lattice_h1_actions():
+        yield f"lattice_h1 n={action.rank} k={len(action.matrices)}", action
+    for d in (2, 3, 7, 661):
+        yield f"Pell d={d}", build_gamma_epsilon(d).group.action
+
+
+INDEPENDENT_ORACLE_CASES = list(_independent_oracle_cases())
+
+
+@pytest.mark.parametrize("label,action", INDEPENDENT_ORACLE_CASES, ids=[c[0] for c in INDEPENDENT_ORACLE_CASES])
+def test_walk_matches_oracles_with_their_own_inverses(label, action):
+    # the oracles invert by Matrix.inverse, not by the action's
+    # back-substitution, so the two sides share no inverse
+    rng = random.Random(f"independent {label}")
+    ngens = len(action.matrices)
+    words = [_random_word(rng, ngens, length) for length in range(13) for _ in range(2)]
+    words += [tuple((rng.randrange(ngens), -1) for _ in range(length)) for length in (1, 2, 5, 12)]
+    assert () in words and any(w and all(e == -1 for _, e in w) for w in words)
+    for w in words:
+        assert _fox_as_matrices(action, w) == fox_matrix_from_identity(action, w)
+        assert evaluate_word(action, w) == evaluate_word_from_identity(action, w)
 
 
 def test_derivation_must_fit_the_action():
@@ -624,13 +656,14 @@ def test_derivation_must_fit_the_action():
 def test_conjugation_action_builds_each_fox_matrix_once(monkeypatch):
     pres, action = _free_abelian_case(7, 2, 3)
     inversions = []
-    original_inverse = Matrix.inverse
+    original_inverse = presentations._back_substitute
 
-    def counting_inverse(self):
-        inversions.append(self)
-        return original_inverse(self)
+    def counting_inverse(rows, n):
+        inversions.append(rows)
+        return original_inverse(rows, n)
 
-    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    monkeypatch.setattr(presentations, "_back_substitute", counting_inverse)
+    monkeypatch.setattr(Matrix, "inverse", lambda m: pytest.fail("Matrix.inverse called"))
     lattice = derivation_space(pres, action)
     engine = FreeAbelianEngine(2)
     g = ((0, -1), (1, -1), (0, -1))
@@ -647,7 +680,7 @@ def test_conjugation_action_builds_each_fox_matrix_once(monkeypatch):
     assert fox_words == list(table.conjugates)
     assert evaluated == [g]
     assert 0 < len(inversions) <= len(action.matrices)
-    assert all(any(m is x for x in action.matrices) for m in inversions)
+    assert all(any(m is x for x in action._echelons) for m in inversions)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +778,7 @@ class TestH1FromRanks:
     def test_perturbed_principal_row_fails_the_certificate(self, monkeypatch):
         pres, action = _free_abelian_case(7, 2, 5)
         constraint = _fox_matrix(action, pres.relators[0])[0]
-        j = next(j for j in range(constraint.ncols) if any(constraint.col(j)))
+        j = next(j for j, col in enumerate(zip(*constraint)) if any(col))
         real = cohomology._principal_rows
 
         def perturbed(a):
@@ -769,6 +802,16 @@ class TestH1FromRanks:
         with pytest.raises(PreconditionError, match="one matrix per generator"):
             h1(Presentation(("a",), ()), ModuleAction(0, ()))
 
+    def test_empty_relator_builds_no_identity(self, monkeypatch):
+        # with no generator F_w has no column, and M_w of the empty word is
+        # None, not a rank x rank identity
+        monkeypatch.setattr(Matrix, "identity", lambda n: pytest.fail("identity built"))
+        action = ModuleAction(300_000, ())
+        fox, mw = _fox_matrix(action, ())
+        assert mw is None and len(fox) == 300_000 and not any(fox)
+        assert cohomology._constraint_rows(Presentation((), ((),)), action) == fox
+        assert derivation_space(Presentation((), ((),)), action).basis == ()
+
     def test_certificate_raises_after_the_relator_checks(self, monkeypatch):
         monkeypatch.setattr(cohomology, "_principal_rows", lambda a: pytest.fail("principal rows built"))
         pres = Presentation(("t",), (((0, 1), (0, 1)),))
@@ -787,10 +830,10 @@ class TestH1FromRanks:
             h1(pres, action)
 
 
-def one_more_at_origin(m):
-    rows = [list(row) for row in m.entries]
+def one_more_at_origin(rows):
+    rows = [list(row) for row in rows]
     rows[0][0] += 1
-    return Matrix(rows, ncols=m.ncols)
+    return rows
 
 
 class TestCertificatesTrip:
@@ -802,9 +845,8 @@ class TestCertificatesTrip:
 
         def fractional(action, w):
             fox, mw = real(action, w)
-            rows = [list(row) for row in fox.entries]
-            rows[0][0] += Fraction(1, 2)
-            return Matrix(rows, ncols=fox.ncols), mw
+            fox[0][0] += Fraction(1, 2)
+            return fox, mw
 
         monkeypatch.setattr(cohomology, "_fox_matrix", fractional)
         ge = build_gamma_epsilon(3)
@@ -817,7 +859,7 @@ class TestCertificatesTrip:
         "perturb, message",
         [
             (one_more_at_origin, "conjugated derivation left the lattice"),
-            (lambda m: m.scale(2), "conjugation action must be unimodular"),
+            (lambda rows: [[2 * x for x in row] for row in rows], "conjugation action must be unimodular"),
         ],
         ids=["bumped", "doubled"],
     )

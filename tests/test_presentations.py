@@ -1,3 +1,7 @@
+import random
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +70,53 @@ def test_module_action_validation():
     with pytest.raises(PreconditionError):
         ModuleAction(2, (Matrix([[1, 0]]),))  # wrong shape
     ModuleAction(2, (Matrix([[0, 1], [1, 0]]),))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 0, 0], [0, 1, 0]], "action matrices must be rank x rank"),
+        ([[1, 0], [0, 1], [0, 0]], "action matrices must be rank x rank"),
+        ([[1, Fraction(1, 2)], [0, 1]], "action matrices must be integral"),
+        ([[2, 0], [0, 1]], "action matrices must have determinant +-1"),
+        ([[1, 2], [2, 4]], "action matrices must have determinant +-1"),
+        ([[0, 0], [0, 1]], "action matrices must have determinant +-1"),
+    ],
+    ids=["2x3", "3x2", "fraction", "det 2", "singular", "zero column"],
+)
+def test_module_action_refusals(rows, message):
+    # the refused matrix comes after an accepted one
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        ModuleAction(2, (Matrix([[0, 1], [1, 0]]), Matrix(rows)))
+
+
+def seeded_unimodular(rng, n):
+    """A signed permutation matrix with rows added to one another: the
+    permutation makes zero leading minors likely, so elimination must
+    swap rows, and the signs give det -1 about half the time."""
+    perm = rng.sample(range(n), n)
+    rows = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(rows)
+
+
+def test_inverse_by_back_substitution_matches_matrix_inverse():
+    rng = random.Random(3612)
+    dets, swaps = set(), 0
+    for n in range(1, 13):
+        for _ in range(6):
+            m = seeded_unimodular(rng, n)
+            action = ModuleAction(n, (m,))
+            assert Matrix(action.letter_rows(0, -1), ncols=n) == m.inverse()
+            # asked again, the inverse is the one already computed
+            assert action.letter_rows(0, -1) is action.letter_rows(0, -1)
+            dets.add(m.det())
+            swaps += any(m.submatrix(range(k), range(k)).det() == 0 for k in range(1, n))
+    assert dets == {1, -1} and swaps > 10
 
 
 def test_validate_action_reports_first_bad_relator():

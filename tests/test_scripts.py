@@ -181,6 +181,25 @@ def test_startup_timings_json():
     }
 
 
+def test_lattice_timings_json():
+    done = run_script("lattice_timings.py", "--slots", "6:1", "7:2", "--repeats", "1", "--json")
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["n"], row["k"], row["N"], row["rank"]) for row in rows] == [(6, 1, 6, 6), (7, 2, 14, 7)]
+    layers = {"det", "inverse", "fox", "kernel_lattice", "invariant_factors", "conjugation_action"}
+    for row in rows:
+        assert set(row) == {"n", "k", "N", "rank", "bits", "us", "sha256"}
+        assert set(row["us"]) == layers and row["bits"] > 0
+    # k = 1 has no relator, so no Fox walk and no kernel to take
+    assert rows[0]["us"]["fox"] is None and rows[0]["us"]["kernel_lattice"] is None
+    assert all(t > 0 for t in rows[1]["us"].values())
+    # the typed outputs: inverses, the commutator's walk and kernel,
+    # invariant factors and the conjugation action
+    assert [row["sha256"][:16] for row in rows] == ["f0d563cacaa29279", "639a99c42af2efc4"]
+    refused = run_script("lattice_timings.py", "--slots", "5:1")
+    assert refused.returncode == 2 and "expected N:K" in refused.stderr
+
+
 def test_bench_fold(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     # jobs/s: change wins seeds 1 and 2 and ties seed 3; latency: it wins 1, loses 2, ties 3
