@@ -6,9 +6,14 @@ matrix 0 after its sign change 0.  Every layer is timed on its own, as
 the median of ``--repeats`` runs, in microseconds under ``us``:
 
 - ``det``: building the ``ModuleAction``, which checks det +-1 of every
-  generator matrix by one forward elimination on [M | I];
-- ``inverse``: the first x^-1 of every generator, read off those
-  echelon rows by back-substitution;
+  generator matrix by ``Matrix.det``, one forward elimination on [M | I]
+  that the matrix keeps;
+- ``inverse``: the first x^-1 of every generator, ``Matrix.inverse``
+  back-substituted from that kept pass.
+
+Both run on new ``Matrix`` objects in every repeat, so that no repeat
+reads a pass or an inverse that an earlier one kept.  The other layers:
+
 - ``fox``: the Fox walk of the commutator x_1 x_2 x_1^-1 x_2^-1, with
   the inverses already at hand (null for k = 1, which has no relator);
 - ``kernel_lattice``: the derivation lattice, the saturated kernel of
@@ -84,10 +89,16 @@ def median_us(call, repeats: int, fresh=lambda: None):
 def slot_row(n: int, k: int, repeats: int) -> dict:
     doc = parse_group_document(workloads.lattice_document(n, k, 0, 0))
     pres, matrices = doc.presentation, doc.action.matrices
+
+    # a Matrix keeps its forward pass and inverse, so every repeat gets new ones
+    def fresh_matrices():
+        return [Matrix(m.entries, ncols=n) for m in matrices]
+
     us = {}
-    action, us["det"] = median_us(lambda _: ModuleAction(n, matrices), repeats)
+    action, us["det"] = median_us(lambda ms: ModuleAction(n, ms), repeats, fresh_matrices)
     inverses, us["inverse"] = median_us(
-        lambda fresh: [fresh.letter_rows(i, -1) for i in range(k)], repeats, lambda: ModuleAction(n, matrices)
+        lambda fresh: [fresh.letter_rows(i, -1) for i in range(k)], repeats,
+        lambda: ModuleAction(n, fresh_matrices()),
     )
     for i in range(k):
         action.letter_rows(i, -1)

@@ -54,7 +54,7 @@ def _norm_row(row) -> tuple:
 class Matrix:
     """Immutable dense matrix with exact entries."""
 
-    __slots__ = ("nrows", "ncols", "entries", "_det")
+    __slots__ = ("nrows", "ncols", "entries", "_forward", "_inverse")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None):
         ent = tuple(map(_norm_row, rows))
@@ -224,25 +224,43 @@ class Matrix:
         return _scalar(sum(self.entries[i][i] for i in range(self.nrows)) if self.nrows else 0)
 
     def det(self) -> Scalar:
-        """The determinant, computed once per matrix and then kept."""
-        try:
-            return self._det
-        except AttributeError:
-            pass
-        _require_square(self, "determinant")
-        rows, scale = _integer_rows(self.entries)
-        _, pivots, d, sign = _eliminate(rows, self.ncols, forward=True)
-        self._det = 0 if len(pivots) < self.nrows else _quotient(sign * d, scale)
-        return self._det
+        """The determinant, read off the kept forward pass."""
+        return self._forward_pass("determinant")[2]
 
     def inverse(self) -> "Matrix":
-        _require_square(self, "inverse")
-        n = self.nrows
-        aug = [r + tuple(1 if i == j else 0 for j in range(n)) for i, r in enumerate(self.entries)]
-        rows, pivots, d, _ = _eliminate(_integer_rows(aug)[0], n)
-        if len(pivots) < n:
+        """M^-1, kept: U M^-1 = L solved from the last row up over the kept pass
+        [U | L] (Nakos, Turner & Williams 1997); d M^-1, d the last pivot, is integral."""
+        kept = getattr(self, "_inverse", None)
+        if kept is not None:
+            return kept
+        rows, d, det = self._forward_pass("inverse")
+        if not det:
             raise PreconditionError("matrix is singular")
-        return Matrix([[_quotient(x, d) for x in row[n:]] for row in rows], ncols=n)
+        n, unit = self.nrows, d in (1, -1)  # for d = +-1, solve for M^-1 itself
+        inv = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            acc = row[n:] if unit else [d * x for x in row[n:]]
+            for u, x in zip(row[i + 1 : n], inv[i + 1 :]):
+                if u:
+                    acc = [a - u * y for a, y in zip(acc, x)]
+            p = row[i]
+            inv[i] = [a // p for a in acc]
+        self._inverse = Matrix(inv if unit else [[_quotient(x, d) for x in r] for r in inv], ncols=n)
+        return self._inverse
+
+    def _forward_pass(self, what: str) -> tuple:
+        """[U | L], the last pivot d and det M of one forward pass on [M | I], kept."""
+        kept = getattr(self, "_forward", None)
+        if kept is not None:
+            return kept
+        _require_square(self, what)
+        ent, n = self.entries, self.nrows
+        aug = [[*r, *e] for r, e in zip(ent, _identity_rows(n))]
+        rows, scale = (aug, 1) if all(map(_all_int, ent)) else _integer_rows(aug)
+        rows, pivots, d, sign = _eliminate(rows, n, forward=True)
+        self._forward = rows, d, 0 if len(pivots) < n else _quotient(sign * d, scale)
+        return self._forward
 
     def rank(self) -> int:
         return len(_eliminate(_integer_rows(self.entries)[0], self.ncols, forward=True)[1])

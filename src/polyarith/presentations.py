@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .linalg import _int_product
-from .matrix import Matrix, _all_int, _eliminate, _identity_rows
+from .matrix import Matrix, _all_int
 
 Letter = Tuple[int, int]
 Word = Tuple[Letter, ...]
@@ -96,48 +96,24 @@ def free_abelian_presentation(rank: int, names: Optional[Sequence[str]] = None) 
 
 @dataclass(frozen=True)
 class ModuleAction:
-    """One unimodular integer matrix per generator, acting on Z^rank.  The
-    echelon rows of [M | I] that check det M = +-1 give M^-1 on demand."""
+    """One unimodular integer matrix per generator, acting on Z^rank.  Each
+    keeps the pass that checks det M = +-1, and M^-1 from it once used."""
 
     rank: int
     matrices: Tuple[Matrix, ...]
 
     def __post_init__(self):
-        n, echelons = self.rank, []
         for m in self.matrices:
-            if m.nrows != n or m.ncols != n:
+            if m.nrows != self.rank or m.ncols != self.rank:
                 raise PreconditionError("action matrices must be rank x rank")
             if not all(map(_all_int, m.entries)):
                 raise PreconditionError("action matrices must be integral")
-            rows = [list(r) + e for r, e in zip(m.entries, _identity_rows(n))]
-            rows, pivots, d, sign = _eliminate(rows, n, forward=True)
-            if len(pivots) < n or sign * d not in (1, -1):
+            if m.det() not in (1, -1):
                 raise PreconditionError("action matrices must have determinant +-1")
-            echelons.append(rows)
-        object.__setattr__(self, "_echelons", tuple(echelons))
-        object.__setattr__(self, "_inverses", [None] * len(echelons))
 
     def letter_rows(self, idx: int, exp: int) -> Sequence[Sequence[int]]:
         """The rows of the letter's matrix: M_idx, or M_idx^-1 for exponent -1."""
-        if exp == 1:
-            return self.matrices[idx].entries
-        if self._inverses[idx] is None:
-            self._inverses[idx] = _back_substitute(self._echelons[idx], self.rank)
-        return self._inverses[idx]
-
-
-def _back_substitute(rows: list, n: int) -> tuple:
-    """M^-1 from the forward echelon rows [U | L] of [M | I], U upper
-    triangular: U M^-1 = L, solved from the last row up.  M^-1 is
-    integral, so each division by a pivot of U is exact."""
-    inverse = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = rows[i][n:]
-        for u, x in zip(rows[i][i + 1 : n], inverse[i + 1 :]):
-            if u:
-                acc = [a - u * y for a, y in zip(acc, x)]
-        inverse[i] = tuple(a // rows[i][i] for a in acc)
-    return tuple(inverse)
+        return self.matrices[idx].entries if exp == 1 else self.matrices[idx].inverse().entries
 
 
 def evaluate_word(action: ModuleAction, w: Word) -> Matrix:

@@ -145,6 +145,11 @@ class VerifyResult:
     pair: Optional[Tuple[SemidirectElement, SemidirectElement]] = None
 
 
+def _unimodular(m: Matrix) -> bool:
+    """det m = +-1 and every entry integral, so that m and m^-1 keep the lattice."""
+    return m.det() in (1, -1) and m.is_integral()
+
+
 class Automorphism:
     """Composite of atoms, applied in list order."""
 
@@ -174,7 +179,7 @@ class Automorphism:
             if isinstance(atom, DerivationAtom):
                 inv.append(DerivationAtom(-atom.derivation))
             elif isinstance(atom, EquivariantAtom):
-                if atom.matrix.det() not in (1, -1):
+                if not _unimodular(atom.matrix):
                     raise PreconditionError("equivariant atom is not invertible over Z")
                 inv.append(EquivariantAtom(atom.matrix.inverse()))
             elif isinstance(atom, InnerAtom):
@@ -188,7 +193,7 @@ class Automorphism:
         formal inverse undoes the map.  Returns the first counterexample."""
         g = self.group
         for atom in self.atoms:
-            if isinstance(atom, EquivariantAtom) and atom.matrix.det() not in (1, -1):
+            if isinstance(atom, EquivariantAtom) and not _unimodular(atom.matrix):
                 return VerifyResult(False, "equivariant atom is not invertible over Z")
         gens = g.generating_set()
         for x in gens:

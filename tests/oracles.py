@@ -277,6 +277,25 @@ def det_exact(rows):
     return det
 
 
+def det_inverse_by_sympy(rows):
+    """``(det, inverse)`` of a square list of rows by sympy over QQ, each
+    value an ``int`` when integral and a ``Fraction`` otherwise; the
+    inverse is a tuple of rows, or None when the matrix is singular."""
+    n = len(rows)
+    if not n:
+        return 1, ()
+
+    def back(x):
+        return int(x.p) if x.q == 1 else Fraction(int(x.p), int(x.q))
+
+    a = sympy.Matrix(n, n, [sympy.Rational(str(Fraction(x))) for r in rows for x in r])
+    det = back(a.det())
+    if not det:
+        return 0, None
+    inv = a.inv()
+    return det, tuple(tuple(back(inv[i, j]) for j in range(n)) for i in range(n))
+
+
 def wedge_minors(rows, p):
     """p-th exterior power by its definition: the p x p minors, row and
     column index sets in lexicographic order."""
@@ -448,10 +467,12 @@ def jordan_by_matrix_newton(a):
 
 
 def _letter(action, idx, exp):
-    """The letter's matrix, x^-1 by ``Matrix.inverse`` rather than by the
-    action's own back-substitution."""
+    """The letter's matrix, x^-1 by sympy rather than by ``Matrix.inverse``,
+    which the action itself reads."""
+    from polyarith.linalg import Matrix
+
     m = action.matrices[idx]
-    return m if exp == 1 else m.inverse()
+    return m if exp == 1 else Matrix(_integer_inverse(m.entries), ncols=m.ncols)
 
 
 def evaluate_word_from_identity(action, w):

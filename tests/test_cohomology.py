@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyarith import cohomology, linalg, presentations
+from polyarith import cohomology, linalg
 from polyarith.cli import main
 from polyarith.cohomology import (
     CohomologyGroup,
@@ -624,8 +624,8 @@ INDEPENDENT_ORACLE_CASES = list(_independent_oracle_cases())
 
 @pytest.mark.parametrize("label,action", INDEPENDENT_ORACLE_CASES, ids=[c[0] for c in INDEPENDENT_ORACLE_CASES])
 def test_walk_matches_oracles_with_their_own_inverses(label, action):
-    # the oracles invert by Matrix.inverse, not by the action's
-    # back-substitution, so the two sides share no inverse
+    # the oracles invert by sympy, not by Matrix.inverse as the action
+    # does, so the two sides share no inverse
     rng = random.Random(f"independent {label}")
     ngens = len(action.matrices)
     words = [_random_word(rng, ngens, length) for length in range(13) for _ in range(2)]
@@ -656,14 +656,14 @@ def test_derivation_must_fit_the_action():
 def test_conjugation_action_builds_each_fox_matrix_once(monkeypatch):
     pres, action = _free_abelian_case(7, 2, 3)
     inversions = []
-    original_inverse = presentations._back_substitute
+    original_inverse = Matrix.inverse
 
-    def counting_inverse(rows, n):
-        inversions.append(rows)
-        return original_inverse(rows, n)
+    def counting_inverse(m):
+        inverse = original_inverse(m)
+        inversions.append((m, inverse))
+        return inverse
 
-    monkeypatch.setattr(presentations, "_back_substitute", counting_inverse)
-    monkeypatch.setattr(Matrix, "inverse", lambda m: pytest.fail("Matrix.inverse called"))
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
     lattice = derivation_space(pres, action)
     engine = FreeAbelianEngine(2)
     g = ((0, -1), (1, -1), (0, -1))
@@ -679,8 +679,11 @@ def test_conjugation_action_builds_each_fox_matrix_once(monkeypatch):
     conjugation_action(g, table, lattice)
     assert fox_words == list(table.conjugates)
     assert evaluated == [g]
-    assert 0 < len(inversions) <= len(action.matrices)
-    assert all(any(m is x for x in action._echelons) for m in inversions)
+    # every x^-1 is read from its generator's inverse, computed once and kept
+    inverted = {id(m): inverse for m, inverse in inversions}
+    assert 0 < len(inverted) <= len(action.matrices)
+    assert all(any(m is x for x in action.matrices) for m, _ in inversions)
+    assert all(inverse is inverted[id(m)] for m, inverse in inversions)
 
 
 # ---------------------------------------------------------------------------

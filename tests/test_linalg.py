@@ -45,6 +45,7 @@ from polyarith.presentations import ModuleAction, Presentation
 
 from oracles import (
     det_exact,
+    det_inverse_by_sympy,
     finite_order_by_powers,
     jordan_by_matrix_newton,
     min_poly_by_factors,
@@ -1336,6 +1337,90 @@ class TestEliminationKernel:
         for m in (Matrix([[1, 2], [2, 4]]), Matrix.zero(1, 1), Matrix([[Fraction(1, 2), 1], [1, 2]])):
             with pytest.raises(PreconditionError, match="^matrix is singular$"):
                 m.inverse()
+
+
+def det_inverse_cases():
+    """Seeded square matrices for det and inverse: Fraction entries,
+    integer ones with |det| > 1, signed permutations of unimodular ones
+    (det -1, and zero leading minors that force row swaps), singular ones
+    and the 0 x 0 matrix."""
+    rng = random.Random(1997)
+    cases = [Matrix([], ncols=0)]
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        cases.append(random_rational_matrix(rng, n, denom=rng.choice((1, 2, 6))))
+        cases.append(Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]))
+        k = max(n, 2)
+        rows = unimodular(rng, k).entries
+        signed = [[s * x for x in rows[i]] for i, s in zip(rng.sample(range(k), k), rng.choices((-1, 1), k=k))]
+        cases.append(Matrix(signed, ncols=k))
+        rows = random_rational_matrix(rng, n).to_lists()
+        coeffs = [rng.randint(-2, 2) for _ in rows[:-1]]
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        cases.append(Matrix(rows, ncols=n))
+    return cases
+
+
+class TestKeptForwardPass:
+    """``det`` and ``inverse`` read one forward pass on [M | I], kept on
+    the matrix, and agree with sympy, entry types included."""
+
+    def test_matches_sympy(self):
+        seen = collections.Counter()
+        for m in det_inverse_cases():
+            det, inv = det_inverse_by_sympy(m.to_lists())
+            assert typed(m.det()) == typed(det)
+            if inv is None:
+                with pytest.raises(PreconditionError, match="^matrix is singular$"):
+                    m.inverse()
+            else:
+                assert typed(m.inverse()) == typed(Matrix(inv, ncols=m.ncols))
+            n = m.nrows
+            seen["fraction"] += not m.is_integral()
+            seen["|det| > 1"] += m.is_integral() and abs(det) > 1
+            seen["det -1"] += det == -1
+            seen["row swap"] += bool(det) and any(
+                m.submatrix(range(k), range(k)).det() == 0 for k in range(1, n)
+            )
+            seen["singular"] += inv is None and n > 0
+            seen["empty"] += n == 0
+        assert min(seen.values()) >= 1 and len(seen) == 6, seen
+        with pytest.raises(PreconditionError, match="^inverse needs a square matrix$"):
+            Matrix([[1, 2, 3], [4, 5, 6]]).inverse()
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        eliminations, original = [], linalg._eliminate
+        monkeypatch.setattr(
+            "polyarith.matrix._eliminate", lambda *a, **k: eliminations.append(a) or original(*a, **k)
+        )
+        rng = random.Random(37)
+        for m in det_inverse_cases()[:60]:
+            fresh = Matrix(m.entries, ncols=m.ncols)
+            del eliminations[:]
+            for _ in range(4):
+                call = rng.choice((fresh.det, fresh.inverse))
+                try:
+                    call()
+                except PreconditionError:
+                    pass
+            assert len(eliminations) == 1
+        # an automorphism checks det != 0, then its dual inverts: one pass
+        for algebra, rows in (
+            (heisenberg(1), [[2, 0, 0], [0, 3, 0], [0, 0, 6]]),
+            (filiform(6), inner_automorphism(filiform(6), (1, 0, 0, 0, 0, 1)).matrix.entries),
+        ):
+            del eliminations[:]
+            phi = lie.LieAutomorphism(algebra, Matrix(rows))
+            assert phi.dual == phi.matrix.inverse().transpose()
+            assert len(eliminations) == 1
+        from polyarith.semidirect import Automorphism, EquivariantAtom, build_gamma_epsilon
+
+        group = build_gamma_epsilon(3).group
+        del eliminations[:]
+        phi = Automorphism(group, [EquivariantAtom(Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))])
+        assert phi.verify().ok
+        phi.inverse()
+        assert len(eliminations) == 1
 
 
 class TestShapeChecks:

@@ -181,6 +181,33 @@ def test_startup_timings_json():
     }
 
 
+# Source lines of the polyarith modules each subcommand loads, as the
+# probe of startup_timings.py counts them: every line there is compiled at
+# start-up when bytecode writing is off, so a bound only ever moves down.
+STARTUP_LINES = {
+    "pell": 1466,
+    "teob": 3415,
+    "h1": 2839,
+    "der-action": 2839,
+    "lie-cohomology": 3147,
+    "koszul-invariants": 3147,
+}
+
+
+def test_startup_loads_no_more_source_lines(tmp_path):
+    spec = importlib.util.spec_from_file_location("startup_timings", ROOT / "scripts" / "startup_timings.py")
+    timings = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timings)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    lines = {
+        name: sum(timings.loaded_modules(argv, str(tmp_path), env).values())
+        for name, argv in timings.commands(tmp_path).items()
+    }
+    assert set(lines) == set(STARTUP_LINES)
+    assert all(lines[name] <= bound for name, bound in STARTUP_LINES.items()), lines
+
+
 def test_lattice_timings_json():
     done = run_script("lattice_timings.py", "--slots", "6:1", "7:2", "--repeats", "1", "--json")
     assert done.returncode == 0, done.stderr

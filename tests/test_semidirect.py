@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +289,17 @@ class TestAutomorphisms:
         result = Automorphism(g, [EquivariantAtom(stretch)]).verify()
         assert not result.ok
         assert "invertible" in result.reason
+
+    def test_rational_atom_with_det_one_is_refused(self):
+        # diag(2, 1/2) has det 1 but sends (0, 1) to (0, 1/2), off the lattice
+        engine = FreeAbelianEngine(1)
+        g = SemidirectGroup(engine.presentation, ModuleAction(2, (Matrix.identity(2),)), engine)
+        phi = Automorphism(g, [EquivariantAtom(Matrix.diagonal((2, Fraction(1, 2))))])
+        assert phi.apply(g.element((0, 1), (0,))).translation == (0, Fraction(1, 2))
+        result = phi.verify()
+        assert not result.ok and result.reason == "equivariant atom is not invertible over Z"
+        with pytest.raises(PreconditionError, match="^equivariant atom is not invertible over Z$"):
+            phi.inverse()
 
     def test_inner_atoms_verify(self, ge3):
         g = ge3.group
